@@ -41,6 +41,7 @@ from .errors import (
     CacheError,
     CacheFormatError,
     CacheVersionError,
+    CrossCheckError,
     ModulusRangeWarning,
     ResourceLimitError,
 )
@@ -57,6 +58,7 @@ from .representations import (
     convolve,
     count_exceptional_evens,
     exceptional_evens,
+    reach_step,
     representation_count,
     squarefree_shift_count,
 )

@@ -5,8 +5,9 @@ One subcommand per experiment family; every command emits structured rows
 note on stderr, so identical invocations with the same seed produce
 byte-identical stdout.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-or cache error.
+Exit codes: 0 success, 1 verification failure (a failed check, or two
+independent computations that disagree), 2 usage error, 3 resource or cache
+error, or stdout closed by its reader before the output was written.
 
 Configuration precedence: command-line flags, then environment
 (REVPRIME_CACHE_DIR, REVPRIME_THREADS), then a key=value config file
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import circle, representations, schnirelmann, sieve, verify
 from .digits import Base
-from .errors import CacheError, ResourceLimitError
+from .errors import CacheError, CrossCheckError, ResourceLimitError
 from .progressions import weighted_count_up_to, weighted_count_window
 from .sieve import cache_load, cache_store, enumerate_reversed_primes
 
@@ -503,6 +504,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         code = args.func(args, cfg)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # reader gone (`| head`): stop quietly; devnull absorbs the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
+    except CrossCheckError as exc:
+        print(f"verification error: {exc}", file=sys.stderr)
+        return 1
     except (ResourceLimitError, CacheError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3

@@ -5,6 +5,10 @@ class ResourceLimitError(Exception):
     """A request exceeds a hard memory or size ceiling (CLI exit code 3)."""
 
 
+class CrossCheckError(RuntimeError):
+    """Two independent computations of one quantity disagree (CLI exit code 1)."""
+
+
 class CacheError(Exception):
     """Base class for prime-table cache failures."""
 

@@ -35,7 +35,7 @@ from .digits import (
     reverse,
     reverse_block,
 )
-from .errors import ModulusRangeWarning
+from .errors import CrossCheckError, ModulusRangeWarning
 from .sieve import PrimeTable, get_prime_table, reversed_prime_arrays
 
 NAN = float("nan")
@@ -154,7 +154,7 @@ def weighted_count_window(
     # independent prime-side enumeration: p = rev(r) mod b^eta
     obs2, raw2 = _prime_side_window(L, eta, r, a, q, base, table)
     if raw2 != raw or abs(obs2 - observed) > 8 * np.finfo(float).eps * max(raw, 1) * max(observed, 1.0):
-        raise RuntimeError(
+        raise CrossCheckError(
             f"window formulations disagree: n-side ({raw}, {observed}) vs "
             f"prime-side ({raw2}, {obs2})"
         )

@@ -7,9 +7,12 @@ above it a real FFT is used and an a-posteriori error bound
 
     |error| <= 4 * log2(nfft) * eps * ||u||_2 * ||v||_2
 
-is carried on the result.  Existence questions never trust the FFT: any
-value within the bound of zero is re-decided by exact set arithmetic over
-the summand supports.
+is carried on the result.  Existence questions are answered by reach
+layers, boolean sumset masks over 0..N (reach_step): the 0/1 counts are
+integers and the FFT error bound must stay below 1/2 (under MAX_CONV_LEN it
+is below 1.5e-5), so thresholding at 1/2 is exact.  A direct-path zero is
+already exact, as every term is non-negative; an FFT value within its bound
+of zero is recounted by nested summation pruned by the reach layers.
 
 Families (weights are natural logs of the source primes):
 
@@ -36,6 +39,7 @@ from .errors import ResourceLimitError
 from .sieve import (
     PrimeTable,
     WeightedSequence,
+    get_prime_table,
     leading_coprime_sequence,
     reversed_prime_arrays,
     unit_indicator,
@@ -115,40 +119,36 @@ def exact_int_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _support_sets(seqs: list[WeightedSequence]) -> list[set[int]]:
-    return [set(np.flatnonzero(s.weights).tolist()) for s in seqs]
+def reach_step(reach: np.ndarray, addend: np.ndarray, out_len: int | None = None) -> np.ndarray:
+    """The sumset R + A as a boolean mask: index n is set iff n = r + a with
+    reach[r] and addend[a].  The 0/1 convolution counts are integers, so the
+    threshold at 1/2 is exact while the error bound stays below 1/2."""
+    u, v = (WeightedSequence("mask", m.astype(np.float64)) for m in (reach, addend))
+    conv = convolve(u, v, out_len=out_len)
+    if conv.error_bound >= 0.5:
+        raise ResourceLimitError(f"sumset error bound {conv.error_bound} leaves no rounding margin")
+    return conv.weights > 0.5
 
 
-def _exists_exact(N: int, supports: list[set[int]]) -> bool:
-    """Decide whether N is a sum of one element from each support."""
-    if len(supports) == 1:
-        return N in supports[0]
-    head, rest = supports[0], supports[1:]
-    rest_min = sum(min(s) for s in rest) if all(rest) else None
-    if rest_min is None:
-        return False
-    for i in head:
-        if i + rest_min > N:
-            continue
-        if _exists_exact(N - i, rest):
-            return True
-    return False
+def _tail_reach(seqs: list[WeightedSequence], N: int) -> list[np.ndarray]:
+    """tails[j]: the reach layer of seqs[j + 1:] over 0..N."""
+    tails = [seqs[-1].weights[: N + 1] > 0]
+    for s in reversed(seqs[1:-1]):
+        tails.insert(0, reach_step(s.weights[: N + 1] > 0, tails[0], out_len=N + 1))
+    return tails
 
 
-def _exact_value(N: int, seqs: list[WeightedSequence]) -> float:
-    """Exact (compensated) weighted count at N by direct nested summation."""
+def _exact_value(N: int, seqs: list[WeightedSequence], tails: list[np.ndarray]) -> float:
+    """Exact (compensated) weighted count at N by direct nested summation,
+    descending only into remainders inside the next reach layer."""
+    head = seqs[0].weights
     if len(seqs) == 1:
-        return float(seqs[0].weights[N]) if N < len(seqs[0]) else 0.0
-    head, rest = seqs[0], seqs[1:]
-    terms = []
-    sup = np.flatnonzero(head.weights)
-    for i in sup:
-        if i > N:
-            break
-        sub = _exact_value(N - int(i), rest)
-        if sub:
-            terms.append(float(head.weights[i]) * sub)
-    return math.fsum(terms)
+        return float(head[N])
+    sup = np.flatnonzero(head[: N + 1])
+    sup = sup[tails[0][N - sup]]
+    return math.fsum(
+        float(head[i]) * _exact_value(N - int(i), seqs[1:], tails[1:]) for i in sup
+    )
 
 
 def _family_sequences(N: int, family: str, base: Base, k: int | None, table: PrimeTable | None) -> list[WeightedSequence]:
@@ -200,14 +200,10 @@ def representation_count(
     conv = convolve_chain(seqs, out_len=N + 1)
     exact = float(conv.weights[N])
     provenance = "fft" if conv.error_bound > 0 else "exact"
-    if exact <= conv.error_bound:
-        # near-zero through an FFT: settle existence exactly
-        if _exists_exact(N, _support_sets(seqs)):
-            exact = _exact_value(N, seqs)
-            provenance = "exact"
-        else:
-            exact = 0.0
-            provenance = "exact"
+    if provenance == "fft" and exact <= conv.error_bound:
+        # near zero through an FFT: recount exactly over the reach layers
+        exact = _exact_value(N, seqs, _tail_reach(seqs, N))
+        provenance = "exact"
     predicted = _predicted(N, family, base, k)
     ratio = exact / predicted if predicted > 0 else float("nan")
     return RepresentationProfile(N, family, exact, predicted, ratio, provenance)
@@ -280,24 +276,19 @@ def squarefree_mask(x: int) -> np.ndarray:
 
 def exceptional_evens(x: int, base: Base, table: PrimeTable | None = None) -> np.ndarray:
     """Even N <= x with no representation N = p + n (n a reversed prime
-    coprime to b^3 - b): one 0/1 convolution plus an exact re-check of the
-    zero positions."""
+    coprime to b^3 - b): one reach step plus an exact confirmation of each
+    zero position."""
     if x < 4:
         raise ValueError("x must be >= 4")
-    u = weighted_indicator(x, "prime", table=table)
-    v = weighted_indicator(x, "reversed_prime_coprime", base=base, table=table)
-    iu = WeightedSequence("prime01", (u.weights > 0).astype(np.float64))
-    iv = WeightedSequence("rev01", (v.weights > 0).astype(np.float64))
-    conv = convolve(iu, iv, out_len=x + 1)
+    tbl = table if table is not None else get_prime_table(max(x, 2))
+    primes = tbl.primes(x)
+    pmask = np.zeros(x + 1, dtype=bool)
+    pmask[primes] = True
+    rmask = np.zeros(x + 1, dtype=bool)
+    rmask[reversed_prime_arrays(x, base, require_coprime=True, table=table).n] = True
+    reach = reach_step(pmask, rmask, out_len=x + 1)
     evens = np.arange(2, x + 1, 2)
-    candidates = evens[conv.weights[evens] <= max(conv.error_bound, 0.5)]
-    rev_mask = iv.weights > 0
-    primes = np.flatnonzero(iu.weights > 0)
-    out = []
-    for N in candidates:
-        pp = primes[primes < N]
-        if not rev_mask[N - pp].any():
-            out.append(int(N))
+    out = [N for N in evens[~reach[evens]] if not rmask[N - primes[primes < N]].any()]
     return np.array(out, dtype=np.int64)
 
 

@@ -1,5 +1,7 @@
 """Sums of reversed primes only: gap-interval verification in primorial
-bases, minimal-k representation search, and range scans.
+bases, minimal-k representations, and range scans.  Both of the latter read
+reach layers (representations.reach_step): layer k is the exact set of sums
+of k reversed primes, so the minimal k of N is the first layer holding N.
 
 The reversed-prime set here carries NO coprimality filter: every n whose
 digital reverse is prime is admitted.  In the primorial base b_i (product
@@ -18,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .digits import Base
+from .representations import reach_step
 from .sieve import PrimeTable, reversed_prime_arrays
 
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -72,33 +75,11 @@ class MinKResult:
     single: bool  # True when N is itself a reversed prime (k = 1)
 
 
-def _reversed_prime_pool(N: int, base: Base, table: PrimeTable | None):
-    arrays = reversed_prime_arrays(N, base, require_coprime=False, table=table)
-    values = [int(v) for v in arrays.n]
-    return values, set(values)
-
-
-def _find_sum(N: int, k: int, values: list[int], pool: set[int]) -> list[int] | None:
-    """Smallest-first search for N as a sum of exactly k pool elements."""
-    if k == 1:
-        return [N] if N in pool else None
-    if k == 2:
-        for r in values:
-            if 2 * r > N:
-                break
-            if N - r in pool:
-                return [r, N - r]
-        return None
-    if not values:
-        return None
-    smallest = values[0]
-    for r in values:
-        if r + (k - 1) * smallest > N:
-            break
-        rest = _find_sum(N - r, k - 1, values, pool)
-        if rest is not None:
-            return [r] + rest
-    return None
+def _pool_mask(x: int, base: Base, table: PrimeTable | None) -> np.ndarray:
+    """Boolean mask over 0..x of the reversed primes (no coprimality filter)."""
+    mask = np.zeros(x + 1, dtype=bool)
+    mask[reversed_prime_arrays(x, base, require_coprime=False, table=table).n] = True
+    return mask
 
 
 def min_k_representation(
@@ -111,12 +92,21 @@ def min_k_representation(
         raise ValueError("N must be >= 2")
     if not 1 <= k_max <= MAX_SEARCH_K:
         raise ValueError(f"k_max must be in [1, {MAX_SEARCH_K}]")
-    values, pool = _reversed_prime_pool(N, base, table)
-    for k in range(1, k_max + 1):
-        witness = _find_sum(N, k, values, pool)
-        if witness is not None:
-            return MinKResult(N, k, witness, single=(k == 1))
-    return MinKResult(N, None, [], single=False)
+    pool = _pool_mask(N, base, table)
+    layers = [pool]  # layer k: the sums of exactly k reversed primes
+    while not layers[-1][N] and len(layers) < k_max:
+        layers.append(reach_step(layers[-1], pool, out_len=N + 1))
+    if not layers[-1][N]:
+        return MinKResult(N, None, [], single=False)
+    # backtrack: at each layer take the smallest pool member r that leaves
+    # a remainder inside the layer below
+    witness, rest = [], N
+    for below in reversed(layers[:-1]):
+        r = int(np.argmax(pool[: rest + 1] & below[rest::-1]))
+        witness.append(r)
+        rest -= r
+    witness.append(rest)
+    return MinKResult(N, len(layers), witness, single=(len(layers) == 1))
 
 
 @dataclass
@@ -135,23 +125,23 @@ class ScanResult:
 def scan_min_k(
     x_lo: int, x_hi: int, base: Base, k_max: int, table: PrimeTable | None = None
 ) -> ScanResult:
-    """Minimal-k histogram over [x_lo, x_hi]; deterministic (pure search
-    over one shared reversed-prime pool)."""
+    """Minimal-k histogram over [x_lo, x_hi]: the minimal k of N is the
+    first reach layer over one shared reversed-prime pool that contains N."""
     if not 2 <= x_lo <= x_hi:
         raise ValueError("need 2 <= x_lo <= x_hi")
     if not 1 <= k_max <= MAX_SEARCH_K:
         raise ValueError(f"k_max must be in [1, {MAX_SEARCH_K}]")
-    values, pool = _reversed_prime_pool(x_hi, base, table)
+    pool = _pool_mask(x_hi, base, table)
     counts: dict[int, int] = {}
-    failures: list[int] = []
-    for N in range(x_lo, x_hi + 1):
-        found = None
-        for k in range(1, k_max + 1):
-            if _find_sum(N, k, values, pool) is not None:
-                found = k
-                break
-        if found is None:
-            failures.append(N)
-        else:
-            counts[found] = counts.get(found, 0) + 1
-    return ScanResult(x_lo, x_hi, k_max, counts, failures)
+    open_n = np.arange(x_lo, x_hi + 1)  # targets not yet reached
+    layer = pool  # layer k: the sums of exactly k reversed primes
+    for k in range(1, k_max + 1):
+        if k > 1:
+            layer = reach_step(layer, pool, out_len=x_hi + 1)
+        hit = layer[open_n]
+        if hit.any():
+            counts[k] = int(hit.sum())
+        open_n = open_n[~hit]
+        if not len(open_n):
+            break
+    return ScanResult(x_lo, x_hi, k_max, counts, open_n.tolist())

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -30,7 +31,6 @@ import numpy as np
 from .digits import Base, coprime_leading_indicator, reverse_block
 from .errors import (
     CacheChecksumError,
-    CacheError,
     CacheFormatError,
     CacheVersionError,
     ResourceLimitError,
@@ -355,8 +355,9 @@ def _unpack_mask(raw: bytes, count: int) -> np.ndarray:
 
 
 def cache_store(path: str | os.PathLike, table: PrimeTable) -> None:
-    """Write a PrimeTable to disk (single writer: guarded by a lock file,
-    written to a temp file and renamed into place)."""
+    """Write a PrimeTable to disk: to a unique temp file in the same
+    directory, renamed into place, so a crashed or concurrent writer never
+    leaves a partial file or blocks the next one."""
     path = os.fspath(path)
     payload = (
         CACHE_MAGIC
@@ -365,20 +366,17 @@ def cache_store(path: str | os.PathLike, table: PrimeTable) -> None:
         + _pack_mask(table.odd_mask)
     )
     checksum = fnv1a64(payload).to_bytes(8, "little")
-    lock_path = path + ".lock"
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".")
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise CacheError(f"{path}: locked by another writer ({lock_path} exists)")
-    try:
-        tmp_path = path + ".tmp"
-        with open(tmp_path, "wb") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
             fh.write(checksum)
+            fh.flush()
+            os.fsync(fh.fileno())  # the rename must never expose unwritten data
         os.replace(tmp_path, path)
-    finally:
-        os.close(fd)
-        os.unlink(lock_path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
 
 
 def cache_load(path: str | os.PathLike) -> PrimeTable:

@@ -184,3 +184,28 @@ def test_verify_failure_exits_1(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL 7-progression-convergence" in out
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # a reader that stops early, like `enumerate --limit 1000000 | head -1`
+    proc = subprocess.Popen(
+        CLI + ["enumerate", "--limit", "1000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.readline() == "n,p,weight,coprime\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait() == 3
+    assert "Traceback" not in stderr
+
+
+def test_window_cross_check_failure_exits_1(monkeypatch, capsys):
+    # a disagreement between the two window enumerations is a failed check
+    from revprime import cli, progressions
+
+    monkeypatch.setattr(progressions, "_prime_side_window", lambda *args: (0.0, 0))
+    code = cli.main(["partition", "--digits", "2", "--eta", "2", "--r", "71"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("verification error: window formulations disagree")
+    assert len(err.splitlines()) == 1

@@ -219,3 +219,67 @@ def test_representation_validation(b10):
         representation_count(100, "r0k", b10, k=9)
     with pytest.raises(ValueError):
         composition_count(100, "nope", b10)
+
+
+@pytest.mark.parametrize("k,N", [(4, 10001), (6, 1001), (6, 3001)])
+def test_r0k_odd_n_exact_zero(b10, k, N):
+    # reversed primes coprime to 990 are odd, so an even number of them never
+    # sums to an odd N; the direct-path zero is final, with no search behind it
+    profile = representation_count(N, "r0k", b10, k=k)
+    assert profile.exact == 0.0
+    assert profile.provenance == "exact"
+
+
+@pytest.mark.parametrize("N", [100001, 100003, 100009])
+def test_r11_fft_path_recheck(b10, N):
+    # above the direct cap the count comes from the FFT; odd N forces p1 = 2,
+    # so the count is log 2 * w_rev[N - 2], and a zero is recounted exactly
+    assert (N + 1) ** 2 > reps.DIRECT_OPS_CAP
+    w_rev = weighted_indicator(N, "reversed_prime_coprime", base=b10).weights
+    profile = representation_count(N, "r11", b10)
+    if w_rev[N - 2] == 0.0:
+        assert profile.exact == 0.0
+        assert profile.provenance == "exact"
+    else:
+        assert profile.provenance == "fft"
+        assert math.isclose(profile.exact, math.log(2) * w_rev[N - 2], rel_tol=1e-9)
+
+
+def test_reach_step_is_the_sumset():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        r = rng.random(300) < 0.1
+        a = rng.random(200) < 0.2
+        want = np.zeros(499, dtype=bool)
+        for i in np.flatnonzero(r):
+            want[i + np.flatnonzero(a)] = True
+        assert reps.reach_step(r, a).tolist() == want.tolist()
+        assert reps.reach_step(r, a, out_len=250).tolist() == want[:250].tolist()
+
+
+def test_reach_step_fft_path_is_exact():
+    rng = np.random.default_rng(8)
+    r = rng.random(5000) < 0.05
+    a = rng.random(5000) < 0.05
+    want = np.convolve(r.astype(np.int64), a.astype(np.int64)) > 0
+    old = reps.DIRECT_OPS_CAP
+    reps.DIRECT_OPS_CAP = 1  # force the FFT path
+    try:
+        got = reps.reach_step(r, a)
+    finally:
+        reps.DIRECT_OPS_CAP = old
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("b", [2, 10])
+def test_recount_over_reach_layers_vs_nested_loops(b):
+    # the recount behind an FFT near-zero, run on its own at small N
+    base = Base(b)
+    M = 300
+    pr = weighted_indicator(M, "prime")
+    rev = weighted_indicator(M, "reversed_prime_coprime", base=base)
+    for seqs in ([pr, rev], [pr, rev, rev], [pr, pr, rev], [rev, rev, rev, rev]):
+        for N in (17, 100, 255, 299):
+            got = reps._exact_value(N, seqs, reps._tail_reach(seqs, N))
+            want = brute_family(N, [s.weights for s in seqs])
+            assert abs(got - want) <= 1e-9 * max(1.0, want), (b, len(seqs), N)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -116,3 +117,53 @@ def test_scan_validation(b10):
         scan_min_k(10, 5, b10, 3)
     with pytest.raises(ValueError):
         min_k_representation(100, b10, 9)
+
+
+def test_scan_base30_pinned():
+    res = scan_min_k(2, 4000, Base(30), 4)
+    assert res.counts == {1: 500, 2: 2906, 3: 552, 4: 41}
+    assert res.failures == []
+
+
+def test_scan_base6_pinned():
+    res = scan_min_k(2, 3000, Base(6), 8)
+    assert res.counts == {1: 595, 2: 2130, 3: 274}
+    assert res.failures == []
+
+
+def test_min_k_base30_pinned():
+    res = min_k_representation(4001, Base(30), 6)
+    assert res.k == 3
+    assert res.witness == [407, 1797, 1797]
+
+
+def _brute_pool(N, b):
+    """Reversed primes <= N by digit reversal and trial division."""
+
+    def is_prime(p):
+        return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+    def rev(n):
+        out = 0
+        while n:
+            n, d = divmod(n, b)
+            out = out * b + d
+        return out
+
+    return [n for n in range(1, N + 1) if n % b and is_prime(rev(n))]
+
+
+@pytest.mark.parametrize("b", [3, 6, 10, 30])
+def test_min_k_witness_is_first_combination(b):
+    for N in range(2, 201):
+        pool = _brute_pool(N, b)
+        want_k, want = None, []
+        for k in (1, 2, 3):
+            first = next(
+                (c for c in combinations_with_replacement(pool, k) if sum(c) == N), None
+            )
+            if first is not None:
+                want_k, want = k, list(first)
+                break
+        res = min_k_representation(N, Base(b), 3)
+        assert (res.k, res.witness) == (want_k, want), (b, N)

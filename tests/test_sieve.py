@@ -231,3 +231,16 @@ def test_cache_lock_released(tmp_path):
     assert not os.path.exists(str(path) + ".lock")
     cache_store(path, sieve_primes(200))
     assert cache_load(path).limit == 200
+
+
+def test_cache_store_ignores_leftovers_of_a_dead_writer(tmp_path):
+    # a writer killed mid-store used to leave table.bin.lock (which blocked
+    # every later store) and a partial table.bin.tmp
+    path = tmp_path / "table.bin"
+    (tmp_path / "table.bin.lock").write_bytes(b"")
+    (tmp_path / "table.bin.tmp").write_bytes(b"partial")
+    cache_store(path, sieve_primes(300))
+    assert cache_load(path).limit == 300
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "table.bin", "table.bin.lock", "table.bin.tmp"
+    ]
