@@ -26,7 +26,7 @@ import numpy as np
 from .arithmetic import mobius, totient
 from .digits import Base, coprime_leading_indicator
 from .errors import ResourceLimitError
-from .sieve import PrimeTable, get_prime_table, reversed_prime_arrays, weighted_indicator
+from .sieve import PrimeTable, indicator_support, weighted_indicator
 
 EXP_SUM_KINDS = ("prime", "reversed_prime_coprime", "all", "B_set")
 MAX_SUM_LEN = 1 << 31
@@ -34,15 +34,8 @@ MAX_SUM_LEN = 1 << 31
 
 def _support(kind: str, x: int, base: Base | None, table: PrimeTable | None):
     """(indices, weights) of the coefficient array for an exponential sum."""
-    if kind == "prime":
-        tbl = table if table is not None else get_prime_table(max(x, 2))
-        ps = tbl.primes(x)
-        return ps, np.log(ps.astype(np.float64))
-    if kind == "reversed_prime_coprime":
-        if base is None:
-            raise ValueError("base required for reversed-prime sums")
-        arr = reversed_prime_arrays(x, base, require_coprime=True, table=table)
-        return arr.n, arr.weight
+    if kind in ("prime", "reversed_prime_coprime"):
+        return indicator_support(x, kind, base, table)
     if kind == "all":
         n = np.arange(1, x + 1, dtype=np.int64)
         return n, np.ones(x, dtype=np.float64)
@@ -271,10 +264,8 @@ def minor_arc_probe(
         raise ValueError("samples must be >= 1")
     part = build_arcs(N, B)
     rng = np.random.default_rng(seed)
-    arr = reversed_prime_arrays(N, base, require_coprime=True, table=table)
-    tbl = table if table is not None else get_prime_table(max(N, 2))
-    primes = tbl.primes(N)
-    prime_w = np.log(primes.astype(np.float64))
+    rev_n, rev_w = indicator_support(N, "reversed_prime_coprime", base, table)
+    primes, prime_w = indicator_support(N, "prime", table=table)
     max_abs = 0.0
     max_abs_prime = 0.0
     drawn = 0
@@ -283,8 +274,8 @@ def minor_arc_probe(
         if part.find(alpha) is not None:
             continue
         drawn += 1
-        theta = 2.0 * np.pi * ((arr.n * alpha) % 1.0)
-        s = abs(complex(np.sum(arr.weight * np.cos(theta)), np.sum(arr.weight * np.sin(theta))))
+        theta = 2.0 * np.pi * ((rev_n * alpha) % 1.0)
+        s = abs(complex(np.sum(rev_w * np.cos(theta)), np.sum(rev_w * np.sin(theta))))
         max_abs = max(max_abs, s)
         theta_p = 2.0 * np.pi * ((primes * alpha) % 1.0)
         sp = abs(complex(np.sum(prime_w * np.cos(theta_p)), np.sum(prime_w * np.sin(theta_p))))

@@ -71,15 +71,6 @@ def digit_length(n: int, base: Base) -> int:
     return len(digits_of(n, base))
 
 
-def leading_digit(n: int, base: Base) -> int:
-    if n <= 0:
-        raise ValueError("n must be positive")
-    b = base.b
-    while n >= b:
-        n //= b
-    return n
-
-
 def reverse(n: int, base: Base) -> int:
     """Digital reverse of n >= 1 in base b.
 

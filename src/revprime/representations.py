@@ -39,7 +39,7 @@ from .errors import ResourceLimitError
 from .sieve import (
     PrimeTable,
     WeightedSequence,
-    get_prime_table,
+    indicator_mask,
     leading_coprime_sequence,
     reversed_prime_arrays,
     unit_indicator,
@@ -83,7 +83,9 @@ def convolve(u: WeightedSequence, v: WeightedSequence, out_len: int | None = Non
         nfft = 1
         while nfft < full:
             nfft *= 2
-        w = np.fft.irfft(np.fft.rfft(u.weights, nfft) * np.fft.rfft(v.weights, nfft), nfft)[:full]
+        spectrum = np.fft.rfft(u.weights, nfft)
+        spectrum *= np.fft.rfft(v.weights, nfft)  # in place: one spectrum fewer at peak
+        w = np.fft.irfft(spectrum, nfft)[:full]
         bound = propagated + 4.0 * math.log2(nfft) * _EPS * float(
             np.linalg.norm(u.weights) * np.linalg.norm(v.weights)
         )
@@ -280,13 +282,10 @@ def exceptional_evens(x: int, base: Base, table: PrimeTable | None = None) -> np
     zero position."""
     if x < 4:
         raise ValueError("x must be >= 4")
-    tbl = table if table is not None else get_prime_table(max(x, 2))
-    primes = tbl.primes(x)
-    pmask = np.zeros(x + 1, dtype=bool)
-    pmask[primes] = True
-    rmask = np.zeros(x + 1, dtype=bool)
-    rmask[reversed_prime_arrays(x, base, require_coprime=True, table=table).n] = True
+    pmask = indicator_mask(x, "prime", table=table)
+    rmask = indicator_mask(x, "reversed_prime_coprime", base=base, table=table)
     reach = reach_step(pmask, rmask, out_len=x + 1)
+    primes = np.flatnonzero(pmask)
     evens = np.arange(2, x + 1, 2)
     out = [N for N in evens[~reach[evens]] if not rmask[N - primes[primes < N]].any()]
     return np.array(out, dtype=np.int64)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .digits import Base
 from .representations import reach_step
-from .sieve import PrimeTable, reversed_prime_arrays
+from .sieve import PrimeTable, indicator_mask, reversed_prime_arrays
 
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -75,13 +75,6 @@ class MinKResult:
     single: bool  # True when N is itself a reversed prime (k = 1)
 
 
-def _pool_mask(x: int, base: Base, table: PrimeTable | None) -> np.ndarray:
-    """Boolean mask over 0..x of the reversed primes (no coprimality filter)."""
-    mask = np.zeros(x + 1, dtype=bool)
-    mask[reversed_prime_arrays(x, base, require_coprime=False, table=table).n] = True
-    return mask
-
-
 def min_k_representation(
     N: int, base: Base, k_max: int, table: PrimeTable | None = None
 ) -> MinKResult:
@@ -92,21 +85,26 @@ def min_k_representation(
         raise ValueError("N must be >= 2")
     if not 1 <= k_max <= MAX_SEARCH_K:
         raise ValueError(f"k_max must be in [1, {MAX_SEARCH_K}]")
-    pool = _pool_mask(N, base, table)
-    layers = [pool]  # layer k: the sums of exactly k reversed primes
-    while not layers[-1][N] and len(layers) < k_max:
-        layers.append(reach_step(layers[-1], pool, out_len=N + 1))
-    if not layers[-1][N]:
+    pool = indicator_mask(N, "reversed_prime", base=base, table=table)
+    layers: list[np.ndarray] = []  # layers[j]: the sums of exactly j + 1 reversed primes
+    # N is in layer k + 1 iff N - r is in layer k for some pool member r, so
+    # the layer holding N is never built and k <= 2 needs no convolution
+    reached = bool(pool[N])
+    while not reached and len(layers) + 1 < k_max:
+        layers.append(reach_step(layers[-1], pool, out_len=N + 1) if layers else pool)
+        reached = bool((pool & layers[-1][::-1]).any())
+    if not reached:
         return MinKResult(N, None, [], single=False)
     # backtrack: at each layer take the smallest pool member r that leaves
     # a remainder inside the layer below
     witness, rest = [], N
-    for below in reversed(layers[:-1]):
+    for below in reversed(layers):
         r = int(np.argmax(pool[: rest + 1] & below[rest::-1]))
         witness.append(r)
         rest -= r
     witness.append(rest)
-    return MinKResult(N, len(layers), witness, single=(len(layers) == 1))
+    k = len(layers) + 1
+    return MinKResult(N, k, witness, single=(k == 1))
 
 
 @dataclass
@@ -131,7 +129,7 @@ def scan_min_k(
         raise ValueError("need 2 <= x_lo <= x_hi")
     if not 1 <= k_max <= MAX_SEARCH_K:
         raise ValueError(f"k_max must be in [1, {MAX_SEARCH_K}]")
-    pool = _pool_mask(x_hi, base, table)
+    pool = indicator_mask(x_hi, "reversed_prime", base=base, table=table)
     counts: dict[int, int] = {}
     open_n = np.arange(x_lo, x_hi + 1)  # targets not yet reached
     layer = pool  # layer k: the sums of exactly k reversed primes

@@ -281,39 +281,58 @@ class WeightedSequence:
         return len(self.weights)
 
 
-def weighted_indicator(
-    x: int,
-    kind: str,
-    base: Base | None = None,
-    table: PrimeTable | None = None,
-) -> WeightedSequence:
-    """Log-weighted indicator array w[0..x].
+def indicator_support(
+    x: int, kind: str, base: Base | None = None, table: PrimeTable | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n, w): the members n <= x of a set, increasing, and their log weights.
 
-    kind = "prime":                   w[n] = log n for prime n
-    kind = "reversed_prime_coprime":  w[n] = log(reverse(n)) for reversed
-                                      primes n with gcd(n, b^3 - b) = 1
-                                      (the weight is the log of the source
-                                      prime, not of n itself)
+    kind = "prime":                   primes n, w = log n
+    kind = "reversed_prime_coprime":  reversed primes n with gcd(n, b^3 - b)
+                                      = 1, w = log(reverse(n)) (the log of
+                                      the source prime, not of n itself)
+    kind = "reversed_prime":          the same without the gcd filter
     """
+    if kind == "prime":
+        tbl = table if table is not None else get_prime_table(max(x, 2))
+        ps = tbl.primes(x)
+        return ps, np.log(ps.astype(np.float64))
+    if kind in ("reversed_prime", "reversed_prime_coprime"):
+        if base is None:
+            raise ValueError("base is required for reversed-prime indicators")
+        coprime = kind == "reversed_prime_coprime"
+        arrays = reversed_prime_arrays(x, base, require_coprime=coprime, table=table)
+        return arrays.n, arrays.weight
+    raise ValueError(f"unknown indicator kind {kind!r}")
+
+
+def _indicator(x: int, kind: str, base: Base | None, table: PrimeTable | None, dtype) -> np.ndarray:
     if x < 1:
         raise ValueError("x must be >= 1")
     if x >= MAX_SEQUENCE_LEN:
         raise ResourceLimitError(
             f"indicator of length {x + 1} exceeds the {MAX_SEQUENCE_LEN} ceiling"
         )
-    w = np.zeros(x + 1, dtype=np.float64)
-    if kind == "prime":
-        tbl = table if table is not None else get_prime_table(max(x, 2))
-        ps = tbl.primes(x)
-        w[ps] = np.log(ps.astype(np.float64))
-    elif kind == "reversed_prime_coprime":
-        if base is None:
-            raise ValueError("base is required for reversed-prime indicators")
-        arrays = reversed_prime_arrays(x, base, require_coprime=True, table=table)
-        w[arrays.n] = arrays.weight
-    else:
-        raise ValueError(f"unknown indicator kind {kind!r}")
-    return WeightedSequence(kind, w)
+    w = np.zeros(x + 1, dtype=dtype)
+    n, weight = indicator_support(x, kind, base, table)
+    w[n] = weight  # a bool mask stores True for each (positive) log
+    return w
+
+
+def weighted_indicator(
+    x: int,
+    kind: str,
+    base: Base | None = None,
+    table: PrimeTable | None = None,
+) -> WeightedSequence:
+    """Log-weighted indicator array w[0..x] of a kind of indicator_support."""
+    return WeightedSequence(kind, _indicator(x, kind, base, table, np.float64))
+
+
+def indicator_mask(
+    x: int, kind: str, base: Base | None = None, table: PrimeTable | None = None
+) -> np.ndarray:
+    """Boolean mask over 0..x of a kind of indicator_support."""
+    return _indicator(x, kind, base, table, bool)
 
 
 def unit_indicator(x: int) -> WeightedSequence:
@@ -356,8 +375,9 @@ def _unpack_mask(raw: bytes, count: int) -> np.ndarray:
 
 def cache_store(path: str | os.PathLike, table: PrimeTable) -> None:
     """Write a PrimeTable to disk: to a unique temp file in the same
-    directory, renamed into place, so a crashed or concurrent writer never
-    leaves a partial file or blocks the next one."""
+    directory (mode 0o666 less the umask, as open() gives), renamed into
+    place, so a crashed or concurrent writer never leaves a partial file or
+    blocks the next one.  A SIGKILLed writer's `<name>.*.tmp` file stays."""
     path = os.fspath(path)
     payload = (
         CACHE_MAGIC
@@ -366,8 +386,12 @@ def cache_store(path: str | os.PathLike, table: PrimeTable) -> None:
         + _pack_mask(table.odd_mask)
     )
     checksum = fnv1a64(payload).to_bytes(8, "little")
-    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".")
+    umask = os.umask(0)
+    os.umask(umask)
+    head, tail = os.path.split(path)
+    fd, tmp_path = tempfile.mkstemp(suffix=".tmp", prefix=tail + ".", dir=head or ".")
     try:
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0o600
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
             fh.write(checksum)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import revprime.representations as reps
+import revprime.sieve as sieve
 from revprime.digits import Base
+from revprime.errors import ResourceLimitError
 from revprime.representations import (
     composition_count,
     convolve,
@@ -203,6 +205,13 @@ def test_exceptional_evens_brute(b10):
     ]
     assert exc.tolist() == brute == [2, 4, 6, 8, 52]
     assert count_exceptional_evens(100, b10) == 5
+
+
+def test_exceptional_evens_keeps_the_length_ceiling(b10, monkeypatch):
+    monkeypatch.setattr(sieve, "MAX_SEQUENCE_LEN", 1000)
+    assert exceptional_evens(999, b10).tolist() == [2, 4, 6, 8, 52]
+    with pytest.raises(ResourceLimitError):
+        exceptional_evens(1000, b10)
 
 
 def test_exception_density_decreasing(b10):

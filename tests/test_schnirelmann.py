@@ -1,8 +1,11 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import tracemalloc
+
 import pytest
 
+import revprime.schnirelmann as schnirelmann
 from revprime.digits import Base
 from revprime.schnirelmann import (
     min_k_representation,
@@ -135,6 +138,27 @@ def test_min_k_base30_pinned():
     res = min_k_representation(4001, Base(30), 6)
     assert res.k == 3
     assert res.witness == [407, 1797, 1797]
+
+
+def test_min_k_builds_only_the_layers_below_n(monkeypatch):
+    # the layer that holds N is never built: k <= 2 costs no convolution,
+    # k = 3 one (the sums of two)
+    built = []
+    step = schnirelmann.reach_step
+    monkeypatch.setattr(
+        schnirelmann, "reach_step", lambda *a, **kw: built.append(1) or step(*a, **kw)
+    )
+    tracemalloc.start()
+    try:
+        res = min_k_representation(10**7, Base(10), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.k, res.witness) == (2, [11, 9999989])
+    assert built == []
+    assert peak < 100 * 2**20  # building layer 2 here is an FFT of length 2**25: over 500 MB
+    assert min_k_representation(4001, Base(30), 6).k == 3
+    assert built == [1]
 
 
 def _brute_pool(N, b):

@@ -11,12 +11,14 @@ from revprime.errors import (
     CacheVersionError,
     ResourceLimitError,
 )
+import revprime.sieve as sieve
 from revprime.sieve import (
     CACHE_MAGIC,
     cache_load,
     cache_store,
     enumerate_reversed_primes,
     fnv1a64,
+    indicator_mask,
     reversed_prime_arrays,
     sieve_primes,
     weighted_indicator,
@@ -178,6 +180,23 @@ def test_weighted_indicator_total_matches_direct_sum(b10):
     assert abs(w.weights.sum() - direct) < 1e-9
 
 
+def test_indicator_mask_is_the_weighted_support(b10):
+    for kind, base in (("prime", None), ("reversed_prime_coprime", b10)):
+        w = weighted_indicator(500, kind, base=base)
+        assert np.array_equal(indicator_mask(500, kind, base=base), w.weights > 0)
+    unfiltered = indicator_mask(40, "reversed_prime", base=b10)
+    assert unfiltered[32] and unfiltered[13]  # 32 = rev(23) has no coprimality filter here
+    with pytest.raises(ValueError):
+        indicator_mask(40, "reversed_prime")
+
+
+def test_indicator_mask_length_ceiling(monkeypatch):
+    monkeypatch.setattr(sieve, "MAX_SEQUENCE_LEN", 1000)
+    assert indicator_mask(999, "prime").sum() == 168
+    with pytest.raises(ResourceLimitError):
+        indicator_mask(1000, "prime")
+
+
 def test_fnv1a64_reference():
     # classic reference vectors for 64-bit FNV-1a
     assert fnv1a64(b"") == 0xCBF29CE484222325
@@ -244,3 +263,15 @@ def test_cache_store_ignores_leftovers_of_a_dead_writer(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "table.bin", "table.bin.lock", "table.bin.tmp"
     ]
+
+
+def test_cache_store_gives_the_umask_mode(tmp_path):
+    # the temp file is created 0o600; the stored table must be readable by
+    # whoever a plain open() would have let read it
+    old = os.umask(0o022)
+    try:
+        cache_store(tmp_path / "table.bin", sieve_primes(100))
+    finally:
+        os.umask(old)
+    assert (tmp_path / "table.bin").stat().st_mode & 0o777 == 0o644
+    assert [p.name for p in tmp_path.iterdir()] == ["table.bin"]
