@@ -47,9 +47,11 @@ from .errors import (
 )
 from .progressions import (
     APResult,
+    ClassCounts,
     weighted_count_by_length,
     weighted_count_up_to,
     weighted_count_window,
+    weighted_counts_up_to,
     window_partition_check,
 )
 from .representations import (

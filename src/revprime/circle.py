@@ -30,6 +30,7 @@ from .sieve import PrimeTable, indicator_support, weighted_indicator
 
 EXP_SUM_KINDS = ("prime", "reversed_prime_coprime", "all", "B_set")
 MAX_SUM_LEN = 1 << 31
+MAX_ARC_GRID = 1 << 20  # ceiling on floor(Q)^2; build_arcs makes ~0.3 floor(Q)^2 arcs
 
 
 def _support(kind: str, x: int, base: Base | None, table: PrimeTable | None):
@@ -113,23 +114,39 @@ def build_arcs(N: int, B: float) -> ArcPartition:
         raise ValueError("B must be >= 1")
     Q = math.log(N) ** B
     halfwidth = Q / N
-    arcs = []
-    for q in range(1, int(Q) + 1):
-        for a in range(0, q + 1):
-            if math.gcd(a, q) != 1:
-                continue
-            center = a / q
-            lo = max(0.0, center - halfwidth)
-            hi = min(1.0, center + halfwidth)
-            arcs.append(Arc(a, q, center, halfwidth, lo, hi))
+    m = int(Q)
+    if m >= 2:
+        # 1/m and 1/(m-1) are the closest centres, 1/(m(m-1)) apart: if
+        # their arcs overlap, some do, and building the rest is wasted
+        _check_disjoint(_arc(1, m, halfwidth), _arc(1, m - 1, halfwidth), N, B)
+    if m * m > MAX_ARC_GRID:
+        raise ResourceLimitError(
+            f"Q = (log N)^B = {Q:.4g} needs about {0.3 * m * m:.3g} major arcs; "
+            f"floor(Q)^2 exceeds the {MAX_ARC_GRID} ceiling"
+        )
+    arcs = [
+        _arc(a, q, halfwidth)
+        for q in range(1, m + 1)
+        for a in range(0, q + 1)
+        if math.gcd(a, q) == 1
+    ]
     arcs.sort(key=lambda arc: (arc.lo, arc.hi))
     for prev, cur in zip(arcs, arcs[1:]):
-        if cur.lo <= prev.hi:
-            raise ValueError(
-                f"major arcs {prev.a}/{prev.q} and {cur.a}/{cur.q} overlap; "
-                f"N={N} is too small for B={B}"
-            )
+        _check_disjoint(prev, cur, N, B)
     return ArcPartition(N, B, Q, arcs)
+
+
+def _arc(a: int, q: int, halfwidth: float) -> Arc:
+    center = a / q
+    return Arc(a, q, center, halfwidth, max(0.0, center - halfwidth), min(1.0, center + halfwidth))
+
+
+def _check_disjoint(prev: Arc, cur: Arc, N: int, B: float) -> None:
+    if cur.lo <= prev.hi:
+        raise ValueError(
+            f"major arcs {prev.a}/{prev.q} and {cur.a}/{cur.q} overlap; "
+            f"N={N} is too small for B={B}"
+        )
 
 
 def major_arc_residual(

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import circle, representations, schnirelmann, sieve, verify
 from .digits import Base
-from .errors import CacheError, CrossCheckError, ResourceLimitError
-from .progressions import weighted_count_up_to, weighted_count_window
+from .errors import CacheError, CacheVersionError, CrossCheckError, ResourceLimitError
+from .progressions import weighted_count_window, weighted_counts_up_to
 from .sieve import cache_load, cache_store, enumerate_reversed_primes
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,10 @@ def _read_config_file(path: str) -> dict[str, str]:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
-        file_vals = _read_config_file(args.config)
+        try:
+            file_vals = _read_config_file(args.config)
+        except OSError as exc:
+            raise ValueError(f"cannot read --config file: {exc}") from exc
         if "base" in file_vals:
             cfg.base = int(file_vals["base"])
         if "cache_dir" in file_vals:
@@ -100,18 +103,25 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def prepare_cache(cfg: RunConfig, limit: int) -> None:
-    """Load (or build and store) a prime table big enough for `limit`."""
+    """Load (or build and store) a prime table big enough for `limit`.  A
+    file of another format version is rebuilt; I/O errors become CacheError."""
     if not cfg.cache_dir:
         return
-    os.makedirs(cfg.cache_dir, exist_ok=True)
     path = os.path.join(cfg.cache_dir, "prime_table.bin")
-    if os.path.exists(path):
-        table = cache_load(path)
-        if table.limit >= limit:
-            sieve._table_cache = table
-            return
-    table = sieve.get_prime_table(limit, threads=cfg.worker_count)
-    cache_store(path, table)
+    try:
+        os.makedirs(cfg.cache_dir, exist_ok=True)
+        if os.path.exists(path):
+            try:
+                table = cache_load(path)
+            except CacheVersionError:
+                pass
+            else:
+                if table.limit >= limit:
+                    sieve._table_cache = table
+                    return
+        cache_store(path, sieve.get_prime_table(limit, threads=cfg.worker_count))
+    except OSError as exc:
+        raise CacheError(f"cache directory {cfg.cache_dir}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +212,14 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
 
 def cmd_count_ap(args, cfg: RunConfig) -> int:
     base = Base(cfg.base)
-    _cache_for_bound(cfg, max(int_list(args.x)), base)
+    xs, qs, residues = int_list(args.x), int_list(args.q), int_list(args.a)
+    _cache_for_bound(cfg, max(xs), base)
+    counts = weighted_counts_up_to(xs, qs, base)
     entries = []
-    for x in int_list(args.x):
-        for q in int_list(args.q):
-            for a in int_list(args.a):
-                res = weighted_count_up_to(x, a, q, base)
+    for x in xs:
+        for q in qs:
+            for a in residues:
+                res = counts[x, q].result(a)
                 entries.append(
                     (
                         {"base": cfg.base, "x": x, "a": a, "q": q},

@@ -4,7 +4,9 @@ predicted equidistribution main terms.
 All observed values are full enumerations (no sampling): the log-weighted
 count of reversed primes n with gcd(n, b^3 - b) = 1 in a residue class,
 either over a fixed digit length, a cutoff n <= x, or a leading-digit
-window.  Main terms share the factor
+window.  Cutoff counts are made in batches: weighted_counts_up_to gives
+every class of every (x, q) from one enumeration, and weighted_count_up_to
+is one cell of it.  Main terms share the factor
 
     (q, b^3-b)/phi((q, b^3-b)) * rho_b(a, q) / q,
 
@@ -20,10 +22,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .arithmetic import totient
 from .digits import (
@@ -96,25 +100,87 @@ def weighted_count_by_length(
     return _result(observed, main, raw)
 
 
+@dataclass
+class ClassCounts:
+    """Reversed primes n <= x coprime to b^3 - b, grouped by n mod q: the
+    observed and raw count of each class that holds one (every other class
+    counts 0), and the main term of an admissible class."""
+
+    q: int
+    base: Base
+    residues: np.ndarray  # int64, increasing: the non-empty classes
+    observed: np.ndarray  # float64, log-weighted count of each such class
+    raw_count: np.ndarray  # int64, reversed primes in each such class
+    main_unit: Fraction  # (q,m)/phi((q,m)) / q * #{n <= x : leading digit coprime}
+
+    def result(self, a: int) -> APResult:
+        """The class a mod q."""
+        a %= self.q
+        i = int(np.searchsorted(self.residues, a))
+        held = i < len(self.residues) and self.residues[i] == a
+        main = float(self.main_unit * residue_admissible(a, self.q, self.base))
+        if not held:
+            return _result(0.0, main, 0)
+        return _result(float(self.observed[i]), main, int(self.raw_count[i]))
+
+
+def _class_sums(weight: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """weight[s : s + k].sum() for each class (s, k), bit for bit: the classes
+    of one size are the rows of a C-contiguous copy, and each row sum is the
+    pairwise .sum() of that class alone (a sequential sum, as np.bincount
+    takes, is not)."""
+    out = np.empty(len(starts))
+    for k in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == k)
+        out[rows] = sliding_window_view(weight, k)[starts[rows]].sum(axis=1)
+    return out
+
+
+def weighted_counts_up_to(
+    xs: Iterable[int], qs: Iterable[int], base: Base, table: PrimeTable | None = None
+) -> dict[tuple[int, int], ClassCounts]:
+    """Every class a mod q of reversed primes n <= x coprime to b^3 - b, for
+    each x in xs and q in qs, keyed (x, q); main term (q,m)/phi((q,m)) *
+    rho/q * #{n <= x : leading digit coprime to b}.
+
+    One enumeration up to max(xs) serves every cell, and one sort by n mod q
+    serves every x: each observed count is the .sum() of the same values in
+    the same order as w[n % q == a].sum() over the n <= x.
+    """
+    xs, qs = list(dict.fromkeys(xs)), list(dict.fromkeys(qs))
+    if not (xs and qs) or min(xs) < 1 or min(qs) < 1:
+        raise ValueError("x and q must be >= 1")
+    for x in xs:
+        for q in qs:
+            _check_modulus_guard(q, digit_length(x, base), base)
+    arrays = reversed_prime_arrays(max(xs), base, require_coprime=True, table=table)
+    cuts = {x: len(arrays.restrict(x)) for x in xs}  # n[i] <= x iff i < cut
+    out = {}
+    for q in qs:
+        residue = arrays.n % q
+        # a stable sort keeps each class in increasing n, so the members
+        # n <= x of a class are a prefix of it; keys of at most 16 bits take
+        # numpy's radix sort
+        order = np.argsort(residue.astype(np.min_scalar_type(q - 1)), kind="stable")
+        residue, weight = residue[order], arrays.weight[order]
+        starts = np.flatnonzero(np.diff(residue, prepend=-1))
+        for x in xs:
+            sizes = np.add.reduceat(order < cuts[x], starts, dtype=np.int64)
+            held = sizes > 0
+            out[x, q] = ClassCounts(
+                q, base, residue[starts[held]],
+                _class_sums(weight, starts[held], sizes[held]), sizes[held],
+                _shared_factor(q, base) * count_coprime_leading(x, base),
+            )
+    return out
+
+
 def weighted_count_up_to(
     x: int, a: int, q: int, base: Base, table: PrimeTable | None = None
 ) -> APResult:
-    """Reversed primes n <= x, coprime to b^3 - b, with n = a mod q; main
-    term (q,m)/phi((q,m)) * rho/q * #{n <= x : leading digit coprime to b}."""
-    if x < 1 or q < 1:
-        raise ValueError("x and q must be >= 1")
-    _check_modulus_guard(q, digit_length(x, base), base)
-    a %= q
-    arrays = reversed_prime_arrays(x, base, require_coprime=True, table=table)
-    mask = arrays.n % q == a
-    observed = float(arrays.weight[mask].sum())
-    raw = int(mask.sum())
-    main = float(
-        _shared_factor(q, base)
-        * residue_admissible(a, q, base)
-        * count_coprime_leading(x, base)
-    )
-    return _result(observed, main, raw)
+    """Reversed primes n <= x, coprime to b^3 - b, with n = a mod q: the
+    class a mod q of weighted_counts_up_to([x], [q])."""
+    return weighted_counts_up_to([x], [q], base, table)[x, q].result(a)
 
 
 def weighted_count_window(

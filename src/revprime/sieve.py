@@ -10,11 +10,15 @@ merged stream globally increasing because reversal preserves digit length.
 The disk cache layout is:
 
     bytes 0..15   magic "REVPRIME-SIEVE\\0\\0"
-    bytes 16..19  u32 version (= 1), little-endian
+    bytes 16..19  u32 version (= 2), little-endian
     bytes 20..27  u64 limit, little-endian
     ...           odd-number bitset, LSB-first within each byte
                   (bit i of the stream is the primality of 2i + 1)
-    last 8 bytes  u64 FNV-1a checksum of everything before it
+    last 8 bytes  u64 holding the CRC-32 (zlib.crc32) of everything before
+                  it, little-endian
+
+Version 1 files had a 64-bit FNV-1a checksum in the same 8 bytes; loading
+one raises CacheVersionError before any checksum is read.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+import zlib
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -37,7 +42,7 @@ from .errors import (
 )
 
 CACHE_MAGIC = b"REVPRIME-SIEVE\x00\x00"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 MAX_SIEVE_LIMIT = 1 << 38
 MAX_SEQUENCE_LEN = 1 << 31  # dense weight arrays live in one allocation
 SEGMENT_ODDS = 1 << 24  # odd numbers per sieving segment
@@ -200,7 +205,7 @@ def _build_blocks(L_max: int, base: Base, table: PrimeTable) -> ReversedPrimeArr
             # drop primes ending in digit 0 (only p = b itself, for prime b)
             block = block[block % b != 0]
         rev = reverse_block(block, L, base)
-        order = np.argsort(rev, kind="stable")
+        order = np.argsort(rev)  # reversal is injective on a block: no ties to keep stable
         parts_n.append(rev[order])
         parts_p.append(block[order])
     n = np.concatenate(parts_n) if parts_n else np.empty(0, dtype=np.int64)
@@ -351,19 +356,6 @@ def leading_coprime_sequence(x: int, base: Base) -> WeightedSequence:
 # Disk cache
 # ---------------------------------------------------------------------------
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
-
-
-def fnv1a64(data: bytes | memoryview) -> int:
-    h = _FNV_OFFSET
-    for byte in bytes(data):
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
-
-
 def _pack_mask(mask: np.ndarray) -> bytes:
     return np.packbits(mask, bitorder="little").tobytes()
 
@@ -385,7 +377,7 @@ def cache_store(path: str | os.PathLike, table: PrimeTable) -> None:
         + table.limit.to_bytes(8, "little")
         + _pack_mask(table.odd_mask)
     )
-    checksum = fnv1a64(payload).to_bytes(8, "little")
+    checksum = zlib.crc32(payload).to_bytes(8, "little")
     umask = os.umask(0)
     os.umask(umask)
     head, tail = os.path.split(path)
@@ -404,20 +396,21 @@ def cache_store(path: str | os.PathLike, table: PrimeTable) -> None:
 
 
 def cache_load(path: str | os.PathLike) -> PrimeTable:
-    """Read a PrimeTable back, validating magic, version, and checksum."""
+    """Read a PrimeTable back, validating magic, version, and checksum (in
+    that order, so a file of another format version is reported as such)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(CACHE_MAGIC) + 4 + 8 + 8:
         raise CacheFormatError(f"{path}: file too short for a cache header")
     if data[: len(CACHE_MAGIC)] != CACHE_MAGIC:
         raise CacheFormatError(f"{path}: bad magic string")
-    payload, stored = data[:-8], int.from_bytes(data[-8:], "little")
-    if fnv1a64(payload) != stored:
-        raise CacheChecksumError(f"{path}: checksum mismatch")
     off = len(CACHE_MAGIC)
-    version = int.from_bytes(payload[off : off + 4], "little")
+    version = int.from_bytes(data[off : off + 4], "little")
     if version != CACHE_VERSION:
         raise CacheVersionError(f"{path}: version {version}, expected {CACHE_VERSION}")
+    payload, stored = data[:-8], int.from_bytes(data[-8:], "little")
+    if zlib.crc32(payload) != stored:
+        raise CacheChecksumError(f"{path}: checksum mismatch")
     limit = int.from_bytes(payload[off + 4 : off + 12], "little")
     count = _sieve_bytes(limit)
     raw = payload[off + 12 :]

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import arithmetic, circle, representations, schnirelmann
 from .digits import Base, residue_admissible, reverse_block
-from .progressions import weighted_count_up_to
+from .progressions import weighted_counts_up_to
 from .sieve import WeightedSequence, reversed_prime_arrays, weighted_indicator
 
 
@@ -267,9 +267,10 @@ def check_composition_bounds(bases: tuple[int, ...] = (2, 3, 6, 10)):
 
 def check_progression_convergence(fixtures: dict[str, float]):
     base10 = Base(10)
-    xs = (10**4, 10**5, 10**6, 10**7)
+    xs, qs = (10**4, 10**5, 10**6, 10**7), (1, 3, 7, 9, 11)
+    counts = weighted_counts_up_to(xs, qs, base10)
     lines = []
-    for q in (1, 3, 7, 9, 11):
+    for q in qs:
         tol = fixtures[f"theta_ratio_tol.b10.q{q}"]
         worst_first, worst_last = 0.0, 0.0
         for a in range(q):
@@ -277,7 +278,7 @@ def check_progression_convergence(fixtures: dict[str, float]):
                 continue
             devs = []
             for x in xs:
-                res = weighted_count_up_to(x, a, q, base10)
+                res = counts[x, q].result(a)
                 dev = abs(res.ratio - 1.0)
                 devs.append(dev)
                 if dev > tol:

@@ -16,6 +16,7 @@ from revprime.circle import (
     weyl_ratio,
 )
 from revprime.digits import Base, count_coprime_leading
+from revprime.errors import ResourceLimitError
 from revprime.sieve import get_prime_table
 
 
@@ -75,6 +76,12 @@ def test_build_arcs_rejects_overlap():
         build_arcs(16, 3.0)
     with pytest.raises(ValueError):
         build_arcs(10, 1.0)
+
+
+def test_build_arcs_ceiling():
+    # floor(Q) = 2880 at N = 1e12, B = 2.4: disjoint arcs, but about 2.5e6 of them
+    with pytest.raises(ResourceLimitError):
+        build_arcs(10**12, 2.4)
 
 
 def test_residual_at_zero_is_pnt_residual(b10):

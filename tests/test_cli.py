@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 CLI = [sys.executable, "-m", "revprime.cli"]
@@ -209,3 +210,57 @@ def test_window_cross_check_failure_exits_1(monkeypatch, capsys):
     assert code == 1
     assert err.startswith("verification error: window formulations disagree")
     assert len(err.splitlines()) == 1
+
+
+def test_unreadable_config_exits_2(tmp_path):
+    res = run_cli("enumerate", "--limit", "10", "--config", str(tmp_path / "missing.conf"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("usage error: cannot read --config file")
+    assert len(res.stderr.splitlines()) == 1
+
+
+def test_cache_dir_io_error_exits_3(tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    res = run_cli("enumerate", "--limit", "10", "--cache-dir", str(plain / "cache"))
+    assert res.returncode == 3
+    assert res.stderr.startswith("resource error: cache directory")
+    assert len(res.stderr.splitlines()) == 1
+
+
+def _fnv1a64(data):
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
+def test_version_1_cache_is_rebuilt(tmp_path):
+    # a table stored by the FNV-1a format (version 1) is a cache miss
+    from revprime.sieve import CACHE_MAGIC, CACHE_VERSION, cache_load, sieve_primes
+
+    table = sieve_primes(10**4)
+    payload = (
+        CACHE_MAGIC
+        + (1).to_bytes(4, "little")
+        + table.limit.to_bytes(8, "little")
+        + np.packbits(table.odd_mask, bitorder="little").tobytes()
+    )
+    path = tmp_path / "prime_table.bin"
+    path.write_bytes(payload + _fnv1a64(payload).to_bytes(8, "little"))
+    res = run_cli("enumerate", "--limit", "1000", "--cache-dir", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == run_cli("enumerate", "--limit", "1000").stdout
+    raw = path.read_bytes()
+    assert int.from_bytes(raw[len(CACHE_MAGIC) : len(CACHE_MAGIC) + 4], "little") == CACHE_VERSION
+    assert cache_load(path).limit == 999
+
+
+def test_overlapping_arcs_fail_before_building():
+    # about 7e9 arcs at Q = (log 50000)^5; 1/148283 and 1/148282 overlap
+    res = subprocess.run(
+        CLI + ["circle", "--op", "arcs", "--N", "50000", "--B", "5"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert res.returncode == 2
+    assert "overlap" in res.stderr

@@ -1,15 +1,18 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from revprime.digits import Base
+from revprime.arithmetic import totient
+from revprime.digits import Base, count_coprime_leading
 from revprime.errors import ModulusRangeWarning
 from revprime.progressions import (
     weighted_count_by_length,
     weighted_count_up_to,
     weighted_count_window,
+    weighted_counts_up_to,
     window_partition_check,
 )
 from revprime.sieve import get_prime_table, reversed_prime_arrays
@@ -136,3 +139,51 @@ def test_equidistribution_trend_with_floor(b10, fixtures):
 def test_modulus_guard_warns(b10):
     with pytest.warns(ModulusRangeWarning):
         weighted_count_by_length(2, 1, 30, b10)
+
+
+@pytest.mark.parametrize(
+    "b, xs",
+    [
+        (2, [1, 2, 3, 1023, 1024, 5000]),
+        (10, [7, 9, 999, 1000, 10**4, 10**5]),
+        (30, [7, 29, 899, 900, 20000]),
+    ],
+)
+def test_batch_matches_masked_sums(b, xs):
+    # x < b, x = b^L - 1 and x = b^L; a >= q and a < 0; q from 1 to past
+    # the number of reversed primes, where most classes hold one or none
+    base = Base(b)
+    qs = [1, 2, 3, 7, 30, 97, 1000, 10007]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModulusRangeWarning)
+        counts = weighted_counts_up_to(xs, qs, base)
+    assert set(counts) == {(x, q) for x in xs for q in qs}
+    for x in xs:
+        arr = reversed_prime_arrays(x, base, require_coprime=True)
+        n, w = arr.n, arr.weight
+        for q in qs:
+            cell = counts[x, q]
+            residues = sorted(set((n % q).tolist()) | set(range(min(q, 40))))
+            for a in residues + [q + 1, 2 * q + 3, -1]:
+                mask = n % q == a % q
+                res = cell.result(a)
+                assert res.observed == float(w[mask].sum()), (x, q, a)
+                assert res.raw_count == int(mask.sum()), (x, q, a)
+                g = math.gcd(q, base.modulus)
+                main = Fraction(g, totient(g)) / q * count_coprime_leading(x, base)
+                assert res.main_term == float(main if math.gcd(a, g) == 1 else 0)
+
+
+def test_batch_warns_once_per_offending_cell(b10):
+    # q^4 > b^L: q = 30 at x = 1e3 (L = 4) and x = 1e4 (L = 5); q = 7 is fine
+    with pytest.warns(ModulusRangeWarning) as record:
+        weighted_counts_up_to([10**3, 10**4], [7, 30], b10)
+    assert len([w for w in record if w.category is ModulusRangeWarning]) == 2
+    with pytest.warns(ModulusRangeWarning):
+        weighted_count_up_to(10**3, 1, 30, b10)
+
+
+def test_batch_domain_errors(b10):
+    for xs, qs in (([0, 10], [1]), ([10], [0]), ([], [1]), ([10], [])):
+        with pytest.raises(ValueError):
+            weighted_counts_up_to(xs, qs, b10)
