@@ -70,6 +70,12 @@ def _check_modulus_guard(q: int, L: int, base: Base) -> None:
         )
 
 
+def _check_modulus(q: int) -> None:
+    # residues n % q are taken in int64
+    if not 1 <= q < 1 << 63:
+        raise ValueError(f"q must lie in [1, 2^63), got {q}")
+
+
 def _result(observed: float, main: float, raw: int) -> APResult:
     ratio = observed / main if main > 0 else NAN
     return APResult(observed, main, ratio, raw)
@@ -80,8 +86,9 @@ def weighted_count_by_length(
 ) -> APResult:
     """Reversed primes with exactly L digits, coprime to b^3 - b, congruent
     to a mod q; main term phi(b)/b * (q,m)/phi((q,m)) * rho/q * b^L."""
-    if L < 1 or q < 1:
-        raise ValueError("L and q must be >= 1")
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    _check_modulus(q)
     _check_modulus_guard(q, L, base)
     a %= q
     b = base.b
@@ -148,8 +155,10 @@ def weighted_counts_up_to(
     the same order as w[n % q == a].sum() over the n <= x.
     """
     xs, qs = list(dict.fromkeys(xs)), list(dict.fromkeys(qs))
-    if not (xs and qs) or min(xs) < 1 or min(qs) < 1:
+    if not (xs and qs) or min(xs) < 1:
         raise ValueError("x and q must be >= 1")
+    for q in qs:
+        _check_modulus(q)
     for x in xs:
         for q in qs:
             _check_modulus_guard(q, digit_length(x, base), base)
@@ -199,8 +208,7 @@ def weighted_count_window(
     primes p = reverse(n) with p = reverse(r) mod b^eta; both enumerations
     are run and must agree (raw counts exactly, weights to rounding).
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    _check_modulus(q)
     if not 1 <= eta <= L:
         raise ValueError("eta must satisfy 1 <= eta <= L")
     b = base.b

@@ -37,6 +37,7 @@ from .arithmetic import ZETA2, singular_series_k, singular_series_squarefree
 from .digits import Base, count_coprime_leading
 from .errors import ResourceLimitError
 from .sieve import (
+    MAX_SEQUENCE_LEN,
     PrimeTable,
     WeightedSequence,
     indicator_mask,
@@ -269,6 +270,10 @@ def squarefree_shift_count(
 
 def squarefree_mask(x: int) -> np.ndarray:
     """Boolean array m[0..x]: m[n] iff n is squarefree (m[0] = False)."""
+    if x >= MAX_SEQUENCE_LEN:
+        raise ResourceLimitError(
+            f"squarefree mask of length {x + 1} exceeds the {MAX_SEQUENCE_LEN} ceiling"
+        )
     m = np.ones(x + 1, dtype=bool)
     m[0] = False
     for q in range(2, math.isqrt(x) + 1):

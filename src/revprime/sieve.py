@@ -6,6 +6,10 @@ length L, the primes in [b^(L-1), b^L) are reversed in bulk (primes are much
 sparser than integers, and a table to b^L is needed for the primality tests
 anyway).  Records are buffered per digit length and sorted, which keeps the
 merged stream globally increasing because reversal preserves digit length.
+The reverse of a prime leads with the prime's last digit, so the top block
+of a cutoff x is reversed only for the primes whose last digit is at most
+x's leading digit: that gives every reversed prime up to the end of x's
+leading-digit group and none past it.
 
 The disk cache layout is:
 
@@ -193,21 +197,40 @@ def _max_block_length(x: int, base: Base) -> int:
     return L
 
 
-def _build_blocks(L_max: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
+def _group_end(x: int, base: Base) -> int:
+    """End X = (d + 1) b^(L-1) - 1 of x's leading-digit group: L is the top
+    block length of x and d <= b - 1 the leading digit of x in L digits
+    (X = 0 for x = 1, which needs no block).  X >= x unless x = b^L, which
+    is not a reversed prime."""
+    L = _max_block_length(x, base)
+    if L == 0:
+        return 0
+    unit = base.b ** (L - 1)
+    return (min(x // unit, base.b - 1) + 1) * unit - 1
+
+
+def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
+    """Every reversed prime n <= X, for X a group end (see _group_end)."""
     b = base.b
+    L_max = _max_block_length(X + 1, base)  # the digit length of X (0 for X = 0)
     parts_n, parts_p = [], []
     primes = table.primes(min(b**L_max - 1, table.limit))
     for L in range(1, L_max + 1):
         lo = np.searchsorted(primes, b ** (L - 1), side="left")
         hi = np.searchsorted(primes, b**L, side="left")
         block = primes[lo:hi]
-        if L > 1:
-            # drop primes ending in digit 0 (only p = b itself, for prime b)
-            block = block[block % b != 0]
+        # reverse(p) leads with p's last digit: keep the p ending in 1..top,
+        # which drops p = b itself (for prime b) and, in the top block,
+        # every p ending past X's leading digit
+        top = X // b ** (L - 1) if L == L_max else b - 1
+        leads = np.zeros(b, dtype=bool)
+        leads[1 : top + 1] = True
+        block = block[leads[block % b]]
         rev = reverse_block(block, L, base)
         order = np.argsort(rev)  # reversal is injective on a block: no ties to keep stable
         parts_n.append(rev[order])
         parts_p.append(block[order])
+    del primes  # 46 MB at 10^8; the build peaks where the columns are joined
     n = np.concatenate(parts_n) if parts_n else np.empty(0, dtype=np.int64)
     p = np.concatenate(parts_p) if parts_p else np.empty(0, dtype=np.int64)
     weight = np.log(p.astype(np.float64)) if len(p) else np.empty(0)
@@ -215,10 +238,10 @@ def _build_blocks(L_max: int, base: Base, table: PrimeTable) -> ReversedPrimeArr
         coprime = np.gcd(n, base.modulus) == 1
     else:  # primorial-sized bases overflow int64; values n still fit
         coprime = np.array([math.gcd(int(v), base.modulus) == 1 for v in n], dtype=bool)
-    return ReversedPrimeArrays(base, b**L_max - 1, n, p, weight, coprime)
+    return ReversedPrimeArrays(base, X, n, p, weight, coprime)
 
 
-_rev_cache: dict[int, tuple[int, ReversedPrimeArrays]] = {}
+_rev_cache: dict[int, ReversedPrimeArrays] = {}
 
 
 def reversed_prime_arrays(
@@ -232,24 +255,25 @@ def reversed_prime_arrays(
     n ranges over integers with nonzero last digit whose digital reverse is
     prime; equivalently n = reverse(p) over primes p with nonzero last digit.
     With require_coprime, keep only gcd(n, b^3 - b) = 1.
+
+    Each build covers n up to the end X of x's leading-digit group
+    (_group_end).  Without a table, the build of base b is cached as
+    `_rev_cache[b]`, whose `.x` is that X: a later call with a group end at
+    most X is cut from it, a larger one rebuilds up to its own group end.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    L_max = _max_block_length(x, base)
+    limit = base.b ** _max_block_length(x, base) - 1  # top-block sources still reach b^L - 1
+    X = _group_end(x, base)
     if table is not None:
-        if table.limit < base.b**L_max - 1:
+        if table.limit < limit:
             raise ValueError("prime table too small for this bound")
-        full = _build_blocks(L_max, base, table)
+        full = _build_blocks(X, base, table)
     else:
-        cached = _rev_cache.get(base.b)
-        if cached is None or cached[0] < L_max:
-            limit = base.b**L_max - 1
-            if limit < 2:
-                limit = 2
-            full = _build_blocks(L_max, base, get_prime_table(limit))
-            _rev_cache[base.b] = (L_max, full)
-        else:
-            full = cached[1]
+        full = _rev_cache.get(base.b)
+        if full is None or full.x < X:
+            full = _build_blocks(X, base, get_prime_table(max(limit, 2)))
+            _rev_cache[base.b] = full
     out = full.restrict(x)
     return out.coprime_only() if require_coprime else out
 

@@ -143,6 +143,24 @@ def test_resource_error_exit_3():
     assert "resource" in res.stderr.lower()
 
 
+def test_count_ap_modulus_past_int64_exits_2():
+    res = run_cli("count-ap", "--x", "100", "--q", "1e19", "--a", "0")
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [
+        "usage error: q must lie in [1, 2^63), got 10000000000000000000"
+    ]
+
+
+def test_rsquare_past_the_length_ceiling_fails_fast():
+    # a squarefree mask of 10^12 + 1 bytes is refused before it is allocated
+    res = subprocess.run(
+        CLI + ["represent", "--family", "rsquare", "--n", "1e12"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert res.returncode == 3
+    assert "squarefree mask" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_cache_roundtrip_via_env(tmp_path):
     env = {"REVPRIME_CACHE_DIR": str(tmp_path)}
     first = run_cli("enumerate", "--limit", "1000", env=env)

@@ -184,6 +184,14 @@ def test_batch_warns_once_per_offending_cell(b10):
 
 
 def test_batch_domain_errors(b10):
-    for xs, qs in (([0, 10], [1]), ([10], [0]), ([], [1]), ([10], [])):
+    for xs, qs in (([0, 10], [1]), ([10], [0]), ([], [1]), ([10], []), ([10], [7, 1 << 63])):
         with pytest.raises(ValueError):
             weighted_counts_up_to(xs, qs, b10)
+
+
+def test_modulus_past_int64_is_a_value_error(b10):
+    # n % q is taken in int64: q >= 2^63 would raise OverflowError
+    with pytest.raises(ValueError, match="2\\^63"):
+        weighted_count_by_length(3, 0, 1 << 63, b10)
+    with pytest.raises(ValueError, match="2\\^63"):
+        weighted_count_window(3, 1, 3, 0, 10**19, b10)

@@ -160,6 +160,12 @@ def test_composition_bounds(b):
         assert N * N / (8 * b) <= s21 <= N * N / 2
 
 
+def test_squarefree_mask_length_ceiling():
+    # checked before the mask is allocated
+    with pytest.raises(ResourceLimitError):
+        squarefree_mask(sieve.MAX_SEQUENCE_LEN)
+
+
 def test_squarefree_mask():
     m = squarefree_mask(50)
     for n in range(51):

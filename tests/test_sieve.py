@@ -5,7 +5,8 @@ import zlib
 import numpy as np
 import pytest
 
-from revprime.digits import Base
+from revprime import cli
+from revprime.digits import Base, reverse
 from revprime.errors import (
     CacheChecksumError,
     CacheFormatError,
@@ -146,6 +147,90 @@ def test_only_base_itself_skipped(b):
             assert p not in sources
         else:
             assert p in sources, (b, p)
+
+
+def _full_block_oracle(table, base):
+    """(n, p, weight, coprime) over every prime of the table with a nonzero
+    last digit, each reversed with digits.reverse, sorted by n."""
+    pairs = sorted((reverse(p, base), p) for p in table.primes().tolist() if p % base.b)
+    n = np.array([r for r, _ in pairs], dtype=np.int64)
+    p = np.array([q for _, q in pairs], dtype=np.int64)
+    coprime = np.array([math.gcd(r, base.modulus) == 1 for r, _ in pairs], dtype=bool)
+    return n, p, np.log(p.astype(np.float64)), coprime
+
+
+def _group_cutoffs(b, L_top):
+    """x = 1, x < b, and per length L: d b^(L-1) - 1, d b^(L-1) and the
+    group end (d + 1) b^(L-1) - 1 for a few leading digits d, and b^L - 1,
+    b^L, b^L + 1, all up to b^L_top."""
+    xs = {1, b - 1, b}
+    for L in range(1, L_top + 1):
+        unit = b ** (L - 1)
+        for d in {1, min(2, b - 1), b // 2, b - 1}:
+            xs |= {d * unit - 1, d * unit, (d + 1) * unit - 1}
+        xs |= {b**L - 1, b**L, b**L + 1}
+    return sorted(x for x in xs if 1 <= x <= b**L_top)
+
+
+@pytest.mark.parametrize("b, L_top", [(2, 12), (3, 7), (10, 5), (30, 3)])
+def test_bounded_build_matches_full_block_oracle(b, L_top, monkeypatch):
+    # the top block is reversed only up to x's leading-digit group; growing
+    # the cached build (small x first) and cutting it (large x first) must
+    # both give every column of the full-block enumeration cut at x
+    base = Base(b)
+    table = sieve_primes(b**L_top - 1)
+    oracle = _full_block_oracle(table, base)
+    xs = _group_cutoffs(b, L_top)
+    assert xs[0] == 1 and xs[-1] == b**L_top
+    for order in (xs, xs[::-1]):
+        monkeypatch.setattr(sieve, "_rev_cache", {})
+        for x in order:
+            cut = int(np.searchsorted(oracle[0], x, side="right"))
+            for got in (reversed_prime_arrays(x, base), reversed_prime_arrays(x, base, table=table)):
+                assert got.x == x
+                for name, want in zip(("n", "p", "weight", "coprime"), oracle):
+                    assert np.array_equal(getattr(got, name), want[:cut]), (b, x, name)
+
+
+def _count_builds(monkeypatch):
+    """Empty the reversed-prime cache; every later build is appended to the
+    returned list."""
+    builds = []
+    build = sieve._build_blocks
+    monkeypatch.setattr(sieve, "_build_blocks", lambda *a: builds.append(build(*a)) or builds[-1])
+    monkeypatch.setattr(sieve, "_rev_cache", {})
+    return builds
+
+
+def test_ascending_represent_range_builds_once(monkeypatch, capsys):
+    builds = _count_builds(monkeypatch)
+    assert cli.main(["represent", "--family", "r12", "--n", "117659..117698"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 40
+    assert [full.x for full in builds] == [199999]
+
+
+def test_cutoff_at_a_power_of_b_builds_once(monkeypatch, b10):
+    # 10^5 is not a reversed prime: the 5-digit build, complete to 99999,
+    # serves it
+    builds = _count_builds(monkeypatch)
+    for x in (10**5, 10**5, 99999, 10**5, 10**5 + 1):
+        reversed_prime_arrays(x, b10)
+    assert [full.x for full in builds] == [99999, 199999]
+
+
+def test_count_ap_grid_builds_once_to_the_group_end(monkeypatch, capsys):
+    monkeypatch.setattr(sieve, "_table_cache", None)  # keep the 10^8 table out of later tests
+    builds = _count_builds(monkeypatch)
+    args = ["count-ap", "--x", "11700000,18300000", "--q", "1..10", "--a", "0..9"]
+    assert cli.main(args) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 10 * 10
+    assert [full.x for full in builds] == [19999999]
+    # a lone call reverses only the 8-digit primes ending in 1
+    monkeypatch.setattr(sieve, "_rev_cache", {})
+    assert reversed_prime_arrays(18300000, Base(10)).x == 18300000
+    assert [full.x for full in builds] == [19999999, 19999999]
+    top = builds[1].n >= 10**7
+    assert top.any() and (builds[1].p[top] % 10 == 1).all()
 
 
 def test_coprime_filter(b10):
