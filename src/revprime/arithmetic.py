@@ -108,9 +108,22 @@ def singular_series_k(N: int, k: int, base: Base) -> Fraction:
         raise ValueError("N must be >= 1")
     if not 2 <= k <= MAX_SERIES_K:
         raise ValueError(f"k must be in [2, {MAX_SERIES_K}]")
+    return _series_k(base.b, k, N % _radical(base.modulus))
+
+
+@lru_cache(maxsize=1024)
+def _radical(m: int) -> int:
+    """The product of the distinct primes dividing m."""
+    return math.prod(distinct_primes(m))
+
+
+@lru_cache(maxsize=65536)
+def _series_k(b: int, k: int, residue: int) -> Fraction:
+    """singular_series_k at any N = residue mod rad(b^3 - b): each factor
+    asks only whether a prime p | b^3 - b divides N."""
     value = Fraction(1)
-    for p in distinct_primes(base.modulus):
-        e = k - 1 if N % p == 0 else k
+    for p in distinct_primes(b**3 - b):
+        e = k - 1 if residue % p == 0 else k
         value *= 1 - Fraction(-1, p - 1) ** e
     return value
 

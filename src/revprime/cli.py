@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -176,6 +177,24 @@ REPORT_FIELDS = ["command", "params", "observed", "predicted", "ratio", "provena
 # argument helpers
 # ---------------------------------------------------------------------------
 
+def _parse_int(text: str) -> int:
+    """An integer written plainly ('600') or in e-notation that names an
+    integer exactly ('1e5', '1.5e3'); anything else is a ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(f"not an integer: {text!r}") from None
+    # at most the 4300 digits int() takes by default: '1e999999999' would
+    # otherwise build a huge integer
+    if not value.is_finite() or value.adjusted() >= 4300 or value != value.to_integral_value():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(value)
+
+
 def int_list(text: str) -> list[int]:
     """Parse '600', '1..30', or '1e4,1e5,1e6' into a list of ints."""
     out: list[int] = []
@@ -183,9 +202,12 @@ def int_list(text: str) -> list[int]:
         part = part.strip()
         if ".." in part:
             lo, _, hi = part.partition("..")
-            out.extend(range(int(float(lo)), int(float(hi)) + 1))
+            lo, hi = _parse_int(lo), _parse_int(hi)
+            if hi < lo:
+                raise ValueError(f"empty range: {part!r}")
+            out.extend(range(lo, hi + 1))
         else:
-            out.append(int(float(part)))
+            out.append(_parse_int(part))
     return out
 
 
@@ -265,9 +287,8 @@ def cmd_represent(args, cfg: RunConfig) -> int:
         emit_rows(cfg, REPORT_FIELDS, report_rows("exceptions", entries))
         return 0
     entries = []
-    for N in values:
-        profile = representations.representation_count(N, args.family, base, k=args.k)
-        params = {"base": cfg.base, "n": N, "family": args.family}
+    for profile in representations.representation_counts(values, args.family, base, k=args.k):
+        params = {"base": cfg.base, "n": profile.N, "family": args.family}
         if args.family == "r0k":
             params["k"] = args.k
         entries.append((params, profile.exact, profile.predicted, profile.provenance))

@@ -14,6 +14,16 @@ is below 1.5e-5), so thresholding at 1/2 is exact.  A direct-path zero is
 already exact, as every term is non-negative; an FFT value within its bound
 of zero is recounted by nested summation pruned by the reach layers.
 
+representation_counts runs a batch of targets, each through exactly the
+chain a lone representation_count runs (indicators truncated at N, the same
+factor order, FFT length and error bound), so every float it returns is
+bitwise the lone call's.  Only transforms are shared (TransformCache): a
+factor's spectrum is reused when its zero-padded input is bitwise the one
+already transformed, and a chain's first stage reuses its inverse transform
+when both factors are unchanged.  Between neighbouring targets the
+indicators differ only where a new prime or reversed prime enters, so most
+targets pay for the accumulator stages alone.
+
 Families (weights are natural logs of the source primes):
 
     r11:  N = p1 + n2            predicted  S_2(N) * #B(N)
@@ -23,7 +33,9 @@ Families (weights are natural logs of the source primes):
     rsquare: N = n + squarefree  predicted  #B(N)/zeta(2) * S_sq(N)
 
 where the n_i range over reversed primes coprime to b^3 - b and comp(...)
-are the unweighted composition counts with leading-digit constraints.
+are the unweighted composition counts with leading-digit constraints: exact
+int64 sums over the leading-digit indicator B for comp(1,2) and comp(2,1),
+a rounded convolution chain (exact integers as a fallback) for comp(0,k).
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import ZETA2, singular_series_k, singular_series_squarefree
-from .digits import Base, count_coprime_leading
+from .digits import Base, coprime_leading_indicator, count_coprime_leading
 from .errors import ResourceLimitError
 from .sieve import (
     MAX_SEQUENCE_LEN,
@@ -43,7 +55,6 @@ from .sieve import (
     indicator_mask,
     leading_coprime_sequence,
     reversed_prime_arrays,
-    unit_indicator,
     weighted_indicator,
 )
 
@@ -68,8 +79,16 @@ class RepresentationProfile:
     provenance: str  # "exact" | "fft"
 
 
-def convolve(u: WeightedSequence, v: WeightedSequence, out_len: int | None = None) -> WeightedSequence:
-    """(u * v)[n] = sum_{i+j=n} u[i] v[j], optionally truncated to out_len."""
+def convolve(
+    u: WeightedSequence,
+    v: WeightedSequence,
+    out_len: int | None = None,
+    transforms: TransformCache | None = None,
+) -> WeightedSequence:
+    """(u * v)[n] = sum_{i+j=n} u[i] v[j], optionally truncated to out_len.
+
+    On the FFT path, `transforms` lends the spectra of one batch's earlier
+    calls; the result is bitwise the one computed without it."""
     lu, lv = len(u), len(v)
     if lu + lv - 1 > MAX_CONV_LEN:
         raise ResourceLimitError(f"convolution length {lu + lv - 1} exceeds {MAX_CONV_LEN}")
@@ -84,22 +103,110 @@ def convolve(u: WeightedSequence, v: WeightedSequence, out_len: int | None = Non
         nfft = 1
         while nfft < full:
             nfft *= 2
-        spectrum = np.fft.rfft(u.weights, nfft)
-        spectrum *= np.fft.rfft(v.weights, nfft)  # in place: one spectrum fewer at peak
-        w = np.fft.irfft(spectrum, nfft)[:full]
+        if transforms is None:
+            spectrum = np.fft.rfft(u.weights, nfft)
+            spectrum *= np.fft.rfft(v.weights, nfft)  # in place: one spectrum fewer at peak
+            w = _clipped_inverse(spectrum, nfft, full)
+        else:
+            w = transforms.product(u, v, nfft, full if out_len is None else min(full, out_len))
         bound = propagated + 4.0 * math.log2(nfft) * _EPS * float(
             np.linalg.norm(u.weights) * np.linalg.norm(v.weights)
         )
-        np.maximum(w, 0.0, out=w)  # clip FFT noise below zero
     if out_len is not None:
         w = w[:out_len]
-    return WeightedSequence("conv", w, bound)
+    return WeightedSequence("conv", w, bound)  # an accumulator: never cached
 
 
-def convolve_chain(seqs: list[WeightedSequence], out_len: int) -> WeightedSequence:
+def _clipped_inverse(spectrum: np.ndarray, nfft: int, n: int) -> np.ndarray:
+    """The first n entries of irfft(spectrum, nfft), FFT noise below zero clipped."""
+    w = np.fft.irfft(spectrum, nfft)[:n]
+    np.maximum(w, 0.0, out=w)
+    return w
+
+
+class TransformCache:
+    """The spectra that the convolution chains of one batch of targets share.
+
+    A factor (any sequence but a convolve() result) is looked up by its kind.
+    Its rfft is reused only when its zero-padded input is bitwise the one
+    last transformed at the same nfft: the same support and the same values,
+    compared as float64 bit patterns.  A right operand keeps its spectrum; a
+    left operand (a chain's head) keeps only its signature and is transformed
+    again when needed.  The clipped inverse transform of a product of two
+    factors (a chain's first stage) is kept, trimmed to out_cap entries, and
+    reused while both factors are unchanged.  Accumulators are never cached,
+    and a stale entry is dropped before its replacement is computed.  Arrays
+    handed out may be shared with the cache and must not be written to.
+    """
+
+    def __init__(self, out_cap: int):
+        self.out_cap = out_cap
+        # kind -> (signature (nfft, support, values), spectrum or None)
+        self._factors: dict[str, tuple[tuple, np.ndarray | None]] = {}
+        # (the two factors' signatures, clipped inverse) of the last first stage
+        self._inverse: tuple[tuple, np.ndarray] | None = None
+
+    def _signature(self, seq: WeightedSequence, nfft: int) -> tuple:
+        """The stored signature of seq's kind if it still describes seq at
+        nfft, else a new one that replaces the stale entry."""
+        bits = np.asarray(seq.weights, dtype=np.float64).view(np.uint64)
+        support = np.flatnonzero(bits)
+        values = bits[support]
+        if seq.kind in self._factors:
+            sig = self._factors[seq.kind][0]
+            if sig[0] == nfft and np.array_equal(sig[1], support) and np.array_equal(sig[2], values):
+                return sig
+            del self._factors[seq.kind]
+        sig = (nfft, support, values)
+        self._factors[seq.kind] = (sig, None)
+        return sig
+
+    def _spectrum(self, seq: WeightedSequence, nfft: int, keep: bool) -> tuple[np.ndarray, bool]:
+        """(rfft of seq at nfft, whether the array is shared with the cache)."""
+        if seq.kind == "conv":
+            return np.fft.rfft(seq.weights, nfft), False
+        sig = self._signature(seq, nfft)
+        spectrum = self._factors[seq.kind][1]
+        if spectrum is not None:
+            return spectrum, True
+        spectrum = np.fft.rfft(seq.weights, nfft)
+        if keep:
+            self._factors[seq.kind] = (sig, spectrum)
+        return spectrum, keep
+
+    def product(self, u: WeightedSequence, v: WeightedSequence, nfft: int, n: int) -> np.ndarray:
+        """The first n entries of the clipped irfft(rfft(u) * rfft(v)) at
+        length nfft, as convolve() computes them."""
+        first_stage = u.kind != "conv" and v.kind != "conv"
+        if first_stage:
+            pair = (self._signature(u, nfft), self._signature(v, nfft))
+            if self._inverse is not None:
+                kept_pair, w = self._inverse
+                if kept_pair[0] is pair[0] and kept_pair[1] is pair[1] and len(w) >= n:
+                    return w[:n]
+                self._inverse = None
+                del w
+        sv, _ = self._spectrum(v, nfft, keep=True)
+        su, shared = self._spectrum(u, nfft, keep=False)
+        if shared:
+            spectrum = su * sv
+        else:
+            su *= sv
+            spectrum = su
+        del su, sv
+        if not first_stage:
+            return _clipped_inverse(spectrum, nfft, n)
+        w = _clipped_inverse(spectrum, nfft, min(nfft, max(n, self.out_cap))).copy()
+        self._inverse = (pair, w)
+        return w[:n]
+
+
+def convolve_chain(
+    seqs: list[WeightedSequence], out_len: int, transforms: TransformCache | None = None
+) -> WeightedSequence:
     acc = seqs[0]
     for nxt in seqs[1:]:
-        acc = convolve(acc, nxt, out_len=out_len)
+        acc = convolve(acc, nxt, out_len=out_len, transforms=transforms)
     return acc
 
 
@@ -192,15 +299,21 @@ def representation_count(
     base: Base,
     k: int | None = None,
     table: PrimeTable | None = None,
+    *,
+    transforms: TransformCache | None = None,
 ) -> RepresentationProfile:
     """Weighted count of representations of N in the given family, with the
-    predicted main term; see the module docstring for the family key."""
+    predicted main term; see the module docstring for the family key.
+    `transforms` is the batch's shared cache (representation_counts); a lone
+    call gets a fresh one."""
     if N < 2:
         raise ValueError("N must be >= 2")
     if family == "rsquare":
         return squarefree_shift_count(N, base, table=table)
+    if transforms is None:
+        transforms = TransformCache(out_cap=N + 1)
     seqs = _family_sequences(N, family, base, k, table)
-    conv = convolve_chain(seqs, out_len=N + 1)
+    conv = convolve_chain(seqs, out_len=N + 1, transforms=transforms)
     exact = float(conv.weights[N])
     provenance = "fft" if conv.error_bound > 0 else "exact"
     if provenance == "fft" and exact <= conv.error_bound:
@@ -212,6 +325,23 @@ def representation_count(
     return RepresentationProfile(N, family, exact, predicted, ratio, provenance)
 
 
+def representation_counts(
+    Ns: list[int],
+    family: str,
+    base: Base,
+    k: int | None = None,
+    table: PrimeTable | None = None,
+) -> list[RepresentationProfile]:
+    """representation_count for each N in Ns, in order.  Every target runs
+    its own chain; one TransformCache shares the transforms whose inputs
+    repeat, so each profile equals the one a lone call returns."""
+    transforms = TransformCache(out_cap=max(Ns, default=0) + 1)
+    return [
+        representation_count(N, family, base, k=k, table=table, transforms=transforms)
+        for N in Ns
+    ]
+
+
 def composition_count(
     N: int, family: str, base: Base, k: int | None = None
 ) -> int:
@@ -220,23 +350,38 @@ def composition_count(
     s12: n1 + n2 + n3 = N, leading digits of n2 and n3 coprime to b
     s21: n1 + n2 + n3 = N, leading digit of n3 coprime to b
     s0k: n1 + ... + nk = N, all leading digits coprime to b
+
+    With B the integers whose leading digit is coprime to b, the ternary
+    counts are exact int64 sums over B:
+
+        s12(N) = sum_{n in B, n <= N-2} #B(N-1-n)
+        s21(N) = sum_{n in B, n <= N-2} (N-1-n)
+
+    exact while N^2/2 < 2^63, which the MAX_SEQUENCE_LEN ceiling on N
+    ensures.  s0k runs the convolution chain of B, rounded to the integer
+    while the error bound allows it, else redone with exact integers.
     """
     if family not in COMP_FAMILIES:
         raise ValueError(f"unknown composition family {family!r}")
     if family in ("s12", "s21") and N < 3:
         raise ValueError("ternary compositions need N >= 3")
-    ones = unit_indicator(N)
-    bset = leading_coprime_sequence(N, base)
-    if family == "s12":
-        seqs = [ones, bset, bset]
-    elif family == "s21":
-        seqs = [ones, ones, bset]
-    else:
+    if family == "s0k":
         if k is None or not 2 <= k <= MAX_PURE_K:
             raise ValueError(f"s0k requires 2 <= k <= {MAX_PURE_K}")
         if N < k:
             raise ValueError("need N >= k")
-        seqs = [bset] * k
+    if N >= MAX_SEQUENCE_LEN:
+        raise ResourceLimitError(
+            f"composition count at N = {N} exceeds the {MAX_SEQUENCE_LEN} ceiling"
+        )
+    if family != "s0k":
+        in_b = coprime_leading_indicator(N - 2, base) > 0
+        members = np.flatnonzero(in_b)  # n in B, n <= N - 2
+        if family == "s21":
+            return int((N - 1 - members).sum())
+        below = np.cumsum(in_b, dtype=np.int64)  # below[m] = #B(m)
+        return int(below[N - 1 - members].sum())
+    seqs = [leading_coprime_sequence(N, base)] * k
     conv = convolve_chain(seqs, out_len=N + 1)
     value = float(conv.weights[N])
     # counts are integers; the float path is trusted only while it provably

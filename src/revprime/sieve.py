@@ -364,13 +364,6 @@ def indicator_mask(
     return _indicator(x, kind, base, table, bool)
 
 
-def unit_indicator(x: int) -> WeightedSequence:
-    """w[n] = 1 for 1 <= n <= x."""
-    w = np.ones(x + 1, dtype=np.float64)
-    w[0] = 0.0
-    return WeightedSequence("all", w)
-
-
 def leading_coprime_sequence(x: int, base: Base) -> WeightedSequence:
     """0/1 indicator of integers whose leading digit is coprime to b."""
     return WeightedSequence("B_set", coprime_leading_indicator(x, base))

@@ -123,3 +123,18 @@ def test_series_k_cap(b10):
         singular_series_k(10, 65, b10)
     with pytest.raises(ValueError):
         singular_series_k(10, 1, b10)
+
+
+@pytest.mark.parametrize("b", [2, 3, 6, 10, 12, 30])
+def test_series_k_matches_the_product_at_every_n(b):
+    # the memoised value (keyed by N mod rad(b^3 - b)) against the Euler
+    # product written out with N itself, past several periods of the radical
+    base = Base(b)
+    # b^3 - b = (b - 1) b (b + 1): its prime factors are at most b + 1
+    primes = [p for p in range(2, b + 2) if base.modulus % p == 0 and all(p % d for d in range(2, p))]
+    for k in (2, 3, 4, 7):
+        for N in list(range(1, 400)) + [10**12 + 1, 2 * 3 * 5 * 7 * 11 * 13 * 10**6]:
+            want = Fraction(1)
+            for p in primes:
+                want *= 1 - Fraction(-1, p - 1) ** (k - 1 if N % p == 0 else k)
+            assert singular_series_k(N, k, base) == want, (b, k, N)

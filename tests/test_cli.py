@@ -282,3 +282,68 @@ def test_overlapping_arcs_fail_before_building():
     )
     assert res.returncode == 2
     assert "overlap" in res.stderr
+
+
+def test_int_list_parses_exact_integers():
+    from revprime.cli import int_list
+
+    assert int_list("600") == [600]
+    assert int_list("1..3,7") == [1, 2, 3, 7]
+    assert int_list("1e4, 1.5e3") == [10000, 1500]
+    # plain integers never pass through a float
+    assert int_list("9007199254740993") == [2**53 + 1]
+    assert int_list("9223372036854775807..9223372036854775808") == [2**63 - 1, 2**63]
+    assert int_list("1e30") == [10**30]
+
+
+@pytest.mark.parametrize(
+    "text,named", [
+        ("100.5", "'100.5'"),
+        ("1e-1", "'1e-1'"),
+        ("nan", "'nan'"),
+        ("1e5000", "'1e5000'"),
+        ("10..5", "'10..5'"),
+        ("4..1.5", "'1.5'"),
+        ("abc", "'abc'"),
+    ],
+)
+def test_int_list_rejects_what_is_not_an_integer(text, named):
+    from revprime.cli import int_list
+
+    with pytest.raises(ValueError, match=named):
+        int_list(text)
+
+
+def test_count_ap_keeps_large_moduli_exact():
+    res = run_cli("count-ap", "--x", "100", "--q", "1000000000000000003,9223372036854775807")
+    assert res.returncode == 0
+    params = [row.split(",")[1] for row in res.stdout.splitlines()[1:]]
+    assert params == [
+        "a=0;base=10;q=1000000000000000003;x=100",
+        "a=0;base=10;q=9223372036854775807;x=100",
+    ]
+
+
+@pytest.mark.parametrize("n,named", [("100.5", "'100.5'"), ("10..5", "'10..5'")])
+def test_represent_bad_targets_exit_2(n, named):
+    res = run_cli("represent", "--family", "r11", "--n", n)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert named in res.stderr and "Traceback" not in res.stderr
+
+
+# stdout of `represent --n 100001..100040`, recorded from the one-target-at-a-
+# time implementation that preceded the batch
+REPRESENT_SHA256 = {
+    "r12": "2154a3b5124a769400de5d42550b3e20ab409cb484ccf08c407b195c325ab954",
+    "r11": "5a26818a75abbf4e838063e14014078512b80dd4de474cd1a1e2d8e01b96d787",
+}
+
+
+@pytest.mark.parametrize("family", sorted(REPRESENT_SHA256))
+def test_represent_range_stdout_is_pinned(family):
+    import hashlib
+
+    res = run_cli("represent", "--family", family, "--n", "100001..100040")
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == REPRESENT_SHA256[family]

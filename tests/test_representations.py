@@ -298,3 +298,204 @@ def test_recount_over_reach_layers_vs_nested_loops(b):
             got = reps._exact_value(N, seqs, reps._tail_reach(seqs, N))
             want = brute_family(N, [s.weights for s in seqs])
             assert abs(got - want) <= 1e-9 * max(1.0, want), (b, len(seqs), N)
+
+
+# ---------------------------------------------------------------------------
+# batches: representation_counts against lone calls
+# ---------------------------------------------------------------------------
+
+def _same_profile(a, b):
+    """Field by field with ==, NaN equal to NaN."""
+    for field in ("N", "family", "exact", "predicted", "ratio", "provenance"):
+        x, y = getattr(a, field), getattr(b, field)
+        if isinstance(x, float) and math.isnan(x):
+            assert isinstance(y, float) and math.isnan(y), (field, a, b)
+        else:
+            assert x == y, (field, a, b)
+
+
+BATCHES = [
+    # odd r11 targets near 1e5 force the exact recount; then duplicates and
+    # a descending run
+    ("r11", None, 10, list(range(100001, 100013)) + [100005, 100005] + list(range(100012, 100000, -3))),
+    ("r11", None, 2, [20001, 20002, 20003, 20004, 20003]),
+    # the FFT length doubles between N = 65535 and N = 65536
+    ("r12", None, 10, list(range(65530, 65542)) + list(range(65541, 65529, -4)) + [65536]),
+    ("r12", None, 30, [12001, 12002, 12003, 12004, 12004, 12001]),
+    ("r12", None, 2, [300, 12000, 301, 12001]),  # direct and FFT paths mixed
+    ("r21", None, 2, [12001, 12002, 12003, 12004, 12002]),
+    ("r21", None, 10, list(range(65533, 65539))),
+    ("r0k", 3, 30, [20001, 20002, 20003, 20004]),
+    ("r0k", 2, 10, [20000, 20002, 20001, 20000]),
+    ("r0k", 4, 2, [12000, 12001]),
+]
+
+
+@pytest.mark.parametrize("family,k,b,Ns", BATCHES)
+def test_batch_equals_lone_calls(family, k, b, Ns):
+    base = Base(b)
+    batch = reps.representation_counts(Ns, family, base, k=k)
+    assert [p.N for p in batch] == Ns
+    for N, got in zip(Ns, batch):
+        _same_profile(got, representation_count(N, family, base, k=k))
+        if got.provenance == "fft":
+            # and bitwise the chain run with no transforms shared at all
+            seqs = reps._family_sequences(N, family, base, k, None)
+            assert got.exact == float(reps.convolve_chain(seqs, out_len=N + 1).weights[N])
+
+
+def test_batch_with_an_odd_recount_window_rechecks(b10):
+    # the r11 window above holds odd targets whose count is exactly zero
+    batch = reps.representation_counts(list(range(100001, 100013, 2)), "r11", b10)
+    assert any(p.exact == 0.0 and p.provenance == "exact" for p in batch)
+    assert any(p.provenance == "fft" for p in batch)
+
+
+def test_batch_transforms_only_new_inputs(b10, monkeypatch):
+    # r12 over a window: each target pays one rfft (its accumulator) and one
+    # irfft (its second stage); the first stage is transformed again only when
+    # a new prime or reversed prime enters, and a new reversed prime is the
+    # only thing that makes the second stage's factor miss
+    Ns = list(range(100001, 100041))
+    table = get_prime_table(max(Ns))
+    revs = set(reversed_prime_arrays(max(Ns), b10, require_coprime=True).n.tolist())
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        original = getattr(np.fft, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    reps.representation_counts(Ns, "r12", b10)
+    want_rfft, want_irfft = 3 + len(Ns) - 1, len(Ns) + 1  # the first target
+    for N in Ns[1:]:
+        new_rev, new_prime = N in revs, table.is_prime(N)
+        want_rfft += int(new_rev or new_prime) + int(new_rev)
+        want_irfft += int(new_rev or new_prime)
+    assert counts == {"rfft": want_rfft, "irfft": want_irfft}
+    assert want_rfft < 3 * len(Ns)  # the window does share transforms
+
+
+def test_batch_of_no_targets(b10):
+    assert reps.representation_counts([], "r12", b10) == []
+
+
+# ---------------------------------------------------------------------------
+# exact ternary composition counts
+# ---------------------------------------------------------------------------
+
+def _ternary_targets(b, top):
+    out, L = [], 1
+    while b**L + 1 <= top:
+        out += [N for N in (b**L - 1, b**L, b**L + 1) if N >= 3]
+        L += 1
+    return out
+
+
+@pytest.mark.parametrize("b", [2, 3, 6, 10, 30])
+def test_ternary_compositions_vs_brute_force(b):
+    # exact int64 convolutions of the 0/1 sequences (1..M) and B
+    from revprime.digits import coprime_leading_indicator
+
+    base, M = Base(b), 400
+    in_b = coprime_leading_indicator(M, base).astype(np.int64)
+    ones = np.ones(M + 1, dtype=np.int64)
+    ones[0] = 0
+    s12 = np.convolve(np.convolve(ones, in_b), in_b)
+    s21 = np.convolve(np.convolve(ones, ones), in_b)
+    for N in list(range(3, M + 1)) + _ternary_targets(b, M):
+        assert composition_count(N, "s12", base) == s12[N], (b, N)
+        assert composition_count(N, "s21", base) == s21[N], (b, N)
+
+
+# the convolution-chain values of the previous implementation; in the prime
+# bases 2 and 3 every leading digit is coprime to b, so both counts are
+# C(N-1, 2) there
+PINNED_RANGE_SHA256 = {  # sha256 of ",".join(values for N = 3..400)
+    2: ("5b285eda9997c2f66c225399838f55a9a082de2011c1e99177ae5b31c30b12a3",) * 2,
+    3: ("5b285eda9997c2f66c225399838f55a9a082de2011c1e99177ae5b31c30b12a3",) * 2,
+    6: ("174b5a80f3ad7c41371ce43c95461c7dd28e6bf15c1e7168a0cc0e9249547db6",
+        "7815cd13729db132ce773f70f5172c79a4739b7ed8022d9378f2ebc692c67f68"),
+    10: ("421cb130d70ee99b4eaee0fc739a33290bad027188b656ac8f534b3953909fb2",
+         "b0b1f8ab2acc0c2b7ff33027480f77a4ac5df83e8a3c42be95d54ba716467119"),
+    30: ("0e694a4e9a2dda20cc62563d6015f4ba53ce38c3899c10be770743a77a0387f8",
+         "84177f6a4ba1a1af47b0df4782dd467a1545f29fa9b3fcac4998c78a98e27598"),
+}
+PINNED_POWERS = {  # N: (s12, s21) at N = b^L - 1, b^L, b^L + 1 above 400
+    6: {
+        1295: (109608, 334629),
+        1296: (109780, 335146),
+        1297: (109954, 335664),
+        7775: (3960888, 12085461),
+        7776: (3961924, 12088570),
+        7777: (3962962, 12091680),
+        46655: (142682136, 435309813),
+        46656: (142688356, 435328474),
+        46657: (142694578, 435347136),
+        279935: (5137098072, 15672552885),
+        279936: (5137135396, 15672664858),
+        279937: (5137172722, 15672776832),
+    },
+    10: {
+        999: (92648, 221113),
+        1000: (92736, 221556),
+        1001: (92828, 222000),
+        9999: (9304248, 22211113),
+        10000: (9305136, 22215556),
+        10001: (9306028, 22220000),
+        99999: (930820248, 2222111113),
+        100000: (930829136, 2222155556),
+        100001: (930838028, 2222200000),
+        999999: (93085980248, 222221111113),
+        1000000: (93086069136, 222221555556),
+        1000001: (93086158028, 222222000000),
+    },
+    30: {
+        899: (28848, 111105),
+        900: (28864, 111352),
+        901: (28888, 111600),
+        26999: (26089008, 100533105),
+        27000: (26089504, 100540552),
+        27001: (26090008, 100548000),
+        809999: (23483897808, 90495993105),
+        810000: (23483912704, 90496216552),
+        810001: (23483927608, 90496440000),
+    },
+}
+
+
+@pytest.mark.parametrize("b", [2, 3, 6, 10, 30])
+def test_ternary_compositions_pinned(b):
+    import hashlib
+
+    base = Base(b)
+    for family, want in zip(("s12", "s21"), PINNED_RANGE_SHA256[b]):
+        values = ",".join(str(composition_count(N, family, base)) for N in range(3, 401))
+        assert hashlib.sha256(values.encode()).hexdigest() == want, (b, family)
+    if b in (2, 3):
+        pinned = {N: (math.comb(N - 1, 2),) * 2 for N in _ternary_targets(b, 2**20) if N > 400}
+    else:
+        pinned = PINNED_POWERS[b]
+        assert sorted(pinned) == [N for N in _ternary_targets(b, 2**20) if N > 400]
+    for N, (s12, s21) in pinned.items():
+        assert composition_count(N, "s12", base) == s12, (b, N)
+        assert composition_count(N, "s21", base) == s21, (b, N)
+
+
+@pytest.mark.parametrize("family,k", [("s12", None), ("s21", None), ("s0k", 3)])
+def test_composition_count_length_ceiling(b10, monkeypatch, family, k):
+    # refused before the leading-digit indicator is allocated
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("indicator allocated")
+
+    with monkeypatch.context() as m:
+        m.setattr(reps, "coprime_leading_indicator", no_allocation)
+        m.setattr(reps, "leading_coprime_sequence", no_allocation)
+        with pytest.raises(ResourceLimitError):
+            composition_count(sieve.MAX_SEQUENCE_LEN, family, b10, k=k)
+    monkeypatch.setattr(reps, "MAX_SEQUENCE_LEN", 1000)
+    assert composition_count(999, family, b10, k=k) > 0
+    with pytest.raises(ResourceLimitError):
+        composition_count(1000, family, b10, k=k)
