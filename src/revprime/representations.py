@@ -161,35 +161,35 @@ class TransformCache:
         self._factors[seq.kind] = (sig, None)
         return sig
 
-    def _spectrum(self, seq: WeightedSequence, nfft: int, keep: bool) -> tuple[np.ndarray, bool]:
-        """(rfft of seq at nfft, whether the array is shared with the cache)."""
-        if seq.kind == "conv":
-            return np.fft.rfft(seq.weights, nfft), False
-        sig = self._signature(seq, nfft)
-        spectrum = self._factors[seq.kind][1]
-        if spectrum is not None:
-            return spectrum, True
+    def _spectrum(
+        self, seq: WeightedSequence, sig: tuple | None, nfft: int, keep: bool
+    ) -> tuple[np.ndarray, bool]:
+        """(rfft of seq at nfft, whether the array is shared with the cache);
+        sig is seq's signature, None for an accumulator."""
+        entry = self._factors.get(seq.kind) if sig is not None else None
+        current = entry is not None and entry[0] is sig
+        if current and entry[1] is not None:
+            return entry[1], True
         spectrum = np.fft.rfft(seq.weights, nfft)
-        if keep:
+        if current and keep:
             self._factors[seq.kind] = (sig, spectrum)
-        return spectrum, keep
+        return spectrum, current and keep
 
     def product(self, u: WeightedSequence, v: WeightedSequence, nfft: int, n: int) -> np.ndarray:
         """The first n entries of the clipped irfft(rfft(u) * rfft(v)) at
         length nfft, as convolve() computes them."""
-        first_stage = u.kind != "conv" and v.kind != "conv"
-        if first_stage:
-            pair = (self._signature(u, nfft), self._signature(v, nfft))
-            if self._inverse is not None:
-                kept_pair, w = self._inverse
-                if kept_pair[0] is pair[0] and kept_pair[1] is pair[1] and len(w) >= n:
-                    return w[:n]
-                self._inverse = None
-                del w
-        sv, _ = self._spectrum(v, nfft, keep=True)
-        su, shared = self._spectrum(u, nfft, keep=False)
+        sig_u, sig_v = (None if s.kind == "conv" else self._signature(s, nfft) for s in (u, v))
+        first_stage = sig_u is not None and sig_v is not None
+        if first_stage and self._inverse is not None:
+            (kept_u, kept_v), w = self._inverse
+            if kept_u is sig_u and kept_v is sig_v and len(w) >= n:
+                return w[:n]
+            self._inverse = None
+            del w
+        sv, _ = self._spectrum(v, sig_v, nfft, keep=True)
+        su, shared = self._spectrum(u, sig_u, nfft, keep=False)
         if shared:
-            spectrum = su * sv
+            spectrum = su * sv  # u first, as in place: the rounding depends on the order
         else:
             su *= sv
             spectrum = su
@@ -197,7 +197,7 @@ class TransformCache:
         if not first_stage:
             return _clipped_inverse(spectrum, nfft, n)
         w = _clipped_inverse(spectrum, nfft, min(nfft, max(n, self.out_cap))).copy()
-        self._inverse = (pair, w)
+        self._inverse = ((sig_u, sig_v), w)
         return w[:n]
 
 

@@ -378,6 +378,22 @@ def test_batch_transforms_only_new_inputs(b10, monkeypatch):
     assert want_rfft < 3 * len(Ns)  # the window does share transforms
 
 
+def test_transform_cache_compares_values_not_just_support():
+    # same support, new values: the factor must be transformed again
+    rng = np.random.default_rng(5)
+    n = 12000
+    assert n * n > reps.DIRECT_OPS_CAP
+    first = np.where(rng.random(n) < 0.1, rng.random(n), 0.0)
+    v = WeightedSequence("v", rng.random(n))
+    cache = reps.TransformCache(out_cap=n)
+    for weights in (first, 2.0 * first, first):
+        u = WeightedSequence("u", weights)
+        got = convolve(u, v, out_len=n, transforms=cache)
+        want = convolve(u, v, out_len=n)
+        assert got.error_bound == want.error_bound
+        assert np.array_equal(got.weights, want.weights)
+
+
 def test_batch_of_no_targets(b10):
     assert reps.representation_counts([], "r12", b10) == []
 
