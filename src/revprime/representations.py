@@ -114,7 +114,7 @@ def convolve(
         )
     if out_len is not None:
         w = w[:out_len]
-    return WeightedSequence("conv", w, bound)  # an accumulator: never cached
+    return WeightedSequence("conv", w, bound)  # an accumulator, never in a TransformCache
 
 
 def _clipped_inverse(spectrum: np.ndarray, nfft: int, n: int) -> np.ndarray:
