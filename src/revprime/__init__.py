@@ -16,10 +16,12 @@ from .arithmetic import (
 )
 from .circle import (
     ArcPartition,
+    ExpSumEvaluator,
     WeaklyDigitalSeed,
     build_arcs,
     congruence_reversal_seed,
     exp_sum,
+    exp_sum_evaluator,
     gamma_sigma,
     major_arc_residual,
     minor_arc_probe,

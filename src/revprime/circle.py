@@ -10,9 +10,10 @@ The exponential sums are evaluated directly over their coefficient arrays:
     v(beta)       = sum_{n <= x} e(n beta)                     kind "all"
     revv(beta)    = sum_{n <= x, lead digit coprime} e(n beta) kind "B_set"
 
-with e(t) = exp(2 pi i t).  Accumulation uses numpy pairwise summation,
-whose error grows like log(n) * eps (at least as tight as a compensated
-running sum).  Everything here is diagnostic: ratios and residuals are
+with e(t) = exp(2 pi i t).  exp_sum_evaluator builds a sum's support once
+and evaluates it at any number of alpha; exp_sum is one such evaluation.
+Accumulation uses numpy pairwise summation, whose error grows like
+log(n) * eps (at least as tight as a compensated running sum).  Everything here is diagnostic: ratios and residuals are
 reported, and nothing on the minor arcs is asserted.
 """
 
@@ -33,20 +34,40 @@ MAX_SUM_LEN = 1 << 31
 MAX_ARC_GRID = 1 << 20  # ceiling on floor(Q)^2; build_arcs makes ~0.3 floor(Q)^2 arcs
 
 
-def _support(kind: str, x: int, base: Base | None, table: PrimeTable | None):
-    """(indices, weights) of the coefficient array for an exponential sum."""
+@dataclass(frozen=True)
+class ExpSumEvaluator:
+    """One exponential sum's coefficient support (n, w), built once and
+    evaluated at any number of alpha."""
+
+    n: np.ndarray  # float64: the int64 indices, converted once (exact below 2^53)
+    w: np.ndarray
+
+    def __call__(self, alpha: float) -> complex:
+        """The sum at alpha (reduced mod 1)."""
+        theta = 2.0 * np.pi * ((self.n * (alpha % 1.0)) % 1.0)
+        return complex(np.sum(self.w * np.cos(theta)), np.sum(self.w * np.sin(theta)))
+
+
+def exp_sum_evaluator(
+    x: int, kind: str, base: Base | None = None, table: PrimeTable | None = None
+) -> ExpSumEvaluator:
+    """The evaluator of the exponential sum of the given kind over n <= x."""
+    if x < 1:
+        raise ValueError("x must be >= 1")
+    if x >= MAX_SUM_LEN:
+        raise ResourceLimitError(f"sum over {x} terms exceeds the {MAX_SUM_LEN} ceiling")
     if kind in ("prime", "reversed_prime_coprime"):
-        return indicator_support(x, kind, base, table)
-    if kind == "all":
-        n = np.arange(1, x + 1, dtype=np.int64)
-        return n, np.ones(x, dtype=np.float64)
-    if kind == "B_set":
+        n, w = indicator_support(x, kind, base, table)
+    elif kind == "all":
+        n, w = np.arange(1, x + 1, dtype=np.int64), np.ones(x, dtype=np.float64)
+    elif kind == "B_set":
         if base is None:
             raise ValueError("base required for B-set sums")
-        ind = coprime_leading_indicator(x, base)
-        n = np.flatnonzero(ind)
-        return n, np.ones(len(n), dtype=np.float64)
-    raise ValueError(f"unknown exponential sum kind {kind!r}")
+        n = np.flatnonzero(coprime_leading_indicator(x, base))
+        w = np.ones(len(n), dtype=np.float64)
+    else:
+        raise ValueError(f"unknown exponential sum kind {kind!r}")
+    return ExpSumEvaluator(n.astype(np.float64), w)
 
 
 def exp_sum(
@@ -57,14 +78,7 @@ def exp_sum(
     table: PrimeTable | None = None,
 ) -> complex:
     """The complex exponential sum of the given kind at alpha (reduced mod 1)."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    if x >= MAX_SUM_LEN:
-        raise ResourceLimitError(f"sum over {x} terms exceeds the {MAX_SUM_LEN} ceiling")
-    alpha = alpha % 1.0
-    n, w = _support(kind, x, base, table)
-    theta = 2.0 * np.pi * ((n * alpha) % 1.0)
-    return complex(np.sum(w * np.cos(theta)), np.sum(w * np.sin(theta)))
+    return exp_sum_evaluator(x, kind, base, table)(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +190,13 @@ def major_arc_residual(
     coef = mobius(arc.q) / totient(arc.q)
     if which == "S":
         lhs = exp_sum(alpha, N, "prime", table=table)
-        predicted = coef * _exp_sum_signed(beta, N, "all", base, table)
+        predicted = coef * exp_sum(beta, N, "all", base, table)
     else:
         lhs = exp_sum(alpha, N, "reversed_prime_coprime", base, table=table)
         if base.modulus % arc.q != 0:
             coef = 0.0
-        predicted = coef * _exp_sum_signed(beta, N, "B_set", base, table)
+        predicted = coef * exp_sum(beta, N, "B_set", base, table)
     return abs(lhs - predicted) / N
-
-
-def _exp_sum_signed(beta: float, x: int, kind: str, base: Base | None, table) -> complex:
-    # beta may be negative and tiny; reduce mod 1 like exp_sum does
-    return exp_sum(beta % 1.0, x, kind, base, table)
 
 
 def distance_to_integer(t: float) -> float:
@@ -281,8 +290,8 @@ def minor_arc_probe(
         raise ValueError("samples must be >= 1")
     part = build_arcs(N, B)
     rng = np.random.default_rng(seed)
-    rev_n, rev_w = indicator_support(N, "reversed_prime_coprime", base, table)
-    primes, prime_w = indicator_support(N, "prime", table=table)
+    rev_s = exp_sum_evaluator(N, "reversed_prime_coprime", base, table)
+    prime_s = exp_sum_evaluator(N, "prime", table=table)
     max_abs = 0.0
     max_abs_prime = 0.0
     drawn = 0
@@ -291,12 +300,8 @@ def minor_arc_probe(
         if part.find(alpha) is not None:
             continue
         drawn += 1
-        theta = 2.0 * np.pi * ((rev_n * alpha) % 1.0)
-        s = abs(complex(np.sum(rev_w * np.cos(theta)), np.sum(rev_w * np.sin(theta))))
-        max_abs = max(max_abs, s)
-        theta_p = 2.0 * np.pi * ((primes * alpha) % 1.0)
-        sp = abs(complex(np.sum(prime_w * np.cos(theta_p)), np.sum(prime_w * np.sin(theta_p))))
-        max_abs_prime = max(max_abs_prime, sp)
+        max_abs = max(max_abs, abs(rev_s(alpha)))
+        max_abs_prime = max(max_abs_prime, abs(prime_s(alpha)))
     logN = math.log(N)
     scaled = {A: max_abs * logN**A / N for A in exponents}
     return MinorArcProbe(N, B, samples, seed, max_abs, max_abs_prime, scaled)

@@ -195,9 +195,10 @@ def _parse_int(text: str) -> int:
     return int(value)
 
 
-def int_list(text: str) -> list[int]:
-    """Parse '600', '1..30', or '1e4,1e5,1e6' into a list of ints."""
-    out: list[int] = []
+def _int_ranges(text: str) -> list[range]:
+    """Parse '600', '1..30', or '1e4,1e5,1e6' into one range per part,
+    without expanding any."""
+    out: list[range] = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
@@ -205,9 +206,17 @@ def int_list(text: str) -> list[int]:
             lo, hi = _parse_int(lo), _parse_int(hi)
             if hi < lo:
                 raise ValueError(f"empty range: {part!r}")
-            out.extend(range(lo, hi + 1))
         else:
-            out.append(_parse_int(part))
+            lo = hi = _parse_int(part)
+        out.append(range(lo, hi + 1))
+    return out
+
+
+def int_list(text: str) -> list[int]:
+    """Parse '600', '1..30', or '1e4,1e5,1e6' into a list of ints."""
+    out: list[int] = []
+    for part in _int_ranges(text):
+        out.extend(part)
     return out
 
 
@@ -278,14 +287,15 @@ def cmd_partition(args, cfg: RunConfig) -> int:
 
 def cmd_represent(args, cfg: RunConfig) -> int:
     base = Base(cfg.base)
-    values = int_list(args.n)
-    _cache_for_bound(cfg, max(values), base)
     if args.exceptions:
-        x = max(values)
+        x = max(part[-1] for part in _int_ranges(args.n))  # only the largest target counts
+        _cache_for_bound(cfg, x, base)
         count = representations.count_exceptional_evens(x, base)
         entries = [({"base": cfg.base, "x": x, "family": "r11"}, float(count), 0.0, "exact")]
         emit_rows(cfg, REPORT_FIELDS, report_rows("exceptions", entries))
         return 0
+    values = int_list(args.n)
+    _cache_for_bound(cfg, max(values), base)
     entries = []
     for profile in representations.representation_counts(values, args.family, base, k=args.k):
         params = {"base": cfg.base, "n": profile.N, "family": args.family}
@@ -338,10 +348,11 @@ def cmd_circle(args, cfg: RunConfig) -> int:
         return 0
     if args.op == "curve":
         xs = np.linspace(0.0, 1.0, args.samples, endpoint=False)
+        prime_s = circle.exp_sum_evaluator(args.N, "prime")
+        rev_s = circle.exp_sum_evaluator(args.N, "reversed_prime_coprime", base)
         rows = []
         for alpha in xs:
-            s = abs(circle.exp_sum(float(alpha), args.N, "prime"))
-            rs = abs(circle.exp_sum(float(alpha), args.N, "reversed_prime_coprime", base))
+            s, rs = abs(prime_s(float(alpha))), abs(rev_s(float(alpha)))
             rows.append({"alpha": float(alpha), "abs_S": s, "abs_revS": rs})
         emit_rows(cfg, ["alpha", "abs_S", "abs_revS"], rows)
         return 0

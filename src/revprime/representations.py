@@ -7,12 +7,19 @@ above it a real FFT is used and an a-posteriori error bound
 
     |error| <= 4 * log2(nfft) * eps * ||u||_2 * ||v||_2
 
-is carried on the result.  Existence questions are answered by reach
-layers, boolean sumset masks over 0..N (reach_step): the 0/1 counts are
-integers and the FFT error bound must stay below 1/2 (under MAX_CONV_LEN it
-is below 1.5e-5), so thresholding at 1/2 is exact.  A direct-path zero is
-already exact, as every term is non-negative; an FFT value within its bound
-of zero is recounted by nested summation pruned by the reach layers.
+is carried on the result.  The weighted chains take nfft a power of two:
+the last bits of every printed count depend on it.  Existence questions are
+answered by reach layers, boolean sumset masks over 0..N (reach_step): the
+0/1 counts are integers and the FFT error bound must stay below 1/2 (under
+MAX_CONV_LEN it is below 1.5e-5), so thresholding at 1/2 is exact.  The mask
+is then the same at any nfft that holds the full convolution, so a reach
+step takes the least 5-smooth one (_next_fast_len), and its bound takes
+||m||_2 = sqrt(#ones) for a 0/1 mask m.  exceptional_evens sums only the odd
+halves of its masks: every reversed prime coprime to b^3 - b is odd, so an
+even N needs an odd prime.  A direct-path zero is already exact, as every
+term is non-negative; an FFT value within its bound of zero is recounted by
+nested summation pruned by the reach layers.  reach_step and an uncached
+convolve share one FFT product kernel (_fft_product).
 
 representation_counts runs a batch of targets, each through exactly the
 chain a lone representation_count runs (indicators truncated at N, the same
@@ -100,21 +107,41 @@ def convolve(
         bound = propagated
     else:
         full = lu + lv - 1
-        nfft = 1
-        while nfft < full:
-            nfft *= 2
+        # a power of two: the last bits of the weighted counts depend on nfft
+        nfft = 1 << (full - 1).bit_length()
+        n = full if out_len is None else min(full, out_len)
         if transforms is None:
-            spectrum = np.fft.rfft(u.weights, nfft)
-            spectrum *= np.fft.rfft(v.weights, nfft)  # in place: one spectrum fewer at peak
-            w = _clipped_inverse(spectrum, nfft, full)
+            w = _fft_product(u.weights, v.weights, nfft, n)
         else:
-            w = transforms.product(u, v, nfft, full if out_len is None else min(full, out_len))
+            w = transforms.product(u, v, nfft, n)
         bound = propagated + 4.0 * math.log2(nfft) * _EPS * float(
             np.linalg.norm(u.weights) * np.linalg.norm(v.weights)
         )
     if out_len is not None:
         w = w[:out_len]
     return WeightedSequence("conv", w, bound)  # an accumulator, never in a TransformCache
+
+
+def _fft_product(u: np.ndarray, v: np.ndarray, nfft: int, n: int) -> np.ndarray:
+    """The first n entries of the clipped irfft(rfft(u) * rfft(v)) at length
+    nfft: the linear convolution while nfft >= len(u) + len(v) - 1."""
+    spectrum = np.fft.rfft(u, nfft)
+    spectrum *= np.fft.rfft(v, nfft)  # in place: one spectrum fewer at peak
+    return _clipped_inverse(spectrum, nfft, n)
+
+
+def _next_fast_len(n: int) -> int:
+    """The least 5-smooth integer 2^i 3^j 5^k >= n, for n >= 1."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _clipped_inverse(spectrum: np.ndarray, nfft: int, n: int) -> np.ndarray:
@@ -232,12 +259,22 @@ def exact_int_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def reach_step(reach: np.ndarray, addend: np.ndarray, out_len: int | None = None) -> np.ndarray:
     """The sumset R + A as a boolean mask: index n is set iff n = r + a with
     reach[r] and addend[a].  The 0/1 convolution counts are integers, so the
-    threshold at 1/2 is exact while the error bound stays below 1/2."""
-    u, v = (WeightedSequence("mask", m.astype(np.float64)) for m in (reach, addend))
-    conv = convolve(u, v, out_len=out_len)
-    if conv.error_bound >= 0.5:
-        raise ResourceLimitError(f"sumset error bound {conv.error_bound} leaves no rounding margin")
-    return conv.weights > 0.5
+    threshold at 1/2 is exact while the error bound stays below 1/2; the
+    mask is the same at any FFT length that holds the full convolution, so
+    the FFT path takes the next 5-smooth one."""
+    reach, addend = (np.asarray(m, dtype=bool) for m in (reach, addend))
+    full = len(reach) + len(addend) - 1
+    if full > MAX_CONV_LEN:
+        raise ResourceLimitError(f"convolution length {full} exceeds {MAX_CONV_LEN}")
+    n = full if out_len is None else min(full, out_len)
+    if len(reach) * len(addend) <= DIRECT_OPS_CAP:
+        return np.convolve(reach.astype(np.float64), addend.astype(np.float64))[:n] > 0.5
+    nfft = _next_fast_len(full)
+    # ||m||_2 of a 0/1 mask is the square root of its count of ones
+    bound = 4.0 * math.log2(nfft) * _EPS * math.sqrt(np.count_nonzero(reach) * np.count_nonzero(addend))
+    if bound >= 0.5:
+        raise ResourceLimitError(f"sumset error bound {bound} leaves no rounding margin")
+    return _fft_product(reach, addend, nfft, n) > 0.5  # rfft takes the masks as 0.0/1.0
 
 
 def _tail_reach(seqs: list[WeightedSequence], N: int) -> list[np.ndarray]:
@@ -428,16 +465,20 @@ def squarefree_mask(x: int) -> np.ndarray:
 
 def exceptional_evens(x: int, base: Base, table: PrimeTable | None = None) -> np.ndarray:
     """Even N <= x with no representation N = p + n (n a reversed prime
-    coprime to b^3 - b): one reach step plus an exact confirmation of each
-    zero position."""
+    coprime to b^3 - b): one reach step over the odd halves plus an exact
+    confirmation of each zero position.
+
+    Every such n is odd (coprime to b^3 - b, which is even), so an even N
+    needs an odd p: the step sums pmask[1::2] and rmask[1::2], whose index i
+    stands for 2i + 1, and its index m stands for N = 2m + 2."""
     if x < 4:
         raise ValueError("x must be >= 4")
     pmask = indicator_mask(x, "prime", table=table)
     rmask = indicator_mask(x, "reversed_prime_coprime", base=base, table=table)
-    reach = reach_step(pmask, rmask, out_len=x + 1)
+    reach = reach_step(pmask[1::2], rmask[1::2], out_len=x // 2)
     primes = np.flatnonzero(pmask)
-    evens = np.arange(2, x + 1, 2)
-    out = [N for N in evens[~reach[evens]] if not rmask[N - primes[primes < N]].any()]
+    misses = 2 * np.flatnonzero(~reach) + 2
+    out = [N for N in misses if not rmask[N - primes[primes < N]].any()]
     return np.array(out, dtype=np.int64)
 
 

@@ -5,10 +5,12 @@ import pytest
 
 from revprime.arithmetic import totient
 from revprime.circle import (
+    EXP_SUM_KINDS,
     WeaklyDigitalSeed,
     build_arcs,
     congruence_reversal_seed,
     exp_sum,
+    exp_sum_evaluator,
     gamma_sigma,
     major_arc_residual,
     minor_arc_probe,
@@ -17,7 +19,8 @@ from revprime.circle import (
 )
 from revprime.digits import Base, count_coprime_leading
 from revprime.errors import ResourceLimitError
-from revprime.sieve import get_prime_table
+from revprime.digits import coprime_leading_indicator
+from revprime.sieve import get_prime_table, indicator_support
 
 
 def test_exp_sum_at_zero(b10):
@@ -54,6 +57,30 @@ def test_exp_sum_geometric_closed_form():
         s = abs(exp_sum(beta, 1000, "all"))
         closed = abs(math.sin(math.pi * 1000 * beta) / math.sin(math.pi * beta))
         assert abs(s - closed) < 1e-6
+
+
+def _direct_exp_sum(alpha, x, kind, base):
+    """The sum rebuilt from its coefficients at every call, in the same
+    elementwise and pairwise-sum order."""
+    if kind in ("prime", "reversed_prime_coprime"):
+        n, w = indicator_support(x, kind, base)
+    elif kind == "all":
+        n, w = np.arange(1, x + 1, dtype=np.int64), np.ones(x)
+    else:
+        n = np.flatnonzero(coprime_leading_indicator(x, base))
+        w = np.ones(len(n))
+    theta = 2.0 * np.pi * ((n * (alpha % 1.0)) % 1.0)
+    return complex(np.sum(w * np.cos(theta)), np.sum(w * np.sin(theta)))
+
+
+def test_exp_sum_evaluator_equals_exp_sum(b10):
+    rng = np.random.default_rng(12)
+    alphas = [0.0, 0.5, -1e-20, 1.375, *(rng.random(6) * 4.0 - 2.0)]
+    for kind in EXP_SUM_KINDS:
+        evaluate = exp_sum_evaluator(20000, kind, b10)
+        for alpha in alphas:
+            want = _direct_exp_sum(alpha, 20000, kind, b10)
+            assert evaluate(alpha) == exp_sum(alpha, 20000, kind, b10) == want, (kind, alpha)
 
 
 def test_build_arcs_structure():

@@ -92,6 +92,28 @@ def test_represent_exceptions_count():
     assert float(row[2]) == 5.0  # {2, 4, 6, 8, 52}
 
 
+def test_represent_exceptions_does_not_expand_the_target_list(monkeypatch, capsys):
+    # --exceptions reads only the largest target: a range of a million
+    # targets must cost no more memory than the one target (a list of them
+    # would hold about 36 MB); the count itself is stubbed out
+    import tracemalloc
+
+    from revprime import cli, representations
+
+    monkeypatch.setattr(representations, "count_exceptional_evens", lambda x, base: 0)
+    peaks = []
+    for targets in ("1000000", "4..1000000"):
+        tracemalloc.start()
+        try:
+            assert cli.main(["represent", "--family", "r11", "--n", targets, "--exceptions"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1] == rows[3] and "x=1000000" in rows[1]
+    assert peaks[1] < peaks[0] + 2**20
+
+
 def test_partition_command():
     res = run_cli("partition", "--digits", "2", "--eta", "2", "--r", "71")
     row = res.stdout.splitlines()[1].split(",")

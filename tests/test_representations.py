@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -220,6 +221,71 @@ def test_exceptional_evens_keeps_the_length_ceiling(b10, monkeypatch):
         exceptional_evens(1000, b10)
 
 
+@pytest.fixture
+def fft_lengths(monkeypatch):
+    """The nfft of every FFT product, with the FFT path forced."""
+    lengths = []
+    product = reps._fft_product
+    monkeypatch.setattr(
+        reps, "_fft_product", lambda u, v, nfft, n: lengths.append(nfft) or product(u, v, nfft, n)
+    )
+    monkeypatch.setattr(reps, "DIRECT_OPS_CAP", 1)
+    return lengths
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _reverse(n, b):
+    out = 0
+    while n:
+        n, d = divmod(n, b)
+        out = out * b + d
+    return out
+
+
+def _brute_exceptional_evens(x, b):
+    """Even N <= x that are no p + n, by a double loop over trial-division
+    primes and digit-reversed n coprime to b^3 - b."""
+    primes = [p for p in range(2, x + 1) if _is_prime(p)]
+    revs = {n for n in range(1, x + 1) if math.gcd(n, b**3 - b) == 1 and _is_prime(_reverse(n, b))}
+    return [N for N in range(2, x + 1, 2) if not any(N - p in revs for p in primes if p < N)]
+
+
+@pytest.mark.parametrize("b", [2, 3, 10, 30])
+def test_exceptional_evens_fft_path_vs_double_loop(b, fft_lengths):
+    # the odd-half reach step on the FFT path, against an oracle that knows
+    # nothing of parity; x odd and even, so the last even N sits at both ends
+    for x in (600, 601):
+        assert exceptional_evens(x, Base(b)).tolist() == _brute_exceptional_evens(x, b), (b, x)
+    # one step per call, over the odd halves: 300 + 300 - 1 and 301 + 301 - 1
+    # entries, at the next 5-smooth lengths
+    assert fft_lengths == [600, 625]
+
+
+@pytest.mark.parametrize("b", range(2, 37))
+def test_parity_facts(b):
+    # a member of reversed_prime_coprime is coprime to b^3 - b, which is even;
+    # in an odd base rev(p) = p mod b - 1, an even modulus, so only rev(2) = 2
+    # is even in the unfiltered pool
+    x = max(10**4, b**3)
+    coprime = reversed_prime_arrays(x, Base(b), require_coprime=True).n
+    assert len(coprime) and not (coprime % 2 == 0).any()
+    pool = reversed_prime_arrays(x, Base(b), require_coprime=False).n
+    if b % 2:
+        assert (pool[pool % 2 == 0] == 2).all()
+
+
+def test_parity_facts_of_the_unfiltered_pools():
+    # base 2: a binary reverse ends in the source prime's leading 1
+    pool = reversed_prime_arrays(10**5, Base(2), require_coprime=False).n
+    assert len(pool) and not (pool % 2 == 0).any()
+    # base 10: rev(23) = 32, so the pool has even members
+    pool = reversed_prime_arrays(10**4, Base(10), require_coprime=False).n
+    assert 32 in pool.tolist()
+
+
 def test_exception_density_decreasing(b10):
     densities = [
         count_exceptional_evens(x, b10) / (x // 2) for x in (10**3, 10**4, 10**5)
@@ -272,18 +338,61 @@ def test_reach_step_is_the_sumset():
         assert reps.reach_step(r, a, out_len=250).tolist() == want[:250].tolist()
 
 
-def test_reach_step_fft_path_is_exact():
+def test_reach_step_fft_path_is_exact(fft_lengths):
     rng = np.random.default_rng(8)
     r = rng.random(5000) < 0.05
     a = rng.random(5000) < 0.05
     want = np.convolve(r.astype(np.int64), a.astype(np.int64)) > 0
-    old = reps.DIRECT_OPS_CAP
-    reps.DIRECT_OPS_CAP = 1  # force the FFT path
-    try:
-        got = reps.reach_step(r, a)
-    finally:
-        reps.DIRECT_OPS_CAP = old
-    assert got.tolist() == want.tolist()
+    assert reps.reach_step(r, a).tolist() == want.tolist()
+    assert reps.reach_step(r, a, out_len=6000).tolist() == want[:6000].tolist()
+    # 10000 = 2^4 5^4 is the least 5-smooth number >= 5000 + 5000 - 1
+    assert fft_lengths == [10000, 10000]
+
+
+def _five_smooth_up_to(limit):
+    out, p5 = [], 1
+    while p5 <= limit:
+        p35 = p5
+        while p35 <= limit:
+            m = p35
+            while m <= limit:
+                out.append(m)
+                m *= 2
+            p35 *= 3
+        p5 *= 5
+    return sorted(out)
+
+
+def test_next_fast_len_is_the_least_5_smooth():
+    smooth = _five_smooth_up_to(2**33)
+    near_powers = [2**e + d for e in range(14, 33) for d in (-2, -1, 0, 1, 2)]
+    for n in list(range(1, 10**4 + 1)) + near_powers:
+        assert reps._next_fast_len(n) == smooth[bisect.bisect_left(smooth, n)], n
+
+
+def test_reach_step_error_bound_at_one_half(monkeypatch):
+    # the bound 4 log2(nfft) eps sqrt(#R #A) must stay below 1/2; under
+    # MAX_CONV_LEN it cannot reach it, so a larger eps stands in for rounding
+    rng = np.random.default_rng(10)
+    r, a = rng.random(400) < 0.3, rng.random(300) < 0.3
+    nfft = reps._next_fast_len(699)
+    at_half = 0.5 / (4.0 * math.log2(nfft) * math.sqrt(np.count_nonzero(r) * np.count_nonzero(a)))
+    monkeypatch.setattr(reps, "DIRECT_OPS_CAP", 1)
+    monkeypatch.setattr(reps, "_EPS", at_half * (1 - 1e-9))
+    want = np.convolve(r.astype(np.int64), a.astype(np.int64)) > 0
+    assert reps.reach_step(r, a).tolist() == want.tolist()
+    monkeypatch.setattr(reps, "_EPS", at_half * (1 + 1e-9))
+    monkeypatch.setattr(reps, "_fft_product", None)  # raises before any transform
+    with pytest.raises(ResourceLimitError, match="rounding margin"):
+        reps.reach_step(r, a)
+
+
+def test_reach_step_length_ceiling(monkeypatch):
+    monkeypatch.setattr(reps, "MAX_CONV_LEN", 698)
+    mask = np.ones(350, dtype=bool)
+    assert reps.reach_step(mask, mask[:349]).all()
+    with pytest.raises(ResourceLimitError, match="exceeds 698"):
+        reps.reach_step(mask, mask)
 
 
 @pytest.mark.parametrize("b", [2, 10])

@@ -177,7 +177,7 @@ def _brute_pool(N, b):
     return [n for n in range(1, N + 1) if n % b and is_prime(rev(n))]
 
 
-@pytest.mark.parametrize("b", [3, 6, 10, 30])
+@pytest.mark.parametrize("b", [2, 3, 6, 10, 30])
 def test_min_k_witness_is_first_combination(b):
     for N in range(2, 201):
         pool = _brute_pool(N, b)
