@@ -17,9 +17,8 @@ from revprime.circle import (
     parseval_check,
     weyl_ratio,
 )
-from revprime.digits import Base, count_coprime_leading
+from revprime.digits import Base, coprime_leading_indicator, count_coprime_leading
 from revprime.errors import ResourceLimitError
-from revprime.digits import coprime_leading_indicator
 from revprime.sieve import get_prime_table, indicator_support
 
 
