@@ -288,6 +288,8 @@ def cmd_partition(args, cfg: RunConfig) -> int:
 def cmd_represent(args, cfg: RunConfig) -> int:
     base = Base(cfg.base)
     if args.exceptions:
+        if args.family != "r11":
+            raise ValueError(f"--exceptions counts r11 exceptions only, not family {args.family!r}")
         x = max(part[-1] for part in _int_ranges(args.n))  # only the largest target counts
         _cache_for_bound(cfg, x, base)
         count = representations.count_exceptional_evens(x, base)

@@ -14,12 +14,17 @@ answered by reach layers, boolean sumset masks over 0..N (reach_step): the
 MAX_CONV_LEN it is below 1.5e-5), so thresholding at 1/2 is exact.  The mask
 is then the same at any nfft that holds the full convolution, so a reach
 step takes the least 5-smooth one (_next_fast_len), and its bound takes
-||m||_2 = sqrt(#ones) for a 0/1 mask m.  exceptional_evens sums only the odd
-halves of its masks: every reversed prime coprime to b^3 - b is odd, so an
-even N needs an odd prime.  A direct-path zero is already exact, as every
-term is non-negative; an FFT value within its bound of zero is recounted by
-nested summation pruned by the reach layers.  reach_step and an uncached
-convolve share one FFT product kernel (_fft_product).
+||m||_2 = sqrt(#ones) for a 0/1 mask m.  A direct-path zero is already
+exact, as every term is non-negative; an FFT value within its bound of zero
+is recounted by nested summation pruned by the reach layers.  reach_step and
+an uncached convolve share one FFT product kernel (_fft_product).
+
+exceptional_evens asks existence for every even N <= x at once, and almost
+every N has a small witness, so it makes no convolution: it sweeps the
+reversed primes n in ascending order and drops each N for which N - n is a
+prime, first by shifted slices over all targets, then by a gather over the
+few survivors.  A target leaves only with a witness, and the survivors have
+been checked against every n, so the result is exact.
 
 representation_counts runs a batch of targets, each through exactly the
 chain a lone representation_count runs (indicators truncated at N, the same
@@ -465,21 +470,40 @@ def squarefree_mask(x: int) -> np.ndarray:
 
 def exceptional_evens(x: int, base: Base, table: PrimeTable | None = None) -> np.ndarray:
     """Even N <= x with no representation N = p + n (n a reversed prime
-    coprime to b^3 - b): one reach step over the odd halves plus an exact
-    confirmation of each zero position.
+    coprime to b^3 - b), by a sweep over the reversed primes in ascending
+    order that drops each target N once N - n is a prime.
 
     Every such n is odd (coprime to b^3 - b, which is even), so an even N
-    needs an odd p: the step sums pmask[1::2] and rmask[1::2], whose index i
-    stands for 2i + 1, and its index m stands for N = 2m + 2."""
+    needs an odd p.  The sweep works on odd halves: index m stands for the
+    target N = 2m + 2, and index i of podd = pmask[1::2] for 2i + 1, so
+    n = 2s + 1 witnesses target m iff podd[m - s].  While many targets are
+    alive, each n costs one shifted slice over all of them (dense phase).
+    Once fewer than 1/64 survive (checked every 16 steps), the survivors are
+    tested against blocks of the next reversed primes by a gather (gather
+    phase); a negative m - s is clipped to 0, and podd[0] (the integer 1)
+    is False.  A target is dropped only with a witness in hand, and a
+    survivor has been checked against every n, so the survivors are exactly
+    the exceptions."""
     if x < 4:
         raise ValueError("x must be >= 4")
-    pmask = indicator_mask(x, "prime", table=table)
-    rmask = indicator_mask(x, "reversed_prime_coprime", base=base, table=table)
-    reach = reach_step(pmask[1::2], rmask[1::2], out_len=x // 2)
-    primes = np.flatnonzero(pmask)
-    misses = 2 * np.flatnonzero(~reach) + 2
-    out = [N for N in misses if not rmask[N - primes[primes < N]].any()]
-    return np.array(out, dtype=np.int64)
+    podd = indicator_mask(x, "prime", table=table)[1::2]
+    steps = np.flatnonzero(indicator_mask(x, "reversed_prime_coprime", base=base, table=table)) // 2
+    h = x // 2
+    alive = np.ones(h, dtype=bool)
+    not_prime = ~podd[:h]
+    i = 0
+    while i < len(steps) and (i % 16 or 64 * np.count_nonzero(alive) >= h):
+        s = steps[i]
+        alive[s:] &= not_prime[: h - s]
+        i += 1
+    m = np.flatnonzero(alive)
+    while len(m) and i < len(steps):
+        block = steps[i : i + max(1, (1 << 20) // len(m))]
+        diff = m[:, None] - block[None, :]
+        np.maximum(diff, 0, out=diff)
+        m = m[~podd[diff].any(axis=1)]
+        i += len(block)
+    return 2 * m + 2
 
 
 def count_exceptional_evens(x: int, base: Base, table: PrimeTable | None = None) -> int:

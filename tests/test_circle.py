@@ -74,7 +74,10 @@ def _direct_exp_sum(alpha, x, kind, base):
 
 def test_exp_sum_evaluator_equals_exp_sum(b10):
     rng = np.random.default_rng(12)
-    alphas = [0.0, 0.5, -1e-20, 1.375, *(rng.random(6) * 4.0 - 2.0)]
+    # the curve's j/128 grid and both ends of [0, 1): the evaluator takes the
+    # fractional part as t - floor(t), the reference as t % 1.0
+    grid = [j / 128 for j in range(129)] + [1 - 1e-9, 1e-9]
+    alphas = [0.0, 0.5, -1e-20, 1.375, *(rng.random(6) * 4.0 - 2.0), *grid]
     for kind in EXP_SUM_KINDS:
         evaluate = exp_sum_evaluator(20000, kind, b10)
         for alpha in alphas:

@@ -92,6 +92,14 @@ def test_represent_exceptions_count():
     assert float(row[2]) == 5.0  # {2, 4, 6, 8, 52}
 
 
+def test_represent_exceptions_rejects_other_families():
+    # the exceptional set is r11's; another family must not print r11's count
+    res = run_cli("represent", "--family", "r12", "--n", "1000", "--exceptions")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "'r12'" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_represent_exceptions_does_not_expand_the_target_list(monkeypatch, capsys):
     # --exceptions reads only the largest target: a range of a million
     # targets must cost no more memory than the one target (a list of them
@@ -369,3 +377,24 @@ def test_represent_range_stdout_is_pinned(family):
     res = run_cli("represent", "--family", family, "--n", "100001..100040")
     assert res.returncode == 0
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == REPRESENT_SHA256[family]
+
+
+# stdout recorded from the implementation that found exceptional evens by an
+# FFT reach step, and took the curve's fractional parts with `% 1.0`
+PINNED_SHA256 = {
+    ("--base", "10", "represent", "--family", "r11", "--n", "200000", "--exceptions"):
+        "622363e8fe385cdabf0c9939475d77296daf8dbcd8c21f13148d281859d81f38",
+    ("--base", "2", "represent", "--family", "r11", "--n", "200000", "--exceptions"):
+        "0003f4c66286d2da7f17bd4090419f531fe4fedb413a24eae1d2dac8fc43ba8d",
+    ("circle", "--op", "curve", "--N", "20000", "--samples", "64"):
+        "8a2ddedff83106f5e74dfb8e7f6120b5ff84278d49c1ec942b44bd2b2a1e7c8d",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_SHA256))
+def test_exceptions_and_curve_stdout_is_pinned(args):
+    import hashlib
+
+    res = run_cli(*args)
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == PINNED_SHA256[args]

@@ -255,13 +255,79 @@ def _brute_exceptional_evens(x, b):
 
 @pytest.mark.parametrize("b", [2, 3, 10, 30])
 def test_exceptional_evens_fft_path_vs_double_loop(b, fft_lengths):
-    # the odd-half reach step on the FFT path, against an oracle that knows
-    # nothing of parity; x odd and even, so the last even N sits at both ends
+    # the sweep against an oracle that knows nothing of parity; x odd and
+    # even, so the last even N sits at both ends.  The sweep makes no FFT
+    # product, even with the FFT path forced.
     for x in (600, 601):
         assert exceptional_evens(x, Base(b)).tolist() == _brute_exceptional_evens(x, b), (b, x)
-    # one step per call, over the odd halves: 300 + 300 - 1 and 301 + 301 - 1
-    # entries, at the next 5-smooth lengths
+    assert fft_lengths == []
+    # the odd-half reach step over the same masks, on the FFT path: 300 + 300
+    # - 1 and 301 + 301 - 1 entries, at the next 5-smooth lengths
+    for x in (600, 601):
+        p = sieve.indicator_mask(x, "prime")[1::2]
+        r = sieve.indicator_mask(x, "reversed_prime_coprime", base=Base(b))[1::2]
+        want = np.convolve(p.astype(np.int64), r.astype(np.int64)) > 0
+        assert reps.reach_step(p, r).tolist() == want.tolist(), (b, x)
     assert fft_lengths == [600, 625]
+
+
+@pytest.mark.parametrize("b", range(2, 37))
+def test_exceptional_evens_vs_double_loop_in_every_base(b):
+    # x = 4 and 5 hold only the targets 2 and 4, below most reversed primes
+    for x in (4, 5, 100, 601):
+        assert exceptional_evens(x, Base(b)).tolist() == _brute_exceptional_evens(x, b), (b, x)
+
+
+def _reach_exceptional_evens(x, base):
+    """Exceptional evens as the FFT-based implementation found them: one
+    reach step over the odd halves, then an exact check of each zero against
+    every prime below N."""
+    pmask = sieve.indicator_mask(x, "prime")
+    rmask = sieve.indicator_mask(x, "reversed_prime_coprime", base=base)
+    reach = reps.reach_step(pmask[1::2], rmask[1::2], out_len=x // 2)
+    primes = np.flatnonzero(pmask)
+    misses = 2 * np.flatnonzero(~reach) + 2
+    return [int(N) for N in misses if not rmask[N - primes[primes < N]].any()]
+
+
+@pytest.mark.parametrize("b", range(2, 37))
+def test_exceptional_evens_vs_reach_step_in_every_base(b):
+    # at 2 * 10^5 fewer than 1/64 of the targets survive the first 32 dense
+    # steps in every base, and the gather phase finishes the sweep
+    x = 2 * 10**5
+    assert exceptional_evens(x, Base(b)).tolist() == _reach_exceptional_evens(x, Base(b))
+
+
+@pytest.mark.parametrize("b,count", [(2, 3), (6, 9), (10, 5), (30, 4)])
+def test_exceptional_evens_pinned_counts(b, count):
+    assert count_exceptional_evens(10**6, Base(b)) == count
+
+
+def test_exceptional_evens_over_several_gather_blocks():
+    # at 7 * 10^6 in base 2, ~5 * 10^4 targets survive the dense phase, so a
+    # block of 2^20 entries holds ~21 reversed primes and the gather phase
+    # runs more than one block
+    assert exceptional_evens(7 * 10**6, Base(2)).tolist() == [2, 4, 6]
+
+
+def test_exceptional_evens_on_sparse_synthetic_masks(monkeypatch):
+    # 400 odd "reversed primes" below 2 * 10^4 and odd "primes" of density
+    # 1/50: each target has few witnesses, so ~16000 targets enter the gather
+    # phase (blocks of ~64 steps), and hundreds are exceptions.  The
+    # reference is the exact reach step over the same odd halves.
+    x = 1 << 21
+    rng = np.random.default_rng(11)
+    pmask = np.zeros(x + 1, dtype=bool)
+    pmask[1::2] = rng.random(x // 2) < 0.02
+    pmask[1] = False  # the integer 1, where the gather clips m - s < 0
+    rmask = np.zeros(x + 1, dtype=bool)
+    rmask[2 * rng.choice(10**4, 400, replace=False) + 1] = True
+    masks = {"prime": pmask, "reversed_prime_coprime": rmask}
+    monkeypatch.setattr(reps, "indicator_mask", lambda x, kind, base=None, table=None: masks[kind])
+    reach = reps.reach_step(pmask[1::2], rmask[1::2], out_len=x // 2)
+    want = 2 * np.flatnonzero(~reach) + 2
+    assert len(want) > 100
+    assert exceptional_evens(x, Base(10)).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("b", range(2, 37))
