@@ -30,7 +30,7 @@ import numpy as np
 from .arithmetic import mobius, totient
 from .digits import Base, coprime_leading_indicator
 from .errors import ResourceLimitError
-from .sieve import PrimeTable, indicator_support, weighted_indicator
+from .sieve import indicator_support, weighted_indicator
 
 EXP_SUM_KINDS = ("prime", "reversed_prime_coprime", "all", "B_set")
 MAX_SUM_LEN = 1 << 31
@@ -53,16 +53,14 @@ class ExpSumEvaluator:
         return complex(np.sum(self.w * np.cos(theta)), np.sum(self.w * np.sin(theta)))
 
 
-def exp_sum_evaluator(
-    x: int, kind: str, base: Base | None = None, table: PrimeTable | None = None
-) -> ExpSumEvaluator:
+def exp_sum_evaluator(x: int, kind: str, base: Base | None = None) -> ExpSumEvaluator:
     """The evaluator of the exponential sum of the given kind over n <= x."""
     if x < 1:
         raise ValueError("x must be >= 1")
     if x >= MAX_SUM_LEN:
         raise ResourceLimitError(f"sum over {x} terms exceeds the {MAX_SUM_LEN} ceiling")
     if kind in ("prime", "reversed_prime_coprime"):
-        n, w = indicator_support(x, kind, base, table)
+        n, w = indicator_support(x, kind, base)
     elif kind == "all":
         n, w = np.arange(1, x + 1, dtype=np.int64), np.ones(x, dtype=np.float64)
     elif kind == "B_set":
@@ -75,15 +73,9 @@ def exp_sum_evaluator(
     return ExpSumEvaluator(n.astype(np.float64), w)
 
 
-def exp_sum(
-    alpha: float,
-    x: int,
-    kind: str,
-    base: Base | None = None,
-    table: PrimeTable | None = None,
-) -> complex:
+def exp_sum(alpha: float, x: int, kind: str, base: Base | None = None) -> complex:
     """The complex exponential sum of the given kind at alpha (reduced mod 1)."""
-    return exp_sum_evaluator(x, kind, base, table)(alpha)
+    return exp_sum_evaluator(x, kind, base)(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +167,6 @@ def major_arc_residual(
     which: str = "revS",
     B: float = 1.0,
     arcs: ArcPartition | None = None,
-    table: PrimeTable | None = None,
 ) -> float:
     """|sum(alpha) - predicted| / N on the major arc containing alpha.
 
@@ -194,13 +185,13 @@ def major_arc_residual(
     beta = alpha % 1.0 - arc.center
     coef = mobius(arc.q) / totient(arc.q)
     if which == "S":
-        lhs = exp_sum(alpha, N, "prime", table=table)
-        predicted = coef * exp_sum(beta, N, "all", base, table)
+        lhs = exp_sum(alpha, N, "prime")
+        predicted = coef * exp_sum(beta, N, "all", base)
     else:
-        lhs = exp_sum(alpha, N, "reversed_prime_coprime", base, table=table)
+        lhs = exp_sum(alpha, N, "reversed_prime_coprime", base)
         if base.modulus % arc.q != 0:
             coef = 0.0
-        predicted = coef * exp_sum(beta, N, "B_set", base, table)
+        predicted = coef * exp_sum(beta, N, "B_set", base)
     return abs(lhs - predicted) / N
 
 
@@ -214,7 +205,6 @@ def weyl_ratio(
     N: int,
     base: Base | None = None,
     kind: str = "all",
-    table: PrimeTable | None = None,
 ) -> float:
     """Scaled geometric-sum magnitudes that the linear exponential-sum
     bounds assert are O(1):
@@ -225,7 +215,7 @@ def weyl_ratio(
     dist = distance_to_integer(beta)
     if dist == 0.0:
         raise ValueError("beta must not be an integer")
-    s = abs(exp_sum(beta, N, kind, base, table))
+    s = abs(exp_sum(beta, N, kind, base))
     if kind == "all":
         return s * dist
     if kind == "B_set":
@@ -244,7 +234,7 @@ class ParsevalResult:
     scaled: float  # lhs / (N log N)
 
 
-def parseval_check(N: int, base: Base, table: PrimeTable | None = None) -> ParsevalResult:
+def parseval_check(N: int, base: Base) -> ParsevalResult:
     """Mean square of revS over the circle, two ways.
 
     The integrand is a trigonometric polynomial of degree <= N, so a DFT of
@@ -253,7 +243,7 @@ def parseval_check(N: int, base: Base, table: PrimeTable | None = None) -> Parse
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    w = weighted_indicator(N, "reversed_prime_coprime", base=base, table=table).weights
+    w = weighted_indicator(N, "reversed_prime_coprime", base=base).weights
     lhs = float(np.sum(w * w))
     M = 2 * N + 2
     spectrum = np.fft.rfft(w, M)
@@ -285,7 +275,6 @@ def minor_arc_probe(
     samples: int,
     seed: int = 0,
     exponents: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 4.0),
-    table: PrimeTable | None = None,
 ) -> MinorArcProbe:
     """Sample |revS| (and |S|) at uniform minor-arc points (rejection
     against the major arcs) and report max |revS| * (log N)^A / N over a
@@ -295,8 +284,8 @@ def minor_arc_probe(
         raise ValueError("samples must be >= 1")
     part = build_arcs(N, B)
     rng = np.random.default_rng(seed)
-    rev_s = exp_sum_evaluator(N, "reversed_prime_coprime", base, table)
-    prime_s = exp_sum_evaluator(N, "prime", table=table)
+    rev_s = exp_sum_evaluator(N, "reversed_prime_coprime", base)
+    prime_s = exp_sum_evaluator(N, "prime")
     max_abs = 0.0
     max_abs_prime = 0.0
     drawn = 0

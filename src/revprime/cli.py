@@ -29,9 +29,9 @@ import numpy as np
 
 from . import circle, representations, schnirelmann, sieve, verify
 from .digits import Base
-from .errors import CacheError, CacheVersionError, CrossCheckError, ResourceLimitError
+from .errors import CacheError, CrossCheckError, ResourceLimitError
 from .progressions import weighted_count_window, weighted_counts_up_to
-from .sieve import cache_load, cache_store, enumerate_reversed_primes
+from .sieve import enumerate_reversed_primes
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -71,21 +71,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         except OSError as exc:
             raise ValueError(f"cannot read --config file: {exc}") from exc
         if "base" in file_vals:
-            cfg.base = int(file_vals["base"])
+            cfg.base = _parse_int(file_vals["base"])
         if "cache_dir" in file_vals:
             cfg.cache_dir = file_vals["cache_dir"]
         if "threads" in file_vals:
-            cfg.threads = int(file_vals["threads"])
+            cfg.threads = _parse_int(file_vals["threads"])
         if "format" in file_vals:
             cfg.format = file_vals["format"]
         if "seed" in file_vals:
-            cfg.seed = int(file_vals["seed"])
+            cfg.seed = _parse_int(file_vals["seed"])
         if "fixtures" in file_vals:
             cfg.fixtures_path = file_vals["fixtures"]
     if os.environ.get("REVPRIME_CACHE_DIR"):
         cfg.cache_dir = os.environ["REVPRIME_CACHE_DIR"]
     if os.environ.get("REVPRIME_THREADS"):
-        cfg.threads = int(os.environ["REVPRIME_THREADS"])
+        cfg.threads = _parse_int(os.environ["REVPRIME_THREADS"])
     if getattr(args, "base", None) is not None:
         cfg.base = args.base
     if getattr(args, "cache_dir", None):
@@ -100,6 +100,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.fixtures_path = args.fixtures
     if cfg.base < 2:
         raise ValueError(f"base must be >= 2, got {cfg.base}")
+    if cfg.threads < 0:
+        raise ValueError(f"threads must be >= 0 (0 = auto), got {cfg.threads}")
     return cfg
 
 
@@ -108,19 +110,9 @@ def prepare_cache(cfg: RunConfig, limit: int) -> None:
     file of another format version is rebuilt; I/O errors become CacheError."""
     if not cfg.cache_dir:
         return
-    path = os.path.join(cfg.cache_dir, "prime_table.bin")
     try:
         os.makedirs(cfg.cache_dir, exist_ok=True)
-        if os.path.exists(path):
-            try:
-                table = cache_load(path)
-            except CacheVersionError:
-                pass
-            else:
-                if table.limit >= limit:
-                    sieve._table_cache = table
-                    return
-        cache_store(path, sieve.get_prime_table(limit, threads=cfg.worker_count))
+        sieve.cache_prepare(os.path.join(cfg.cache_dir, "prime_table.bin"), limit, cfg.worker_count)
     except OSError as exc:
         raise CacheError(f"cache directory {cfg.cache_dir}: {exc}") from exc
 
@@ -177,6 +169,10 @@ REPORT_FIELDS = ["command", "params", "observed", "predicted", "ratio", "provena
 # argument helpers
 # ---------------------------------------------------------------------------
 
+class _NotAnInteger(ValueError, argparse.ArgumentTypeError):
+    """A usage error that argparse, as the type of a flag, reports verbatim."""
+
+
 def _parse_int(text: str) -> int:
     """An integer written plainly ('600') or in e-notation that names an
     integer exactly ('1e5', '1.5e3'); anything else is a ValueError."""
@@ -187,11 +183,11 @@ def _parse_int(text: str) -> int:
     try:
         value = Decimal(text)
     except InvalidOperation:
-        raise ValueError(f"not an integer: {text!r}") from None
+        raise _NotAnInteger(f"not an integer: {text!r}") from None
     # at most the 4300 digits int() takes by default: '1e999999999' would
     # otherwise build a huge integer
     if not value.is_finite() or value.adjusted() >= 4300 or value != value.to_integral_value():
-        raise ValueError(f"not an integer: {text!r}")
+        raise _NotAnInteger(f"not an integer: {text!r}")
     return int(value)
 
 
@@ -224,10 +220,12 @@ def int_list(text: str) -> list[int]:
 # commands
 # ---------------------------------------------------------------------------
 
-def _cache_for_bound(cfg: RunConfig, x: int, base: Base) -> None:
-    if cfg.cache_dir:
-        L = sieve._max_block_length(x, base)
-        prepare_cache(cfg, max(2, base.b**L - 1))
+def _cache_for_bound(cfg: RunConfig, x: int, base: Base, dense: bool = False) -> None:
+    """The cache step for a command that reads primes and reversed primes up
+    to x.  A dense command rejects x >= MAX_SEQUENCE_LEN before it sieves,
+    so no table is built for it there."""
+    if not (dense and x >= sieve.MAX_SEQUENCE_LEN):
+        prepare_cache(cfg, sieve.reversed_prime_source_bound(x, base))
 
 
 def cmd_enumerate(args, cfg: RunConfig) -> int:
@@ -265,6 +263,7 @@ def cmd_count_ap(args, cfg: RunConfig) -> int:
 
 def cmd_partition(args, cfg: RunConfig) -> int:
     base = Base(cfg.base)
+    _cache_for_bound(cfg, base.b ** max(args.digits, 0) - 1, base)
     res = weighted_count_window(args.digits, args.eta, args.r, args.a, args.q, base)
     entries = [
         (
@@ -291,13 +290,13 @@ def cmd_represent(args, cfg: RunConfig) -> int:
         if args.family != "r11":
             raise ValueError(f"--exceptions counts r11 exceptions only, not family {args.family!r}")
         x = max(part[-1] for part in _int_ranges(args.n))  # only the largest target counts
-        _cache_for_bound(cfg, x, base)
+        _cache_for_bound(cfg, x, base, dense=True)
         count = representations.count_exceptional_evens(x, base)
         entries = [({"base": cfg.base, "x": x, "family": "r11"}, float(count), 0.0, "exact")]
         emit_rows(cfg, REPORT_FIELDS, report_rows("exceptions", entries))
         return 0
     values = int_list(args.n)
-    _cache_for_bound(cfg, max(values), base)
+    _cache_for_bound(cfg, max(values), base, dense=True)
     entries = []
     for profile in representations.representation_counts(values, args.family, base, k=args.k):
         params = {"base": cfg.base, "n": profile.N, "family": args.family}
@@ -319,6 +318,10 @@ def cmd_circle(args, cfg: RunConfig) -> int:
         emit_rows(cfg, ["a", "q", "lo", "hi"], rows)
         print(f"# total_measure={_fmt(part.total_measure)} Q={_fmt(part.Q)}", file=sys.stderr)
         return 0
+    if args.op in ("residual", "parseval", "probe", "curve") or (
+        args.op == "expsum" and args.kind in ("prime", "reversed_prime_coprime")
+    ):
+        _cache_for_bound(cfg, args.N, base, dense=True)
     if args.op == "expsum":
         z = circle.exp_sum(args.alpha, args.N, args.kind, base)
         rows = [{"alpha": args.alpha, "kind": args.kind, "re": z.real, "im": z.imag, "abs": abs(z)}]
@@ -384,6 +387,8 @@ def cmd_schnirelmann(args, cfg: RunConfig) -> int:
         ]
         emit_rows(cfg, ["base", "L", "lo", "hi", "count", "forced_k"], rows)
         return 0
+    if args.op in ("mink", "scan"):
+        _cache_for_bound(cfg, args.n if args.op == "mink" else args.hi, base, dense=True)
     if args.op == "mink":
         res = schnirelmann.min_k_representation(args.n, base, args.kmax)
         rows = [
@@ -459,13 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
     # global flags are accepted both before and after the subcommand; the
     # SUPPRESS default keeps subparser defaults from clobbering earlier values
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--base", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--base", type=_parse_int, default=argparse.SUPPRESS,
                         help="radix b >= 2 (default 10)")
     common.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
     common.add_argument("--cache-dir", default=argparse.SUPPRESS,
                         help="prime-table cache directory")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS, help="0 = auto")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--threads", type=_parse_int, default=argparse.SUPPRESS, help="0 = auto")
+    common.add_argument("--seed", type=_parse_int, default=argparse.SUPPRESS,
                         help="seed for sampled probes")
     common.add_argument("--config", default=argparse.SUPPRESS, help="key=value config file")
     common.add_argument("--fixtures", default=argparse.SUPPRESS, help="oracle fixtures file")
@@ -478,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list reversed primes up to a bound", parents=[common])
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_parse_int, required=True)
     p.add_argument("--coprime", action="store_true", help="keep only gcd(n, b^3-b) = 1")
     p.set_defaults(func=cmd_enumerate)
 
@@ -489,16 +494,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count_ap)
 
     p = sub.add_parser("partition", help="leading-digit window count vs. main term", parents=[common])
-    p.add_argument("--digits", type=int, required=True, help="digit length L")
-    p.add_argument("--eta", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--q", type=int, default=1)
+    p.add_argument("--digits", type=_parse_int, required=True, help="digit length L")
+    p.add_argument("--eta", type=_parse_int, required=True)
+    p.add_argument("--r", type=_parse_int, required=True)
+    p.add_argument("--a", type=_parse_int, default=0)
+    p.add_argument("--q", type=_parse_int, default=1)
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("represent", help="representation counts vs. predictions", parents=[common])
     p.add_argument("--family", choices=representations.FAMILIES, required=True)
-    p.add_argument("--k", type=int, default=None, help="summand count for r0k")
+    p.add_argument("--k", type=_parse_int, default=None, help="summand count for r0k")
     p.add_argument("--n", required=True, help="target(s): 600 or 4..100")
     p.add_argument(
         "--exceptions",
@@ -510,29 +515,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("circle", help="exponential sums, arcs, residuals, probes", parents=[common])
     p.add_argument("--op", required=True,
                    choices=("arcs", "expsum", "residual", "weyl", "parseval", "probe", "curve", "gamma"))
-    p.add_argument("--N", type=int, default=10**4)
+    p.add_argument("--N", type=_parse_int, default=10**4)
     p.add_argument("--B", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--kind", default="all")
     p.add_argument("--which", choices=("S", "revS"), default="revS")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--h", type=int, default=1)
-    p.add_argument("--q", type=int, default=3)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--digits", type=int, default=10)
-    p.add_argument("--lam", type=int, default=10)
+    p.add_argument("--samples", type=_parse_int, default=100)
+    p.add_argument("--h", type=_parse_int, default=1)
+    p.add_argument("--q", type=_parse_int, default=3)
+    p.add_argument("--k", type=_parse_int, default=0)
+    p.add_argument("--d", type=_parse_int, default=1)
+    p.add_argument("--digits", type=_parse_int, default=10)
+    p.add_argument("--lam", type=_parse_int, default=10)
     p.set_defaults(func=cmd_circle)
 
     p = sub.add_parser("schnirelmann", help="pure sums of reversed primes", parents=[common])
     p.add_argument("--op", required=True, choices=("gap", "mink", "scan"))
-    p.add_argument("--i", type=int, default=2, help="primorial index")
-    p.add_argument("--digits", type=int, default=2, help="digit length L")
-    p.add_argument("--n", type=int, default=600)
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--lo", type=int, default=100)
-    p.add_argument("--hi", type=int, default=200)
+    p.add_argument("--i", type=_parse_int, default=2, help="primorial index")
+    p.add_argument("--digits", type=_parse_int, default=2, help="digit length L")
+    p.add_argument("--n", type=_parse_int, default=600)
+    p.add_argument("--kmax", type=_parse_int, default=4)
+    p.add_argument("--lo", type=_parse_int, default=100)
+    p.add_argument("--hi", type=_parse_int, default=200)
     p.set_defaults(func=cmd_schnirelmann)
 
     p = sub.add_parser("verify", help="run an acceptance suite", parents=[common])

@@ -40,7 +40,7 @@ from .digits import (
     reverse_block,
 )
 from .errors import CrossCheckError, ModulusRangeWarning
-from .sieve import PrimeTable, get_prime_table, reversed_prime_arrays
+from .sieve import get_prime_table, reversed_prime_arrays
 
 NAN = float("nan")
 
@@ -81,9 +81,7 @@ def _result(observed: float, main: float, raw: int) -> APResult:
     return APResult(observed, main, ratio, raw)
 
 
-def weighted_count_by_length(
-    L: int, a: int, q: int, base: Base, table: PrimeTable | None = None
-) -> APResult:
+def weighted_count_by_length(L: int, a: int, q: int, base: Base) -> APResult:
     """Reversed primes with exactly L digits, coprime to b^3 - b, congruent
     to a mod q; main term phi(b)/b * (q,m)/phi((q,m)) * rho/q * b^L."""
     if L < 1:
@@ -92,7 +90,7 @@ def weighted_count_by_length(
     _check_modulus_guard(q, L, base)
     a %= q
     b = base.b
-    arrays = reversed_prime_arrays(b**L - 1, base, require_coprime=True, table=table)
+    arrays = reversed_prime_arrays(b**L - 1, base, require_coprime=True)
     lo = int(np.searchsorted(arrays.n, b ** (L - 1), side="left"))
     n, w = arrays.n[lo:], arrays.weight[lo:]
     mask = n % q == a
@@ -144,7 +142,7 @@ def _class_sums(weight: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np
 
 
 def weighted_counts_up_to(
-    xs: Iterable[int], qs: Iterable[int], base: Base, table: PrimeTable | None = None
+    xs: Iterable[int], qs: Iterable[int], base: Base
 ) -> dict[tuple[int, int], ClassCounts]:
     """Every class a mod q of reversed primes n <= x coprime to b^3 - b, for
     each x in xs and q in qs, keyed (x, q); main term (q,m)/phi((q,m)) *
@@ -162,7 +160,7 @@ def weighted_counts_up_to(
     for x in xs:
         for q in qs:
             _check_modulus_guard(q, digit_length(x, base), base)
-    arrays = reversed_prime_arrays(max(xs), base, require_coprime=True, table=table)
+    arrays = reversed_prime_arrays(max(xs), base, require_coprime=True)
     cuts = {x: len(arrays.restrict(x)) for x in xs}  # n[i] <= x iff i < cut
     out = {}
     for q in qs:
@@ -184,12 +182,10 @@ def weighted_counts_up_to(
     return out
 
 
-def weighted_count_up_to(
-    x: int, a: int, q: int, base: Base, table: PrimeTable | None = None
-) -> APResult:
+def weighted_count_up_to(x: int, a: int, q: int, base: Base) -> APResult:
     """Reversed primes n <= x, coprime to b^3 - b, with n = a mod q: the
     class a mod q of weighted_counts_up_to([x], [q])."""
-    return weighted_counts_up_to([x], [q], base, table)[x, q].result(a)
+    return weighted_counts_up_to([x], [q], base)[x, q].result(a)
 
 
 def weighted_count_window(
@@ -199,7 +195,6 @@ def weighted_count_window(
     a: int,
     q: int,
     base: Base,
-    table: PrimeTable | None = None,
 ) -> APResult:
     """Reversed primes with L digits whose top eta digits equal r, in the
     class a mod q; main term kappa(rev r) * rho * (q,m)/phi((q,m)) * b^(L-eta)/q.
@@ -217,7 +212,7 @@ def weighted_count_window(
     _check_modulus_guard(q, L, base)
     a %= q
 
-    arrays = reversed_prime_arrays(b**L - 1, base, require_coprime=True, table=table)
+    arrays = reversed_prime_arrays(b**L - 1, base, require_coprime=True)
     lo = int(np.searchsorted(arrays.n, r * b ** (L - eta), side="left"))
     hi = int(np.searchsorted(arrays.n, (r + 1) * b ** (L - eta), side="left"))
     n, w = arrays.n[lo:hi], arrays.weight[lo:hi]
@@ -226,7 +221,7 @@ def weighted_count_window(
     raw = int(mask.sum())
 
     # independent prime-side enumeration: p = rev(r) mod b^eta
-    obs2, raw2 = _prime_side_window(L, eta, r, a, q, base, table)
+    obs2, raw2 = _prime_side_window(L, eta, r, a, q, base)
     if raw2 != raw or abs(obs2 - observed) > 8 * np.finfo(float).eps * max(raw, 1) * max(observed, 1.0):
         raise CrossCheckError(
             f"window formulations disagree: n-side ({raw}, {observed}) vs "
@@ -242,12 +237,9 @@ def weighted_count_window(
     return _result(observed, main, raw)
 
 
-def _prime_side_window(
-    L: int, eta: int, r: int, a: int, q: int, base: Base, table: PrimeTable | None
-) -> tuple[float, int]:
+def _prime_side_window(L: int, eta: int, r: int, a: int, q: int, base: Base) -> tuple[float, int]:
     b = base.b
-    tbl = table if table is not None else get_prime_table(b**L - 1)
-    primes = tbl.primes(b**L - 1)
+    primes = get_prime_table(b**L - 1).primes(b**L - 1)
     lo = int(np.searchsorted(primes, b ** (L - 1), side="left"))
     block = primes[lo:]
     if L > 1:
@@ -263,19 +255,18 @@ def _prime_side_window(
 
 
 def window_partition_check(
-    L: int, a: int, q: int, base: Base, etas: tuple[int, ...] = (1, 2),
-    table: PrimeTable | None = None,
+    L: int, a: int, q: int, base: Base, etas: tuple[int, ...] = (1, 2)
 ) -> bool:
     """The windows over all r with eta leading digits partition the L-digit
     block: their observed counts must sum to the full-length count."""
-    whole = weighted_count_by_length(L, a, q, base, table=table)
+    whole = weighted_count_by_length(L, a, q, base)
     b = base.b
     for eta in etas:
         if eta > L:
             continue
         total, raw = 0.0, 0
         for r in range(b ** (eta - 1), b**eta):
-            part = weighted_count_window(L, eta, r, a, q, base, table=table)
+            part = weighted_count_window(L, eta, r, a, q, base)
             total += part.observed
             raw += part.raw_count
         if raw != whole.raw_count:

@@ -62,7 +62,6 @@ from .digits import Base, coprime_leading_indicator, count_coprime_leading
 from .errors import ResourceLimitError
 from .sieve import (
     MAX_SEQUENCE_LEN,
-    PrimeTable,
     WeightedSequence,
     indicator_mask,
     leading_coprime_sequence,
@@ -303,22 +302,22 @@ def _exact_value(N: int, seqs: list[WeightedSequence], tails: list[np.ndarray]) 
     )
 
 
-def _family_sequences(N: int, family: str, base: Base, k: int | None, table: PrimeTable | None) -> list[WeightedSequence]:
+def _family_sequences(N: int, family: str, base: Base, k: int | None) -> list[WeightedSequence]:
     if family == "r11":
         return [
-            weighted_indicator(N, "prime", table=table),
-            weighted_indicator(N, "reversed_prime_coprime", base=base, table=table),
+            weighted_indicator(N, "prime"),
+            weighted_indicator(N, "reversed_prime_coprime", base=base),
         ]
     if family == "r12":
-        rev = weighted_indicator(N, "reversed_prime_coprime", base=base, table=table)
-        return [weighted_indicator(N, "prime", table=table), rev, rev]
+        rev = weighted_indicator(N, "reversed_prime_coprime", base=base)
+        return [weighted_indicator(N, "prime"), rev, rev]
     if family == "r21":
-        pr = weighted_indicator(N, "prime", table=table)
-        return [pr, pr, weighted_indicator(N, "reversed_prime_coprime", base=base, table=table)]
+        pr = weighted_indicator(N, "prime")
+        return [pr, pr, weighted_indicator(N, "reversed_prime_coprime", base=base)]
     if family == "r0k":
         if k is None or not 2 <= k <= MAX_PURE_K:
             raise ValueError(f"r0k requires 2 <= k <= {MAX_PURE_K}")
-        rev = weighted_indicator(N, "reversed_prime_coprime", base=base, table=table)
+        rev = weighted_indicator(N, "reversed_prime_coprime", base=base)
         return [rev] * k
     raise ValueError(f"unknown family {family!r}")
 
@@ -340,7 +339,6 @@ def representation_count(
     family: str,
     base: Base,
     k: int | None = None,
-    table: PrimeTable | None = None,
     *,
     transforms: TransformCache | None = None,
 ) -> RepresentationProfile:
@@ -351,10 +349,10 @@ def representation_count(
     if N < 2:
         raise ValueError("N must be >= 2")
     if family == "rsquare":
-        return squarefree_shift_count(N, base, table=table)
+        return squarefree_shift_count(N, base)
     if transforms is None:
         transforms = TransformCache(out_cap=N + 1)
-    seqs = _family_sequences(N, family, base, k, table)
+    seqs = _family_sequences(N, family, base, k)
     conv = convolve_chain(seqs, out_len=N + 1, transforms=transforms)
     exact = float(conv.weights[N])
     provenance = "fft" if conv.error_bound > 0 else "exact"
@@ -372,14 +370,13 @@ def representation_counts(
     family: str,
     base: Base,
     k: int | None = None,
-    table: PrimeTable | None = None,
 ) -> list[RepresentationProfile]:
     """representation_count for each N in Ns, in order.  Every target runs
     its own chain; one TransformCache shares the transforms whose inputs
     repeat, so each profile equals the one a lone call returns."""
     transforms = TransformCache(out_cap=max(Ns, default=0) + 1)
     return [
-        representation_count(N, family, base, k=k, table=table, transforms=transforms)
+        representation_count(N, family, base, k=k, transforms=transforms)
         for N in Ns
     ]
 
@@ -436,15 +433,13 @@ def composition_count(
     return int(round(value))
 
 
-def squarefree_shift_count(
-    N: int, base: Base, table: PrimeTable | None = None
-) -> RepresentationProfile:
+def squarefree_shift_count(N: int, base: Base) -> RepresentationProfile:
     """Weighted count of N = n + eta with n a reversed prime coprime to
     b^3 - b and eta squarefree (eta = 0 excluded: mu^2(0) = 0)."""
     if N < 2:
         raise ValueError("N must be >= 2")
     sqfree = squarefree_mask(N)
-    arrays = reversed_prime_arrays(N, base, require_coprime=True, table=table)
+    arrays = reversed_prime_arrays(N, base, require_coprime=True)
     inner = arrays.n < N  # difference 0 is not squarefree
     n, w = arrays.n[inner], arrays.weight[inner]
     exact = float(w[sqfree[N - n]].sum())
@@ -468,7 +463,7 @@ def squarefree_mask(x: int) -> np.ndarray:
     return m
 
 
-def exceptional_evens(x: int, base: Base, table: PrimeTable | None = None) -> np.ndarray:
+def exceptional_evens(x: int, base: Base) -> np.ndarray:
     """Even N <= x with no representation N = p + n (n a reversed prime
     coprime to b^3 - b), by a sweep over the reversed primes in ascending
     order that drops each target N once N - n is a prime.
@@ -486,8 +481,8 @@ def exceptional_evens(x: int, base: Base, table: PrimeTable | None = None) -> np
     the exceptions."""
     if x < 4:
         raise ValueError("x must be >= 4")
-    podd = indicator_mask(x, "prime", table=table)[1::2]
-    steps = np.flatnonzero(indicator_mask(x, "reversed_prime_coprime", base=base, table=table)) // 2
+    podd = indicator_mask(x, "prime")[1::2]
+    steps = np.flatnonzero(indicator_mask(x, "reversed_prime_coprime", base=base)) // 2
     h = x // 2
     alive = np.ones(h, dtype=bool)
     not_prime = ~podd[:h]
@@ -506,5 +501,5 @@ def exceptional_evens(x: int, base: Base, table: PrimeTable | None = None) -> np
     return 2 * m + 2
 
 
-def count_exceptional_evens(x: int, base: Base, table: PrimeTable | None = None) -> int:
-    return len(exceptional_evens(x, base, table=table))
+def count_exceptional_evens(x: int, base: Base) -> int:
+    return len(exceptional_evens(x, base))

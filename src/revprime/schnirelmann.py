@@ -21,7 +21,7 @@ import numpy as np
 
 from .digits import Base
 from .representations import reach_step
-from .sieve import PrimeTable, indicator_mask, reversed_prime_arrays
+from .sieve import indicator_mask, reversed_prime_arrays
 
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -48,7 +48,7 @@ class GapReport:
     forced_k: Fraction  # (p_i + 1) / 2, the forced summand count at hi
 
 
-def verify_gap(i: int, L: int, table: PrimeTable | None = None) -> GapReport:
+def verify_gap(i: int, L: int) -> GapReport:
     """Enumerate reversed primes in [2 b_i^(L-1), (p_i+1) b_i^(L-1)].
 
     The count is 0 for i >= 2 and L >= 2 by the digit argument above; the
@@ -62,7 +62,7 @@ def verify_gap(i: int, L: int, table: PrimeTable | None = None) -> GapReport:
     base = Base(b_i)
     lo = 2 * b_i ** (L - 1)
     hi = (p_i + 1) * b_i ** (L - 1)
-    arrays = reversed_prime_arrays(hi, base, require_coprime=False, table=table)
+    arrays = reversed_prime_arrays(hi, base, require_coprime=False)
     inside = int(np.count_nonzero((arrays.n >= lo) & (arrays.n <= hi)))
     return GapReport(base, L, lo, hi, inside, Fraction(p_i + 1, 2))
 
@@ -75,9 +75,7 @@ class MinKResult:
     single: bool  # True when N is itself a reversed prime (k = 1)
 
 
-def min_k_representation(
-    N: int, base: Base, k_max: int, table: PrimeTable | None = None
-) -> MinKResult:
+def min_k_representation(N: int, base: Base, k_max: int) -> MinKResult:
     """Smallest k <= k_max with N a sum of k reversed primes, plus one
     witness.  k = 1 (N itself a reversed prime) is reported but flagged,
     since the constant of interest is defined with k > 1."""
@@ -85,7 +83,7 @@ def min_k_representation(
         raise ValueError("N must be >= 2")
     if not 1 <= k_max <= MAX_SEARCH_K:
         raise ValueError(f"k_max must be in [1, {MAX_SEARCH_K}]")
-    pool = indicator_mask(N, "reversed_prime", base=base, table=table)
+    pool = indicator_mask(N, "reversed_prime", base=base)
     layers: list[np.ndarray] = []  # layers[j]: the sums of exactly j + 1 reversed primes
     # N is in layer k + 1 iff N - r is in layer k for some pool member r, so
     # the layer holding N is never built and k <= 2 needs no convolution
@@ -120,16 +118,14 @@ class ScanResult:
         return sum(self.counts.values()) + len(self.failures)
 
 
-def scan_min_k(
-    x_lo: int, x_hi: int, base: Base, k_max: int, table: PrimeTable | None = None
-) -> ScanResult:
+def scan_min_k(x_lo: int, x_hi: int, base: Base, k_max: int) -> ScanResult:
     """Minimal-k histogram over [x_lo, x_hi]: the minimal k of N is the
     first reach layer over one shared reversed-prime pool that contains N."""
     if not 2 <= x_lo <= x_hi:
         raise ValueError("need 2 <= x_lo <= x_hi")
     if not 1 <= k_max <= MAX_SEARCH_K:
         raise ValueError(f"k_max must be in [1, {MAX_SEARCH_K}]")
-    pool = indicator_mask(x_hi, "reversed_prime", base=base, table=table)
+    pool = indicator_mask(x_hi, "reversed_prime", base=base)
     counts: dict[int, int] = {}
     open_n = np.arange(x_lo, x_hi + 1)  # targets not yet reached
     layer = pool  # layer k: the sums of exactly k reversed primes

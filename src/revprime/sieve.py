@@ -214,7 +214,7 @@ def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
     b = base.b
     L_max = _max_block_length(X + 1, base)  # the digit length of X (0 for X = 0)
     parts_n, parts_p = [], []
-    primes = table.primes(min(b**L_max - 1, table.limit))
+    primes = table.primes(b**L_max - 1)
     for L in range(1, L_max + 1):
         lo = np.searchsorted(primes, b ** (L - 1), side="left")
         hi = np.searchsorted(primes, b**L, side="left")
@@ -244,12 +244,13 @@ def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
 _rev_cache: dict[int, ReversedPrimeArrays] = {}
 
 
-def reversed_prime_arrays(
-    x: int,
-    base: Base,
-    require_coprime: bool = False,
-    table: PrimeTable | None = None,
-) -> ReversedPrimeArrays:
+def reversed_prime_source_bound(x: int, base: Base) -> int:
+    """Sieve limit b^L - 1 (at least 2) that reversed primes up to x need:
+    L is the top block length of x, and that block's sources reach b^L - 1."""
+    return max(2, base.b ** _max_block_length(x, base) - 1)
+
+
+def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> ReversedPrimeArrays:
     """All reversed primes n <= x in base b, as sorted columnar arrays.
 
     n ranges over integers with nonzero last digit whose digital reverse is
@@ -257,35 +258,26 @@ def reversed_prime_arrays(
     With require_coprime, keep only gcd(n, b^3 - b) = 1.
 
     Each build covers n up to the end X of x's leading-digit group
-    (_group_end).  Without a table, the build of base b is cached as
-    `_rev_cache[b]`, whose `.x` is that X: a later call with a group end at
-    most X is cut from it, a larger one rebuilds up to its own group end.
+    (_group_end).  The build of base b is cached as `_rev_cache[b]`, whose
+    `.x` is that X: a later call with a group end at most X is cut from it,
+    a larger one rebuilds up to its own group end.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    limit = base.b ** _max_block_length(x, base) - 1  # top-block sources still reach b^L - 1
     X = _group_end(x, base)
-    if table is not None:
-        if table.limit < limit:
-            raise ValueError("prime table too small for this bound")
-        full = _build_blocks(X, base, table)
-    else:
-        full = _rev_cache.get(base.b)
-        if full is None or full.x < X:
-            full = _build_blocks(X, base, get_prime_table(max(limit, 2)))
-            _rev_cache[base.b] = full
+    full = _rev_cache.get(base.b)
+    if full is None or full.x < X:
+        full = _build_blocks(X, base, get_prime_table(reversed_prime_source_bound(x, base)))
+        _rev_cache[base.b] = full
     out = full.restrict(x)
     return out.coprime_only() if require_coprime else out
 
 
 def enumerate_reversed_primes(
-    x: int,
-    base: Base,
-    require_coprime: bool = False,
-    table: PrimeTable | None = None,
+    x: int, base: Base, require_coprime: bool = False
 ) -> Iterator[ReversedPrimeRecord]:
     """Stream reversed primes n <= x in increasing n order."""
-    arrays = reversed_prime_arrays(x, base, require_coprime, table)
+    arrays = reversed_prime_arrays(x, base, require_coprime)
     for n, p, w, c in zip(arrays.n, arrays.p, arrays.weight, arrays.coprime):
         yield ReversedPrimeRecord(int(n), int(p), float(w), bool(c))
 
@@ -310,9 +302,7 @@ class WeightedSequence:
         return len(self.weights)
 
 
-def indicator_support(
-    x: int, kind: str, base: Base | None = None, table: PrimeTable | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def indicator_support(x: int, kind: str, base: Base | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(n, w): the members n <= x of a set, increasing, and their log weights.
 
     kind = "prime":                   primes n, w = log n
@@ -322,19 +312,18 @@ def indicator_support(
     kind = "reversed_prime":          the same without the gcd filter
     """
     if kind == "prime":
-        tbl = table if table is not None else get_prime_table(max(x, 2))
-        ps = tbl.primes(x)
+        ps = get_prime_table(max(x, 2)).primes(x)
         return ps, np.log(ps.astype(np.float64))
     if kind in ("reversed_prime", "reversed_prime_coprime"):
         if base is None:
             raise ValueError("base is required for reversed-prime indicators")
         coprime = kind == "reversed_prime_coprime"
-        arrays = reversed_prime_arrays(x, base, require_coprime=coprime, table=table)
+        arrays = reversed_prime_arrays(x, base, require_coprime=coprime)
         return arrays.n, arrays.weight
     raise ValueError(f"unknown indicator kind {kind!r}")
 
 
-def _indicator(x: int, kind: str, base: Base | None, table: PrimeTable | None, dtype) -> np.ndarray:
+def _indicator(x: int, kind: str, base: Base | None, dtype) -> np.ndarray:
     if x < 1:
         raise ValueError("x must be >= 1")
     if x >= MAX_SEQUENCE_LEN:
@@ -342,26 +331,19 @@ def _indicator(x: int, kind: str, base: Base | None, table: PrimeTable | None, d
             f"indicator of length {x + 1} exceeds the {MAX_SEQUENCE_LEN} ceiling"
         )
     w = np.zeros(x + 1, dtype=dtype)
-    n, weight = indicator_support(x, kind, base, table)
+    n, weight = indicator_support(x, kind, base)
     w[n] = weight  # a bool mask stores True for each (positive) log
     return w
 
 
-def weighted_indicator(
-    x: int,
-    kind: str,
-    base: Base | None = None,
-    table: PrimeTable | None = None,
-) -> WeightedSequence:
+def weighted_indicator(x: int, kind: str, base: Base | None = None) -> WeightedSequence:
     """Log-weighted indicator array w[0..x] of a kind of indicator_support."""
-    return WeightedSequence(kind, _indicator(x, kind, base, table, np.float64))
+    return WeightedSequence(kind, _indicator(x, kind, base, np.float64))
 
 
-def indicator_mask(
-    x: int, kind: str, base: Base | None = None, table: PrimeTable | None = None
-) -> np.ndarray:
+def indicator_mask(x: int, kind: str, base: Base | None = None) -> np.ndarray:
     """Boolean mask over 0..x of a kind of indicator_support."""
-    return _indicator(x, kind, base, table, bool)
+    return _indicator(x, kind, base, bool)
 
 
 def leading_coprime_sequence(x: int, base: Base) -> WeightedSequence:
@@ -434,3 +416,21 @@ def cache_load(path: str | os.PathLike) -> PrimeTable:
     if len(raw) != (count + 7) // 8:
         raise CacheFormatError(f"{path}: bitset length {len(raw)} does not match limit {limit}")
     return PrimeTable(limit, _unpack_mask(raw, count))
+
+
+def cache_prepare(path: str | os.PathLike, limit: int, threads: int = 1) -> None:
+    """Make the shared table cover `limit` from the file at `path`: use the
+    stored table if it reaches `limit`, else sieve (with `threads`) and store
+    the result.  A file of another format version is rebuilt; other cache
+    errors and OSError propagate."""
+    global _table_cache
+    if os.path.exists(path):
+        try:
+            table = cache_load(path)
+        except CacheVersionError:
+            pass
+        else:
+            if table.limit >= limit:
+                _table_cache = table
+                return
+    cache_store(path, get_prime_table(limit, threads=threads))

@@ -398,3 +398,90 @@ def test_exceptions_and_curve_stdout_is_pinned(args):
     res = run_cli(*args)
     assert res.returncode == 0
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == PINNED_SHA256[args]
+
+
+def _refuse_to_sieve(limit, threads=1):
+    raise AssertionError(f"sieved to {limit} with a warm cache")
+
+
+@pytest.mark.parametrize("args", [
+    ("partition", "--digits", "4", "--eta", "1", "--r", "3", "--q", "3"),
+    ("circle", "--op", "expsum", "--kind", "prime", "--alpha", "0.25", "--N", "5000"),
+    ("circle", "--op", "expsum", "--kind", "reversed_prime_coprime", "--alpha", "0.25", "--N", "5000"),
+    ("circle", "--op", "residual", "--which", "S", "--alpha", "0.0", "--N", "5000"),
+    ("circle", "--op", "parseval", "--N", "2000"),
+    ("circle", "--op", "probe", "--N", "5000", "--samples", "3"),
+    ("circle", "--op", "curve", "--N", "5000", "--samples", "4"),
+    ("schnirelmann", "--op", "mink", "--n", "600"),
+    ("schnirelmann", "--op", "scan", "--lo", "100", "--hi", "300"),
+])
+def test_cache_dir_serves_every_prime_reading_command(args, tmp_path, monkeypatch, capsys):
+    # a cold run stores the table; a warm one, with no table in memory,
+    # reads it back instead of sieving and prints the same rows
+    from revprime import cli, sieve
+
+    argv = [*args, "--cache-dir", str(tmp_path)]
+    monkeypatch.setattr(sieve, "_table_cache", None)
+    monkeypatch.setattr(sieve, "_rev_cache", {})
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    assert (tmp_path / "prime_table.bin").exists()
+    monkeypatch.setattr(sieve, "_table_cache", None)
+    monkeypatch.setattr(sieve, "_rev_cache", {})
+    monkeypatch.setattr(sieve, "sieve_primes", _refuse_to_sieve)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == cold
+
+
+def test_cache_dir_past_the_length_ceiling_fails_fast(tmp_path, monkeypatch, capsys):
+    # a dense command refuses N >= 2^31 itself; the cache step must not
+    # first sieve the ten-digit reversed-prime sources
+    from revprime import cli, sieve
+
+    monkeypatch.setattr(sieve, "sieve_primes", _refuse_to_sieve)
+    assert cli.main(["represent", "--family", "r11", "--n", "3e9", "--cache-dir", str(tmp_path)]) == 3
+    assert "ceiling" in capsys.readouterr().err
+    assert not (tmp_path / "prime_table.bin").exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "env", "config"])
+def test_negative_thread_count_exits_2(how, tmp_path):
+    args, env = ["enumerate", "--limit", "10"], None
+    if how == "flag":
+        args += ["--threads", "-4"]
+    elif how == "env":
+        env = {"REVPRIME_THREADS": "-2"}
+    else:
+        conf = tmp_path / "conf.txt"
+        conf.write_text("threads=-1\n")
+        args += ["--config", str(conf)]
+    res = run_cli(*args, env=env)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("usage error: threads must be >= 0")
+    assert len(res.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("plain, enotation", [
+    (("schnirelmann", "--op", "mink", "--n", "1000"), ("schnirelmann", "--op", "mink", "--n", "1e3")),
+    (("circle", "--op", "curve", "--N", "10000", "--samples", "4"),
+     ("circle", "--op", "curve", "--N", "1e4", "--samples", "4e0")),
+    (("partition", "--digits", "3", "--eta", "1", "--r", "7"),
+     ("partition", "--digits", "3e0", "--eta", "1", "--r", "0.7e1")),
+    (("enumerate", "--limit", "300", "--base", "6"), ("enumerate", "--limit", "3e2", "--base", "6e0")),
+])
+def test_integer_flags_take_exact_e_notation(plain, enotation, capsys):
+    from revprime import cli
+
+    outputs = []
+    for args in (plain, enotation):
+        assert cli.main(list(args)) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") > 1
+
+
+def test_inexact_integer_flag_exits_2():
+    res = run_cli("circle", "--op", "curve", "--N", "1.5e0")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "argument --N: not an integer: '1.5e0'" in res.stderr

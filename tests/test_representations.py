@@ -515,7 +515,7 @@ def test_batch_equals_lone_calls(family, k, b, Ns):
         _same_profile(got, representation_count(N, family, base, k=k))
         if got.provenance == "fft":
             # and bitwise the chain run with no transforms shared at all
-            seqs = reps._family_sequences(N, family, base, k, None)
+            seqs = reps._family_sequences(N, family, base, k)
             assert got.exact == float(reps.convolve_chain(seqs, out_len=N + 1).weights[N])
 
 

@@ -112,7 +112,7 @@ def test_enumeration_matches_nside_oracle_1e5(b):
         )
         expected_n.extend(int(v) for v in n[is_p])
         L += 1
-    got = reversed_prime_arrays(x, base, table=table)
+    got = reversed_prime_arrays(x, base)
     assert sorted(expected_n) == got.n.tolist()
 
 
@@ -140,7 +140,7 @@ def test_only_base_itself_skipped(b):
     base = Base(b)
     x = b**3
     table = sieve_primes(x)
-    sources = set(int(p) for p in reversed_prime_arrays(x - 1, base, table=table).p)
+    sources = set(int(p) for p in reversed_prime_arrays(x - 1, base).p)
     for p in table.primes(x - 1):
         p = int(p)
         if p == b:
@@ -186,10 +186,10 @@ def test_bounded_build_matches_full_block_oracle(b, L_top, monkeypatch):
         monkeypatch.setattr(sieve, "_rev_cache", {})
         for x in order:
             cut = int(np.searchsorted(oracle[0], x, side="right"))
-            for got in (reversed_prime_arrays(x, base), reversed_prime_arrays(x, base, table=table)):
-                assert got.x == x
-                for name, want in zip(("n", "p", "weight", "coprime"), oracle):
-                    assert np.array_equal(getattr(got, name), want[:cut]), (b, x, name)
+            got = reversed_prime_arrays(x, base)
+            assert got.x == x
+            for name, want in zip(("n", "p", "weight", "coprime"), oracle):
+                assert np.array_equal(getattr(got, name), want[:cut]), (b, x, name)
 
 
 def _count_builds(monkeypatch):
