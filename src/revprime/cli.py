@@ -224,7 +224,7 @@ def _cache_for_bound(cfg: RunConfig, x: int, base: Base, dense: bool = False) ->
     """The cache step for a command that reads primes and reversed primes up
     to x.  A dense command rejects x >= MAX_SEQUENCE_LEN before it sieves,
     so no table is built for it there."""
-    if not (dense and x >= sieve.MAX_SEQUENCE_LEN):
+    if cfg.cache_dir and not (dense and x >= sieve.MAX_SEQUENCE_LEN):
         prepare_cache(cfg, sieve.reversed_prime_source_bound(x, base))
 
 
@@ -263,7 +263,8 @@ def cmd_count_ap(args, cfg: RunConfig) -> int:
 
 def cmd_partition(args, cfg: RunConfig) -> int:
     base = Base(cfg.base)
-    _cache_for_bound(cfg, base.b ** max(args.digits, 0) - 1, base)
+    if cfg.cache_dir:  # b^digits may be huge: build it only for a cache step
+        _cache_for_bound(cfg, base.b ** max(args.digits, 0) - 1, base)
     res = weighted_count_window(args.digits, args.eta, args.r, args.a, args.q, base)
     entries = [
         (
