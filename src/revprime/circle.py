@@ -115,6 +115,13 @@ class ArcPartition:
                 return arc
         return None
 
+    def arc_of(self, alpha: float) -> Arc:
+        """The arc holding alpha mod 1; a ValueError if none does."""
+        arc = self.find(alpha % 1.0)
+        if arc is None:
+            raise ValueError(f"alpha={alpha} lies outside every major arc")
+        return arc
+
 
 def build_arcs(N: int, B: float) -> ArcPartition:
     """Construct the major-arc family; raises if the arcs are not disjoint
@@ -178,10 +185,7 @@ def major_arc_residual(
     """
     if which not in ("S", "revS"):
         raise ValueError("which must be 'S' or 'revS'")
-    part = arcs if arcs is not None else build_arcs(N, B)
-    arc = part.find(alpha % 1.0)
-    if arc is None:
-        raise ValueError(f"alpha={alpha} lies outside every major arc")
+    arc = (arcs if arcs is not None else build_arcs(N, B)).arc_of(alpha)
     beta = alpha % 1.0 - arc.center
     coef = mobius(arc.q) / totient(arc.q)
     if which == "S":

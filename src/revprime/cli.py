@@ -30,7 +30,7 @@ import numpy as np
 from . import circle, representations, schnirelmann, sieve, verify
 from .digits import Base
 from .errors import CacheError, CrossCheckError, ResourceLimitError
-from .progressions import weighted_count_window, weighted_counts_up_to
+from .progressions import check_counts, check_window, weighted_count_window, weighted_counts_up_to
 from .sieve import enumerate_reversed_primes
 
 # ---------------------------------------------------------------------------
@@ -222,8 +222,10 @@ def int_list(text: str) -> list[int]:
 
 def _cache_for_bound(cfg: RunConfig, x: int, base: Base, dense: bool = False) -> None:
     """The cache step for a command that reads primes and reversed primes up
-    to x.  A dense command rejects x >= MAX_SEQUENCE_LEN before it sieves,
-    so no table is built for it there."""
+    to x, taken after the command has checked its arguments, so a usage
+    error sieves and stores nothing.  A dense command rejects
+    x >= MAX_SEQUENCE_LEN before it sieves, so no table is built for it
+    there."""
     if cfg.cache_dir and not (dense and x >= sieve.MAX_SEQUENCE_LEN):
         prepare_cache(cfg, sieve.reversed_prime_source_bound(x, base))
 
@@ -242,6 +244,7 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
 def cmd_count_ap(args, cfg: RunConfig) -> int:
     base = Base(cfg.base)
     xs, qs, residues = int_list(args.x), int_list(args.q), int_list(args.a)
+    check_counts(xs, qs)
     _cache_for_bound(cfg, max(xs), base)
     counts = weighted_counts_up_to(xs, qs, base)
     entries = []
@@ -263,6 +266,7 @@ def cmd_count_ap(args, cfg: RunConfig) -> int:
 
 def cmd_partition(args, cfg: RunConfig) -> int:
     base = Base(cfg.base)
+    check_window(args.digits, args.eta, args.r, args.q, base)
     if cfg.cache_dir:  # b^digits may be huge: build it only for a cache step
         _cache_for_bound(cfg, base.b ** max(args.digits, 0) - 1, base)
     res = weighted_count_window(args.digits, args.eta, args.r, args.a, args.q, base)
@@ -297,6 +301,7 @@ def cmd_represent(args, cfg: RunConfig) -> int:
         emit_rows(cfg, REPORT_FIELDS, report_rows("exceptions", entries))
         return 0
     values = int_list(args.n)
+    representations.check_family(args.family, args.k)
     _cache_for_bound(cfg, max(values), base, dense=True)
     entries = []
     for profile in representations.representation_counts(values, args.family, base, k=args.k):
@@ -319,6 +324,10 @@ def cmd_circle(args, cfg: RunConfig) -> int:
         emit_rows(cfg, ["a", "q", "lo", "hi"], rows)
         print(f"# total_measure={_fmt(part.total_measure)} Q={_fmt(part.Q)}", file=sys.stderr)
         return 0
+    arcs = None
+    if args.op == "residual":
+        arcs = circle.build_arcs(args.N, args.B)
+        arcs.arc_of(args.alpha)
     if args.op in ("residual", "parseval", "probe", "curve") or (
         args.op == "expsum" and args.kind in ("prime", "reversed_prime_coprime")
     ):
@@ -329,7 +338,7 @@ def cmd_circle(args, cfg: RunConfig) -> int:
         emit_rows(cfg, ["alpha", "kind", "re", "im", "abs"], rows)
         return 0
     if args.op == "residual":
-        value = circle.major_arc_residual(args.alpha, args.N, base, which=args.which, B=args.B)
+        value = circle.major_arc_residual(args.alpha, args.N, base, which=args.which, arcs=arcs)
         entries = [({"alpha": args.alpha, "N": args.N, "which": args.which}, value, 0.0, "exact")]
         emit_rows(cfg, REPORT_FIELDS, report_rows("residual", entries))
         return 0
@@ -389,6 +398,7 @@ def cmd_schnirelmann(args, cfg: RunConfig) -> int:
         emit_rows(cfg, ["base", "L", "lo", "hi", "count", "forced_k"], rows)
         return 0
     if args.op in ("mink", "scan"):
+        schnirelmann.check_k_max(args.kmax)
         _cache_for_bound(cfg, args.n if args.op == "mink" else args.hi, base, dense=True)
     if args.op == "mink":
         res = schnirelmann.min_k_representation(args.n, base, args.kmax)

@@ -103,15 +103,44 @@ def reverse_padded(n: int, length: int, base: Base) -> int:
 
 
 def reverse_block(values: np.ndarray, length: int, base: Base) -> np.ndarray:
-    """Vectorized digital reverse for an array of integers with exactly
-    `length` base-b digits (zero-padded reversal, same value on that range)."""
+    """Vectorized digital reverse for an int64 array of integers with at
+    most `length` base-b digits (zero-padded reversal, so the same value as
+    reverse() on integers with exactly `length` digits).
+
+    The digits go k at a time, k the largest with b^k <= 2^12 (at least 1):
+    one divmod by b^k per step and a lookup in the table of reversed k-digit
+    numbers, none for k = 1, where that table is the identity.  The top step
+    takes the length - (steps - 1) k digits left, whose reverses are the
+    table's entries divided exactly by b^(k - that many)."""
     b = base.b
-    rev = np.zeros_like(values)
-    tmp = values.copy()
-    for _ in range(length):
-        rev = rev * b + tmp % b
-        tmp //= b
-    return rev
+    k = 1
+    while b ** (k + 1) <= 1 << 12:
+        k += 1
+    table = None
+    if k > 1:
+        table = np.zeros(b**k, dtype=np.int64)
+        rest = np.arange(b**k, dtype=np.int64)
+        for _ in range(k):
+            rest, digit = np.divmod(rest, b)
+            table *= b
+            table += digit
+    tmp = np.array(values, dtype=np.int64)
+    rev = None
+    while length > 0:
+        step = min(k, length)
+        length -= step
+        if length:
+            tmp, chunk = np.divmod(tmp, b**step, out=(tmp, np.empty_like(tmp)))
+        else:
+            chunk = tmp  # the top `step` digits
+        if table is not None:
+            chunk = table[chunk] if step == k else table[chunk] // b ** (k - step)
+        if rev is None:
+            rev = chunk
+        else:
+            rev *= b**step
+            rev += chunk
+    return np.zeros(len(tmp), dtype=np.int64) if rev is None else rev
 
 
 def is_reversal_coprime(n: int, base: Base) -> bool:

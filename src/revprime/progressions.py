@@ -141,6 +141,15 @@ def _class_sums(weight: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np
     return out
 
 
+def check_counts(xs: list[int], qs: list[int]) -> None:
+    """The argument checks of weighted_counts_up_to, made before any prime
+    is read: a usage error is a ValueError."""
+    if not (xs and qs) or min(xs) < 1:
+        raise ValueError("x and q must be >= 1")
+    for q in qs:
+        _check_modulus(q)
+
+
 def weighted_counts_up_to(
     xs: Iterable[int], qs: Iterable[int], base: Base
 ) -> dict[tuple[int, int], ClassCounts]:
@@ -153,10 +162,7 @@ def weighted_counts_up_to(
     the same order as w[n % q == a].sum() over the n <= x.
     """
     xs, qs = list(dict.fromkeys(xs)), list(dict.fromkeys(qs))
-    if not (xs and qs) or min(xs) < 1:
-        raise ValueError("x and q must be >= 1")
-    for q in qs:
-        _check_modulus(q)
+    check_counts(xs, qs)
     for x in xs:
         for q in qs:
             _check_modulus_guard(q, digit_length(x, base), base)
@@ -188,6 +194,16 @@ def weighted_count_up_to(x: int, a: int, q: int, base: Base) -> APResult:
     return weighted_counts_up_to([x], [q], base)[x, q].result(a)
 
 
+def check_window(L: int, eta: int, r: int, q: int, base: Base) -> None:
+    """The argument checks of weighted_count_window, made before any prime
+    is read: a usage error is a ValueError."""
+    _check_modulus(q)
+    if not 1 <= eta <= L:
+        raise ValueError("eta must satisfy 1 <= eta <= L")
+    if not base.b ** (eta - 1) <= r < base.b**eta:
+        raise ValueError(f"r={r} outside [{base.b**(eta-1)}, {base.b**eta})")
+
+
 def weighted_count_window(
     L: int,
     eta: int,
@@ -203,13 +219,9 @@ def weighted_count_window(
     primes p = reverse(n) with p = reverse(r) mod b^eta; both enumerations
     are run and must agree (raw counts exactly, weights to rounding).
     """
-    _check_modulus(q)
-    if not 1 <= eta <= L:
-        raise ValueError("eta must satisfy 1 <= eta <= L")
-    b = base.b
-    if not b ** (eta - 1) <= r < b**eta:
-        raise ValueError(f"r={r} outside [{b**(eta-1)}, {b**eta})")
+    check_window(L, eta, r, q, base)
     _check_modulus_guard(q, L, base)
+    b = base.b
     a %= q
 
     arrays = reversed_prime_arrays(b**L - 1, base, require_coprime=True)

@@ -302,6 +302,15 @@ def _exact_value(N: int, seqs: list[WeightedSequence], tails: list[np.ndarray]) 
     )
 
 
+def check_family(family: str, k: int | None) -> None:
+    """The family checks of representation_count, made before any prime is
+    read: a usage error is a ValueError."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if family == "r0k" and (k is None or not 2 <= k <= MAX_PURE_K):
+        raise ValueError(f"r0k requires 2 <= k <= {MAX_PURE_K}")
+
+
 def _family_sequences(N: int, family: str, base: Base, k: int | None) -> list[WeightedSequence]:
     if family == "r11":
         return [
@@ -315,8 +324,6 @@ def _family_sequences(N: int, family: str, base: Base, k: int | None) -> list[We
         pr = weighted_indicator(N, "prime")
         return [pr, pr, weighted_indicator(N, "reversed_prime_coprime", base=base)]
     if family == "r0k":
-        if k is None or not 2 <= k <= MAX_PURE_K:
-            raise ValueError(f"r0k requires 2 <= k <= {MAX_PURE_K}")
         rev = weighted_indicator(N, "reversed_prime_coprime", base=base)
         return [rev] * k
     raise ValueError(f"unknown family {family!r}")
@@ -348,6 +355,7 @@ def representation_count(
     call gets a fresh one."""
     if N < 2:
         raise ValueError("N must be >= 2")
+    check_family(family, k)
     if family == "rsquare":
         return squarefree_shift_count(N, base)
     if transforms is None:

@@ -1,15 +1,16 @@
 """Prime generation and reversed-prime enumeration.
 
 A PrimeTable is an odd-number primality mask built by a segmented sieve of
-Eratosthenes.  Reversed primes are enumerated prime-side: for each digit
-length L, the primes in [b^(L-1), b^L) are reversed in bulk (primes are much
-sparser than integers, and a table to b^L is needed for the primality tests
-anyway).  Records are buffered per digit length and sorted, which keeps the
-merged stream globally increasing because reversal preserves digit length.
-The reverse of a prime leads with the prime's last digit, so the top block
-of a cutoff x is reversed only for the primes whose last digit is at most
-x's leading digit: that gives every reversed prime up to the end of x's
-leading-digit group and none past it.
+Eratosthenes.  Reversed primes are enumerated prime-side, one digit length
+L at a time (primes are much sparser than integers, and a table to b^L is
+needed for the primality tests anyway).  The reverse of a prime leads with
+the prime's last digit d, so the sources of the n with leading digit d are
+read straight from the odd mask, one entry in b/2 (b even) or in b (b odd),
+and the top block of a cutoff x is read only for the d up to x's leading
+digit: that gives every reversed prime up to the end of x's leading-digit
+group and none past it.  Each block is reversed and sorted in place in its
+slot of the output columns; reversal preserves digit length, so the blocks
+in order are globally increasing.
 
 The disk cache layout is:
 
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arithmetic import factorize
 from .digits import Base, coprime_leading_indicator, reverse_block
 from .errors import (
     CacheChecksumError,
@@ -210,34 +212,55 @@ def _group_end(x: int, base: Base) -> int:
 
 
 def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
-    """Every reversed prime n <= X, for X a group end (see _group_end)."""
+    """Every reversed prime n <= X, for X a group end (see _group_end).
+
+    Block L holds the n with L digits, in increasing order, after the blocks
+    below it.  The 1-digit block is the primes p <= min(X, b - 1), n = p.
+    For L >= 2, n leads with the last digit d of its source p, so block L is
+    read from the odd mask only at the p ending in d, one strided view per
+    d in 1..top with gcd(d, b) = 1 (top = b - 1, or X's leading digit in the
+    top block): an L-digit prime shares no factor with b, and p = b ends
+    in 0.  A block's p are reversed into n, n is sorted in place, and p is
+    taken back as reverse(n), which is exact because n's last digit is p's
+    leading digit.  Counting the views first lets n and p be filled in
+    place, with no per-block parts to join."""
     b = base.b
     L_max = _max_block_length(X + 1, base)  # the digit length of X (0 for X = 0)
-    parts_n, parts_p = [], []
-    primes = table.primes(b**L_max - 1)
-    for L in range(1, L_max + 1):
-        lo = np.searchsorted(primes, b ** (L - 1), side="left")
-        hi = np.searchsorted(primes, b**L, side="left")
-        block = primes[lo:hi]
-        # reverse(p) leads with p's last digit: keep the p ending in 1..top,
-        # which drops p = b itself (for prime b) and, in the top block,
-        # every p ending past X's leading digit
-        top = X // b ** (L - 1) if L == L_max else b - 1
-        leads = np.zeros(b, dtype=bool)
-        leads[1 : top + 1] = True
-        block = block[leads[block % b]]
-        rev = reverse_block(block, L, base)
-        order = np.argsort(rev)  # reversal is injective on a block: no ties to keep stable
-        parts_n.append(rev[order])
-        parts_p.append(block[order])
-    del primes  # 46 MB at 10^8; the build peaks where the columns are joined
-    n = np.concatenate(parts_n) if parts_n else np.empty(0, dtype=np.int64)
-    p = np.concatenate(parts_p) if parts_p else np.empty(0, dtype=np.int64)
-    weight = np.log(p.astype(np.float64)) if len(p) else np.empty(0)
-    if base.modulus < (1 << 63):
-        coprime = np.gcd(n, base.modulus) == 1
-    else:  # primorial-sized bases overflow int64; values n still fit
-        coprime = np.array([math.gcd(int(v), base.modulus) == 1 for v in n], dtype=bool)
+    stride = b // 2 if b % 2 == 0 else b  # index step between odd p = d mod b
+    small = table.primes(min(X, b - 1))
+    blocks = []  # (L, [(view, count, first p)]) for L >= 2
+    for L in range(2, L_max + 1):
+        lo = b ** (L - 1)
+        top = X // lo if L == L_max else b - 1
+        views = []
+        for d in range(1, top + 1):
+            if math.gcd(d, b) == 1:
+                p0 = lo + d if (lo + d) % 2 else lo + d + b  # the least odd p = d mod b
+                view = table.odd_mask[p0 // 2 : b**L // 2 : stride]
+                views.append((view, int(np.count_nonzero(view)), p0))
+        blocks.append((L, views))
+    total = len(small) + sum(c for _, views in blocks for _, c, _ in views)
+    n = np.empty(total, dtype=np.int64)
+    p = np.empty(total, dtype=np.int64)
+    n[: len(small)] = p[: len(small)] = small
+    pos = len(small)
+    for L, views in blocks:
+        start = pos
+        for view, count, p0 in views:
+            np.multiply(view.nonzero()[0], 2 * stride, out=p[pos : pos + count])
+            p[pos : pos + count] += p0
+            pos += count
+        n[start:pos] = reverse_block(p[start:pos], L, base)
+        n[start:pos].sort()
+        p[start:pos] = reverse_block(n[start:pos], L, base)
+    weight = np.log(p, dtype=np.float64)
+    # gcd(n, b^3 - b) = 1 iff no prime q dividing b - 1, b or b + 1 divides n
+    coprime = np.ones(total, dtype=bool)
+    shared = set().union(*(factorize(m) for m in (b - 1, b, b + 1)))
+    for q in sorted(shared):
+        if q > X:
+            break
+        coprime &= n % q != 0
     return ReversedPrimeArrays(base, X, n, p, weight, coprime)
 
 
@@ -359,9 +382,9 @@ def _pack_mask(mask: np.ndarray) -> bytes:
     return np.packbits(mask, bitorder="little").tobytes()
 
 
-def _unpack_mask(raw: bytes, count: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits[:count].astype(bool)
+def _unpack_mask(raw: bytes | memoryview, count: int) -> np.ndarray:
+    raw = np.frombuffer(raw, dtype=np.uint8)
+    return np.unpackbits(raw, count=count, bitorder="little").view(bool)
 
 
 def cache_store(path: str | os.PathLike, table: PrimeTable) -> None:
@@ -407,7 +430,7 @@ def cache_load(path: str | os.PathLike) -> PrimeTable:
     version = int.from_bytes(data[off : off + 4], "little")
     if version != CACHE_VERSION:
         raise CacheVersionError(f"{path}: version {version}, expected {CACHE_VERSION}")
-    payload, stored = data[:-8], int.from_bytes(data[-8:], "little")
+    payload, stored = memoryview(data)[:-8], int.from_bytes(data[-8:], "little")
     if zlib.crc32(payload) != stored:
         raise CacheChecksumError(f"{path}: checksum mismatch")
     limit = int.from_bytes(payload[off + 4 : off + 12], "little")

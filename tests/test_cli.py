@@ -444,6 +444,26 @@ def test_cache_dir_past_the_length_ceiling_fails_fast(tmp_path, monkeypatch, cap
     assert not (tmp_path / "prime_table.bin").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ("partition", "--digits", "7", "--eta", "9", "--r", "1"),
+    ("represent", "--family", "r0k", "--k", "99", "--n", "1e6"),
+    ("circle", "--op", "residual", "--N", "10"),
+    ("circle", "--op", "residual", "--alpha", "0.437", "--N", "1e6"),
+    ("count-ap", "--x", "1e7", "--q", "0"),
+    ("schnirelmann", "--op", "mink", "--n", "1e6", "--kmax", "0"),
+])
+def test_usage_error_comes_before_the_cache_step(args, tmp_path, monkeypatch, capsys):
+    # each command checks its arguments first: a usage error sieves nothing
+    # and leaves no table in the cache directory
+    from revprime import cli, sieve
+
+    monkeypatch.setattr(sieve, "_table_cache", None)
+    monkeypatch.setattr(sieve, "sieve_primes", _refuse_to_sieve)
+    assert cli.main([*args, "--cache-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("how", ["flag", "env", "config"])
 def test_negative_thread_count_exits_2(how, tmp_path):
     args, env = ["enumerate", "--limit", "10"], None

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -71,6 +72,33 @@ def test_involution_and_congruence_exhaustive(b):
         keep = n % b != 0
         assert np.array_equal(reverse_block(rev[keep], L, base), n[keep])
         L += 1
+
+
+def _divmod_reverse(n, length, b):
+    """Reverse of n zero-padded to `length` base-b digits, one divmod a digit."""
+    rev = 0
+    for _ in range(length):
+        n, d = divmod(n, b)
+        rev = rev * b + d
+    return rev
+
+
+@pytest.mark.parametrize("b", [*range(2, 37), 64, 4096, 4099, 65537])
+def test_reverse_block_matches_scalar_oracle(b):
+    # every length whose values fit int64, so every remainder of the length
+    # mod the kernel's digits per step; 4096 and above take one digit a step
+    rng = random.Random(b)
+    L = 1
+    while b**L <= 1 << 63:
+        lo, hi = b ** (L - 1), b**L - 1
+        vals = {0, 1, lo, hi} | {rng.randrange(lo, hi + 1) for _ in range(40)}
+        vals |= {v - v % b ** rng.randint(1, L) for v in list(vals)}  # trailing zeros
+        vals = sorted(vals)
+        got = reverse_block(np.array(vals, dtype=np.int64), L, Base(b))
+        assert got.dtype == np.int64
+        assert got.tolist() == [_divmod_reverse(v, L, b) for v in vals], (b, L)
+        L += 1
+    assert L - 1 >= (12 if b <= 36 else 3)  # the longest length tested
 
 
 @pytest.mark.parametrize("b", [2, 3, 6, 10])

@@ -172,7 +172,13 @@ def _group_cutoffs(b, L_top):
     return sorted(x for x in xs if 1 <= x <= b**L_top)
 
 
-@pytest.mark.parametrize("b, L_top", [(2, 12), (3, 7), (10, 5), (30, 3)])
+@pytest.mark.parametrize("b, L_top", [
+    (2, 12), (3, 7), (10, 5), (30, 3),
+    (9, 5), (15, 4),  # odd composite: sources step 2b through the odd mask
+    (6, 6), (16, 4),  # even: sources step b
+    (7, 6), (31, 3),  # prime: p = b ends in 0 and is dropped
+    (36, 3), (257, 2),
+])
 def test_bounded_build_matches_full_block_oracle(b, L_top, monkeypatch):
     # the top block is reversed only up to x's leading-digit group; growing
     # the cached build (small x first) and cutting it (large x first) must
@@ -190,6 +196,18 @@ def test_bounded_build_matches_full_block_oracle(b, L_top, monkeypatch):
             assert got.x == x
             for name, want in zip(("n", "p", "weight", "coprime"), oracle):
                 assert np.array_equal(getattr(got, name), want[:cut]), (b, x, name)
+
+
+def test_coprime_column_past_int64_modulus(monkeypatch):
+    # b^3 - b >= 2^63: the coprime column still equals gcd(n, b^3 - b) == 1
+    base = Base(2**21 + 1)
+    assert base.modulus >= 1 << 63
+    monkeypatch.setattr(sieve, "_rev_cache", {})
+    got = reversed_prime_arrays(base.b - 1, base)
+    assert got.n.tolist() == sieve_primes(base.b - 1).primes().tolist()
+    want = [math.gcd(n, base.modulus) == 1 for n in got.n.tolist()]
+    assert got.coprime.tolist() == want
+    assert not all(want)
 
 
 def _count_builds(monkeypatch):
