@@ -44,13 +44,22 @@ class ExpSumEvaluator:
 
     n: np.ndarray  # float64: the int64 indices, converted once (exact below 2^53)
     w: np.ndarray
+    # two rows of scratch that every call reuses: fresh temporaries per alpha
+    # are paged in again whenever the allocator returns them to the system
+    _work: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_work", np.empty((2, len(self.n))))
 
     def __call__(self, alpha: float) -> complex:
         """The sum at alpha (reduced mod 1)."""
-        t = self.n * (alpha % 1.0)
-        t -= np.floor(t)  # exactly t % 1.0; see the module docstring
-        theta = 2.0 * np.pi * t
-        return complex(np.sum(self.w * np.cos(theta)), np.sum(self.w * np.sin(theta)))
+        theta, scratch = self._work
+        np.multiply(self.n, alpha % 1.0, out=theta)
+        theta -= np.floor(theta, out=scratch)  # exactly t % 1.0; see the module docstring
+        theta *= 2.0 * np.pi
+        re = np.sum(np.multiply(self.w, np.cos(theta, out=scratch), out=scratch))
+        im = np.sum(np.multiply(self.w, np.sin(theta, out=scratch), out=scratch))
+        return complex(re, im)
 
 
 def exp_sum_evaluator(x: int, kind: str, base: Base | None = None) -> ExpSumEvaluator:
