@@ -281,6 +281,13 @@ class MinorArcProbe:
     scaled: dict[float, float]  # A -> max_abs * (log N)^A / N
 
 
+def check_samples(samples: int) -> None:
+    """The sample-count check of minor_arc_probe, made before any prime is
+    read: a usage error is a ValueError."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+
+
 def minor_arc_probe(
     N: int,
     B: float,
@@ -288,14 +295,15 @@ def minor_arc_probe(
     samples: int,
     seed: int = 0,
     exponents: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 4.0),
+    arcs: ArcPartition | None = None,
 ) -> MinorArcProbe:
     """Sample |revS| (and |S|) at uniform minor-arc points (rejection
-    against the major arcs) and report max |revS| * (log N)^A / N over a
-    grid of A.  Purely exploratory: no pass/fail is attached to either the
-    conjectured reversed-prime decay or the classical prime-sum decay."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    part = build_arcs(N, B)
+    against the major arcs, `arcs` if given, else build_arcs(N, B)) and
+    report max |revS| * (log N)^A / N over a grid of A.  Purely
+    exploratory: no pass/fail is attached to either the conjectured
+    reversed-prime decay or the classical prime-sum decay."""
+    check_samples(samples)
+    part = arcs if arcs is not None else build_arcs(N, B)
     rng = np.random.default_rng(seed)
     rev_s = exp_sum_evaluator(N, "reversed_prime_coprime", base)
     prime_s = exp_sum_evaluator(N, "prime")

@@ -41,14 +41,10 @@ from .sieve import enumerate_reversed_primes
 class RunConfig:
     base: int = 10
     cache_dir: str | None = None
-    threads: int = 0  # 0 = auto
+    threads: int = 0  # checked (>= 0) but unused: the sieve runs on one thread
     format: str = "csv"
     seed: int = 0
     fixtures_path: str | None = None
-
-    @property
-    def worker_count(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -112,7 +108,7 @@ def prepare_cache(cfg: RunConfig, limit: int) -> None:
         return
     try:
         os.makedirs(cfg.cache_dir, exist_ok=True)
-        sieve.cache_prepare(os.path.join(cfg.cache_dir, "prime_table.bin"), limit, cfg.worker_count)
+        sieve.cache_prepare(os.path.join(cfg.cache_dir, "prime_table.bin"), limit)
     except OSError as exc:
         raise CacheError(f"cache directory {cfg.cache_dir}: {exc}") from exc
 
@@ -302,6 +298,7 @@ def cmd_represent(args, cfg: RunConfig) -> int:
         return 0
     values = int_list(args.n)
     representations.check_family(args.family, args.k)
+    representations.check_target(min(values), args.family, args.k)
     _cache_for_bound(cfg, max(values), base, dense=True)
     entries = []
     for profile in representations.representation_counts(values, args.family, base, k=args.k):
@@ -325,9 +322,12 @@ def cmd_circle(args, cfg: RunConfig) -> int:
         print(f"# total_measure={_fmt(part.total_measure)} Q={_fmt(part.Q)}", file=sys.stderr)
         return 0
     arcs = None
-    if args.op == "residual":
+    if args.op in ("residual", "probe"):
         arcs = circle.build_arcs(args.N, args.B)
+    if args.op == "residual":
         arcs.arc_of(args.alpha)
+    if args.op == "probe":
+        circle.check_samples(args.samples)
     if args.op in ("residual", "parseval", "probe", "curve") or (
         args.op == "expsum" and args.kind in ("prime", "reversed_prime_coprime")
     ):
@@ -353,7 +353,7 @@ def cmd_circle(args, cfg: RunConfig) -> int:
         emit_rows(cfg, ["N", "lhs", "rhs", "scaled"], rows)
         return 0
     if args.op == "probe":
-        probe = circle.minor_arc_probe(args.N, args.B, base, args.samples, seed=cfg.seed)
+        probe = circle.minor_arc_probe(args.N, args.B, base, args.samples, seed=cfg.seed, arcs=arcs)
         rows = [
             {"A": A, "scaled_max": v, "max_abs_prime": probe.max_abs_prime,
              "samples": probe.samples, "seed": probe.seed}
@@ -397,9 +397,12 @@ def cmd_schnirelmann(args, cfg: RunConfig) -> int:
         ]
         emit_rows(cfg, ["base", "L", "lo", "hi", "count", "forced_k"], rows)
         return 0
-    if args.op in ("mink", "scan"):
-        schnirelmann.check_k_max(args.kmax)
-        _cache_for_bound(cfg, args.n if args.op == "mink" else args.hi, base, dense=True)
+    if args.op == "mink":
+        schnirelmann.check_min_k(args.n, args.kmax)
+        _cache_for_bound(cfg, args.n, base, dense=True)
+    if args.op == "scan":
+        schnirelmann.check_scan(args.lo, args.hi, args.kmax)
+        _cache_for_bound(cfg, args.hi, base, dense=True)
     if args.op == "mink":
         res = schnirelmann.min_k_representation(args.n, base, args.kmax)
         rows = [
@@ -480,7 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
     common.add_argument("--cache-dir", default=argparse.SUPPRESS,
                         help="prime-table cache directory")
-    common.add_argument("--threads", type=_parse_int, default=argparse.SUPPRESS, help="0 = auto")
+    common.add_argument("--threads", type=_parse_int, default=argparse.SUPPRESS,
+                        help="accepted and checked (>= 0) for compatibility; "
+                        "the sieve runs on one thread")
     common.add_argument("--seed", type=_parse_int, default=argparse.SUPPRESS,
                         help="seed for sampled probes")
     common.add_argument("--config", default=argparse.SUPPRESS, help="key=value config file")

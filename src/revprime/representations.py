@@ -311,6 +311,18 @@ def check_family(family: str, k: int | None) -> None:
         raise ValueError(f"r0k requires 2 <= k <= {MAX_PURE_K}")
 
 
+def check_target(N: int, family: str, k: int | None) -> None:
+    """The target checks of representation_count, made before any prime is
+    read: N >= 2, and N at least the summand count that the family's
+    composition count needs (3 for r12 and r21, k for r0k)."""
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    if family in ("r12", "r21") and N < 3:
+        raise ValueError("ternary compositions need N >= 3")
+    if family == "r0k" and k is not None and N < k:
+        raise ValueError("need N >= k")
+
+
 def _family_sequences(N: int, family: str, base: Base, k: int | None) -> list[WeightedSequence]:
     if family == "r11":
         return [
@@ -353,9 +365,8 @@ def representation_count(
     predicted main term; see the module docstring for the family key.
     `transforms` is the batch's shared cache (representation_counts); a lone
     call gets a fresh one."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
     check_family(family, k)
+    check_target(N, family, k)
     if family == "rsquare":
         return squarefree_shift_count(N, base)
     if transforms is None:

@@ -1,9 +1,16 @@
 """Prime generation and reversed-prime enumeration.
 
 A PrimeTable is an odd-number primality mask built by a segmented sieve of
-Eratosthenes.  Reversed primes are enumerated prime-side, one digit length
-L at a time (primes are much sparser than integers, and a table to b^L is
-needed for the primality tests anyway).  The reverse of a prime leads with
+Eratosthenes on one thread.  Each segment holds SEGMENT_ODDS odd numbers
+(1 MB of bool, small enough to stay in L2 while every base prime crosses it)
+and starts as a slice of one presieved pattern of the WHEEL primes 3..17,
+which would otherwise make almost half of all the strided writes; only the
+base primes past the wheel then cross it off.  A shared table is grown by
+sieving only the segments past its limit.
+
+Reversed primes are enumerated prime-side, one digit length L at a time
+(primes are much sparser than integers, and a table to b^L is needed for
+the primality tests anyway).  The reverse of a prime leads with
 the prime's last digit d, so the sources of the n with leading digit d are
 read straight from the odd mask, one entry in b/2 (b even) or in b (b odd),
 and the top block of a cutoff x is read only for the d up to x's leading
@@ -33,7 +40,6 @@ import os
 import tempfile
 import zlib
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +57,8 @@ CACHE_MAGIC = b"REVPRIME-SIEVE\x00\x00"
 CACHE_VERSION = 2
 MAX_SIEVE_LIMIT = 1 << 38
 MAX_SEQUENCE_LEN = 1 << 31  # dense weight arrays live in one allocation
-SEGMENT_ODDS = 1 << 24  # odd numbers per sieving segment
+SEGMENT_ODDS = 1 << 20  # odd numbers per sieving segment: 1 MB of bool, inside L2
+WHEEL = (3, 5, 7, 11, 13, 17)  # presieved into every segment
 
 
 @dataclass
@@ -89,57 +96,73 @@ def _sieve_bytes(limit: int) -> int:
     return (limit + 1) // 2
 
 
-def sieve_primes(limit: int, threads: int = 1) -> PrimeTable:
-    """Segmented odd-only sieve of Eratosthenes up to `limit` inclusive."""
+def _wheel_pattern(length: int) -> np.ndarray:
+    """Odd-mask entries 0..length-1 with the odd multiples of the WHEEL
+    primes (the primes themselves included) cleared; periodic in the index
+    with period prod(WHEEL) = 255255."""
+    pattern = np.ones(length, dtype=bool)
+    for p in WHEEL:
+        pattern[p >> 1 :: p] = False  # index i holds 2i + 1 = p (2m + 1)
+    return pattern
+
+
+def sieve_primes(limit: int, *, extend: PrimeTable | None = None) -> PrimeTable:
+    """Segmented odd-only sieve of Eratosthenes up to `limit` inclusive.
+
+    Each segment of SEGMENT_ODDS odd numbers starts as a copy of the
+    presieved wheel pattern and is then crossed off by the base primes past
+    the wheel, up to the first whose square lies beyond it.  With `extend`,
+    a table of a lower limit, its mask is copied as the prefix and only the
+    odd numbers above its limit are sieved."""
     if not 2 <= limit <= MAX_SIEVE_LIMIT:
         raise ResourceLimitError(
             f"sieve limit {limit} outside [2, {MAX_SIEVE_LIMIT}] "
             f"(mask would need {_sieve_bytes(max(limit, 2))} bytes)"
         )
     size = _sieve_bytes(limit)
-    odd = np.ones(size, dtype=bool)
-    odd[0] = False  # 1 is not prime
+    odd = np.empty(size, dtype=bool)
+    start = 0
+    if extend is not None:
+        start = min(len(extend.odd_mask), size)
+        odd[:start] = extend.odd_mask[:start]
 
     root = math.isqrt(limit)
-    base_size = (root + 1) // 2
-    if base_size > 0:
-        base = odd[:base_size].copy()
-        for p in range(3, root + 1, 2):
-            if base[p >> 1]:
-                base[(p * p) >> 1 :: p] = False
-        base_primes = (2 * np.flatnonzero(base) + 1).tolist()
-    else:
-        base_primes = []
+    base = _wheel_pattern((root + 1) // 2)
+    for p in range(WHEEL[-1] + 2, root + 1, 2):
+        if base[p >> 1]:
+            base[(p * p) >> 1 :: p] = False
+    sievers = 2 * np.flatnonzero(base[WHEEL[-1] // 2 + 1 :]) + WHEEL[-1] + 2
+    squares = sievers * sievers >> 1  # the index of p^2, increasing
+    steps = sievers.tolist()
 
-    def mark(seg_lo: int, seg_hi: int) -> None:
-        # indices [seg_lo, seg_hi) of `odd`, representing values 2i + 1
-        lo_val = 2 * seg_lo + 1
-        for p in base_primes:
-            start = max(p * p, ((lo_val + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            idx = start >> 1
-            if idx < seg_hi:
-                odd[idx:seg_hi:p] = False
-
-    segments = [(lo, min(lo + SEGMENT_ODDS, size)) for lo in range(0, size, SEGMENT_ODDS)]
-    if threads > 1 and len(segments) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda seg: mark(*seg), segments))
-    else:
-        for seg in segments:
-            mark(*seg)
+    period = math.prod(WHEEL)
+    pattern = _wheel_pattern(period + min(SEGMENT_ODDS, size - start))
+    for lo in range(start, size, SEGMENT_ODDS):
+        hi = min(lo + SEGMENT_ODDS, size)
+        off = lo % period
+        odd[lo:hi] = pattern[off : off + hi - lo]
+        n = int(np.searchsorted(squares, hi))  # the sievers with p^2 inside
+        # the first i >= lo with p | 2i + 1 is lo + (p // 2 - lo) mod p; the
+        # index of p^2 is also p // 2 mod p, so p starts at the larger one
+        firsts = np.maximum(squares[:n], lo + (sievers[:n] // 2 - lo) % sievers[:n])
+        for p, i in zip(steps, firsts.tolist()):
+            odd[i:hi:p] = False
+    for p in WHEEL:
+        if p <= limit:
+            odd[p >> 1] = True
+    odd[0] = False  # 1 is not prime
     return PrimeTable(limit, odd)
 
 
 _table_cache: PrimeTable | None = None
 
 
-def get_prime_table(limit: int, threads: int = 1) -> PrimeTable:
-    """Return a table covering `limit`, reusing (or growing) a shared one."""
+def get_prime_table(limit: int) -> PrimeTable:
+    """Return a table covering `limit`, reusing a shared one or growing it
+    by sieving only past its limit."""
     global _table_cache
     if _table_cache is None or _table_cache.limit < limit:
-        _table_cache = sieve_primes(limit, threads=threads)
+        _table_cache = sieve_primes(limit, extend=_table_cache)
     return _table_cache
 
 
@@ -441,10 +464,9 @@ def cache_load(path: str | os.PathLike) -> PrimeTable:
     return PrimeTable(limit, _unpack_mask(raw, count))
 
 
-def cache_prepare(path: str | os.PathLike, limit: int, threads: int = 1) -> None:
+def cache_prepare(path: str | os.PathLike, limit: int) -> None:
     """Make the shared table cover `limit` from the file at `path`: use the
-    stored table if it reaches `limit`, else sieve (with `threads`) and store
-    the result.  A file of another format version is rebuilt; other cache
+    stored table if it reaches `limit`, else sieve and store the result.  A file of another format version is rebuilt; other cache
     errors and OSError propagate."""
     global _table_cache
     if os.path.exists(path):
@@ -456,4 +478,4 @@ def cache_prepare(path: str | os.PathLike, limit: int, threads: int = 1) -> None
             if table.limit >= limit:
                 _table_cache = table
                 return
-    cache_store(path, get_prime_table(limit, threads=threads))
+    cache_store(path, get_prime_table(limit))

@@ -400,7 +400,7 @@ def test_exceptions_and_curve_stdout_is_pinned(args):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == PINNED_SHA256[args]
 
 
-def _refuse_to_sieve(limit, threads=1):
+def _refuse_to_sieve(limit, *, extend=None):
     raise AssertionError(f"sieved to {limit} with a warm cache")
 
 
@@ -451,6 +451,13 @@ def test_cache_dir_past_the_length_ceiling_fails_fast(tmp_path, monkeypatch, cap
     ("circle", "--op", "residual", "--alpha", "0.437", "--N", "1e6"),
     ("count-ap", "--x", "1e7", "--q", "0"),
     ("schnirelmann", "--op", "mink", "--n", "1e6", "--kmax", "0"),
+    ("schnirelmann", "--op", "mink", "--n", "1", "--kmax", "3"),
+    ("schnirelmann", "--op", "scan", "--lo", "1", "--hi", "1e6"),
+    ("represent", "--family", "r11", "--n", "1,1e6"),
+    ("represent", "--family", "r12", "--n", "2,1e6"),
+    ("represent", "--family", "r0k", "--k", "5", "--n", "4,1e6"),
+    ("circle", "--op", "probe", "--N", "1e6", "--samples", "0"),
+    ("circle", "--op", "probe", "--N", "10"),
 ])
 def test_usage_error_comes_before_the_cache_step(args, tmp_path, monkeypatch, capsys):
     # each command checks its arguments first: a usage error sieves nothing

@@ -52,10 +52,76 @@ def test_sieve_millionth_count():
     assert sieve_primes(10**6).count() == 78498
 
 
-def test_sieve_threads_match():
-    a = sieve_primes(10**5, threads=1)
-    b = sieve_primes(10**5, threads=4)
-    assert np.array_equal(a.odd_mask, b.odd_mask)
+def eratosthenes_odd_mask(limit):
+    """Unsegmented reference sieve: entry i is the primality of 2i + 1."""
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return is_prime[1::2]
+
+
+SEGMENT = 2 * sieve.SEGMENT_ODDS  # values per segment
+WHEEL_SPAN = 2 * math.prod(sieve.WHEEL)  # values per wheel period
+
+
+def test_sieve_matches_trial_division_at_every_small_limit():
+    primes = trial_division_primes(2000)
+    for limit in range(2, 2001):
+        expected = [p for p in primes if p <= limit]
+        got = sieve_primes(limit)
+        assert len(got.odd_mask) == (limit + 1) // 2
+        assert got.primes().tolist() == expected, limit
+
+
+@pytest.mark.parametrize("limit", [
+    *(k * SEGMENT + d for k in (1, 2) for d in (-1, 0, 1, 2)),
+    WHEEL_SPAN - 1,
+    WHEEL_SPAN + 1,
+])
+def test_sieve_matches_reference_across_segment_and_wheel_edges(limit):
+    assert np.array_equal(sieve_primes(limit).odd_mask, eratosthenes_odd_mask(limit))
+
+
+def test_sieve_counts_primes_below_ten_million():
+    assert sieve_primes(10**7 - 1).count() == 664579
+
+
+@pytest.mark.parametrize("old, new", [
+    (2, 3),
+    (3, 400),
+    (18, 2000),
+    (WHEEL_SPAN - 1, WHEEL_SPAN + 1),
+    (WHEEL_SPAN, SEGMENT + 1),
+    (SEGMENT - 1, SEGMENT + 2),
+    (SEGMENT, 2 * SEGMENT - 1),
+    (SEGMENT + 1, 2 * SEGMENT + 2),
+    (1000, 2 * SEGMENT),
+])
+def test_grown_table_equals_a_fresh_sieve(old, new):
+    # the old mask is copied as the prefix and only the odd numbers above
+    # its limit are sieved, from odd and even old limits alike
+    grown = sieve_primes(new, extend=sieve_primes(old))
+    assert grown.limit == new
+    assert np.array_equal(grown.odd_mask, sieve_primes(new).odd_mask)
+    assert np.array_equal(grown.odd_mask, eratosthenes_odd_mask(new))
+
+
+def test_get_prime_table_grows_the_shared_table(monkeypatch):
+    monkeypatch.setattr(sieve, "_table_cache", None)
+    real, calls = sieve.sieve_primes, []
+
+    def spy(limit, *, extend=None):
+        calls.append((limit, None if extend is None else extend.limit))
+        return real(limit, extend=extend)
+
+    monkeypatch.setattr(sieve, "sieve_primes", spy)
+    assert sieve.get_prime_table(1000).limit == 1000
+    assert sieve.get_prime_table(500).limit == 1000
+    grown = sieve.get_prime_table(SEGMENT + 1)
+    assert calls == [(1000, None), (SEGMENT + 1, 1000)]
+    assert np.array_equal(grown.odd_mask, real(SEGMENT + 1).odd_mask)
 
 
 def test_sieve_limit_range():
@@ -307,6 +373,24 @@ def test_cache_roundtrip(tmp_path):
     loaded = cache_load(path)
     assert loaded.limit == table.limit
     assert np.array_equal(loaded.odd_mask, table.odd_mask)
+
+
+# sha256 of the files cache_store wrote for these limits with the sieve that
+# ran segments of 2^24 odd numbers on a thread pool; an equal file keeps
+# every table cached before the wheel sieve a hit
+CACHE_FILE_SHA256 = {
+    10**5: "fd2f340f3b8087646627551dbe09124237fde8a322c332b724e5c396b1acf0fa",
+    3 * 2**20 + 5: "991b3527c29f4578c3ed25337ec37543ec4ef5981f262850c4fadc1aa59a1382",
+}
+
+
+@pytest.mark.parametrize("limit", sorted(CACHE_FILE_SHA256))
+def test_cache_file_bytes_are_pinned(limit, tmp_path):
+    import hashlib
+
+    path = tmp_path / "table.bin"
+    cache_store(path, sieve_primes(limit))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_FILE_SHA256[limit]
 
 
 def test_cache_truncation_checksum(tmp_path):
