@@ -97,7 +97,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if cfg.base < 2:
         raise ValueError(f"base must be >= 2, got {cfg.base}")
     if cfg.threads < 0:
-        raise ValueError(f"threads must be >= 0 (0 = auto), got {cfg.threads}")
+        raise ValueError(f"threads must be >= 0, got {cfg.threads}")
     return cfg
 
 
@@ -400,10 +400,6 @@ def cmd_schnirelmann(args, cfg: RunConfig) -> int:
     if args.op == "mink":
         schnirelmann.check_min_k(args.n, args.kmax)
         _cache_for_bound(cfg, args.n, base, dense=True)
-    if args.op == "scan":
-        schnirelmann.check_scan(args.lo, args.hi, args.kmax)
-        _cache_for_bound(cfg, args.hi, base, dense=True)
-    if args.op == "mink":
         res = schnirelmann.min_k_representation(args.n, base, args.kmax)
         rows = [
             {
@@ -416,6 +412,8 @@ def cmd_schnirelmann(args, cfg: RunConfig) -> int:
         emit_rows(cfg, ["n", "k", "witness", "single"], rows)
         return 0
     if args.op == "scan":
+        schnirelmann.check_scan(args.lo, args.hi, args.kmax)
+        _cache_for_bound(cfg, args.hi, base, dense=True)
         res = schnirelmann.scan_min_k(args.lo, args.hi, base, args.kmax)
         rows = [{"k": k, "count": c} for k, c in sorted(res.counts.items())]
         rows.append({"k": "failures", "count": len(res.failures)})

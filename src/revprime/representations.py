@@ -312,14 +312,15 @@ def check_family(family: str, k: int | None) -> None:
 
 
 def check_target(N: int, family: str, k: int | None) -> None:
-    """The target checks of representation_count, made before any prime is
-    read: N >= 2, and N at least the summand count that the family's
-    composition count needs (3 for r12 and r21, k for r0k)."""
+    """The target checks of representation_count, made after check_family
+    and before any prime is read: N >= 2, and N at least the summand count
+    that the family's composition count needs (3 for r12 and r21, k for
+    r0k)."""
     if N < 2:
         raise ValueError("N must be >= 2")
     if family in ("r12", "r21") and N < 3:
         raise ValueError("ternary compositions need N >= 3")
-    if family == "r0k" and k is not None and N < k:
+    if family == "r0k" and N < k:
         raise ValueError("need N >= k")
 
 
