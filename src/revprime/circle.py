@@ -182,7 +182,6 @@ def major_arc_residual(
     base: Base,
     which: str = "revS",
     B: float = 1.0,
-    arcs: ArcPartition | None = None,
 ) -> float:
     """|sum(alpha) - predicted| / N on the major arc containing alpha.
 
@@ -194,7 +193,7 @@ def major_arc_residual(
     """
     if which not in ("S", "revS"):
         raise ValueError("which must be 'S' or 'revS'")
-    arc = (arcs if arcs is not None else build_arcs(N, B)).arc_of(alpha)
+    arc = build_arcs(N, B).arc_of(alpha)
     beta = alpha % 1.0 - arc.center
     coef = mobius(arc.q) / totient(arc.q)
     if which == "S":
@@ -295,15 +294,14 @@ def minor_arc_probe(
     samples: int,
     seed: int = 0,
     exponents: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 4.0),
-    arcs: ArcPartition | None = None,
 ) -> MinorArcProbe:
     """Sample |revS| (and |S|) at uniform minor-arc points (rejection
-    against the major arcs, `arcs` if given, else build_arcs(N, B)) and
-    report max |revS| * (log N)^A / N over a grid of A.  Purely
+    against the major arcs of build_arcs(N, B)) and report
+    max |revS| * (log N)^A / N over a grid of A.  Purely
     exploratory: no pass/fail is attached to either the conjectured
     reversed-prime decay or the classical prime-sum decay."""
     check_samples(samples)
-    part = arcs if arcs is not None else build_arcs(N, B)
+    part = build_arcs(N, B)
     rng = np.random.default_rng(seed)
     rev_s = exp_sum_evaluator(N, "reversed_prime_coprime", base)
     prime_s = exp_sum_evaluator(N, "prime")

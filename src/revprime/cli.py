@@ -30,7 +30,7 @@ import numpy as np
 from . import circle, representations, schnirelmann, sieve, verify
 from .digits import Base
 from .errors import CacheError, CrossCheckError, ResourceLimitError
-from .progressions import check_counts, check_window, weighted_count_window, weighted_counts_up_to
+from .progressions import weighted_count_window, weighted_counts_up_to
 from .sieve import enumerate_reversed_primes
 
 # ---------------------------------------------------------------------------
@@ -99,18 +99,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if cfg.threads < 0:
         raise ValueError(f"threads must be >= 0, got {cfg.threads}")
     return cfg
-
-
-def prepare_cache(cfg: RunConfig, limit: int) -> None:
-    """Load (or build and store) a prime table big enough for `limit`.  A
-    file of another format version is rebuilt; I/O errors become CacheError."""
-    if not cfg.cache_dir:
-        return
-    try:
-        os.makedirs(cfg.cache_dir, exist_ok=True)
-        sieve.cache_prepare(os.path.join(cfg.cache_dir, "prime_table.bin"), limit)
-    except OSError as exc:
-        raise CacheError(f"cache directory {cfg.cache_dir}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +204,8 @@ def int_list(text: str) -> list[int]:
 # commands
 # ---------------------------------------------------------------------------
 
-def _cache_for_bound(cfg: RunConfig, x: int, base: Base, dense: bool = False) -> None:
-    """The cache step for a command that reads primes and reversed primes up
-    to x, taken after the command has checked its arguments, so a usage
-    error sieves and stores nothing.  A dense command rejects
-    x >= MAX_SEQUENCE_LEN before it sieves, so no table is built for it
-    there."""
-    if cfg.cache_dir and not (dense and x >= sieve.MAX_SEQUENCE_LEN):
-        prepare_cache(cfg, sieve.reversed_prime_source_bound(x, base))
-
-
 def cmd_enumerate(args, cfg: RunConfig) -> int:
     base = Base(cfg.base)
-    _cache_for_bound(cfg, args.limit, base)
     rows = [
         {"n": rec.n, "p": rec.p, "weight": rec.weight, "coprime": int(rec.coprime_flag)}
         for rec in enumerate_reversed_primes(args.limit, base, require_coprime=args.coprime)
@@ -240,8 +217,6 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
 def cmd_count_ap(args, cfg: RunConfig) -> int:
     base = Base(cfg.base)
     xs, qs, residues = int_list(args.x), int_list(args.q), int_list(args.a)
-    check_counts(xs, qs)
-    _cache_for_bound(cfg, max(xs), base)
     counts = weighted_counts_up_to(xs, qs, base)
     entries = []
     for x in xs:
@@ -262,9 +237,6 @@ def cmd_count_ap(args, cfg: RunConfig) -> int:
 
 def cmd_partition(args, cfg: RunConfig) -> int:
     base = Base(cfg.base)
-    check_window(args.digits, args.eta, args.r, args.q, base)
-    if cfg.cache_dir:  # b^digits may be huge: build it only for a cache step
-        _cache_for_bound(cfg, base.b ** max(args.digits, 0) - 1, base)
     res = weighted_count_window(args.digits, args.eta, args.r, args.a, args.q, base)
     entries = [
         (
@@ -291,7 +263,6 @@ def cmd_represent(args, cfg: RunConfig) -> int:
         if args.family != "r11":
             raise ValueError(f"--exceptions counts r11 exceptions only, not family {args.family!r}")
         x = max(part[-1] for part in _int_ranges(args.n))  # only the largest target counts
-        _cache_for_bound(cfg, x, base, dense=True)
         count = representations.count_exceptional_evens(x, base)
         entries = [({"base": cfg.base, "x": x, "family": "r11"}, float(count), 0.0, "exact")]
         emit_rows(cfg, REPORT_FIELDS, report_rows("exceptions", entries))
@@ -299,7 +270,6 @@ def cmd_represent(args, cfg: RunConfig) -> int:
     values = int_list(args.n)
     representations.check_family(args.family, args.k)
     representations.check_target(min(values), args.family, args.k)
-    _cache_for_bound(cfg, max(values), base, dense=True)
     entries = []
     for profile in representations.representation_counts(values, args.family, base, k=args.k):
         params = {"base": cfg.base, "n": profile.N, "family": args.family}
@@ -321,24 +291,13 @@ def cmd_circle(args, cfg: RunConfig) -> int:
         emit_rows(cfg, ["a", "q", "lo", "hi"], rows)
         print(f"# total_measure={_fmt(part.total_measure)} Q={_fmt(part.Q)}", file=sys.stderr)
         return 0
-    arcs = None
-    if args.op in ("residual", "probe"):
-        arcs = circle.build_arcs(args.N, args.B)
-    if args.op == "residual":
-        arcs.arc_of(args.alpha)
-    if args.op == "probe":
-        circle.check_samples(args.samples)
-    if args.op in ("residual", "parseval", "probe", "curve") or (
-        args.op == "expsum" and args.kind in ("prime", "reversed_prime_coprime")
-    ):
-        _cache_for_bound(cfg, args.N, base, dense=True)
     if args.op == "expsum":
         z = circle.exp_sum(args.alpha, args.N, args.kind, base)
         rows = [{"alpha": args.alpha, "kind": args.kind, "re": z.real, "im": z.imag, "abs": abs(z)}]
         emit_rows(cfg, ["alpha", "kind", "re", "im", "abs"], rows)
         return 0
     if args.op == "residual":
-        value = circle.major_arc_residual(args.alpha, args.N, base, which=args.which, arcs=arcs)
+        value = circle.major_arc_residual(args.alpha, args.N, base, which=args.which, B=args.B)
         entries = [({"alpha": args.alpha, "N": args.N, "which": args.which}, value, 0.0, "exact")]
         emit_rows(cfg, REPORT_FIELDS, report_rows("residual", entries))
         return 0
@@ -353,7 +312,7 @@ def cmd_circle(args, cfg: RunConfig) -> int:
         emit_rows(cfg, ["N", "lhs", "rhs", "scaled"], rows)
         return 0
     if args.op == "probe":
-        probe = circle.minor_arc_probe(args.N, args.B, base, args.samples, seed=cfg.seed, arcs=arcs)
+        probe = circle.minor_arc_probe(args.N, args.B, base, args.samples, seed=cfg.seed)
         rows = [
             {"A": A, "scaled_max": v, "max_abs_prime": probe.max_abs_prime,
              "samples": probe.samples, "seed": probe.seed}
@@ -398,8 +357,6 @@ def cmd_schnirelmann(args, cfg: RunConfig) -> int:
         emit_rows(cfg, ["base", "L", "lo", "hi", "count", "forced_k"], rows)
         return 0
     if args.op == "mink":
-        schnirelmann.check_min_k(args.n, args.kmax)
-        _cache_for_bound(cfg, args.n, base, dense=True)
         res = schnirelmann.min_k_representation(args.n, base, args.kmax)
         rows = [
             {
@@ -412,8 +369,6 @@ def cmd_schnirelmann(args, cfg: RunConfig) -> int:
         emit_rows(cfg, ["n", "k", "witness", "single"], rows)
         return 0
     if args.op == "scan":
-        schnirelmann.check_scan(args.lo, args.hi, args.kmax)
-        _cache_for_bound(cfg, args.hi, base, dense=True)
         res = schnirelmann.scan_min_k(args.lo, args.hi, base, args.kmax)
         rows = [{"k": k, "count": c} for k, c in sorted(res.counts.items())]
         rows.append({"k": "failures", "count": len(res.failures)})
@@ -566,8 +521,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
+    previous = sieve.session
     try:
         cfg = resolve_config(args)
+        # a fresh session per command: a rejected command reads no prime and
+        # leaves the cache alone, and the caller's tables stay its own
+        sieve.session = sieve.Session(cfg.cache_dir)
         code = args.func(args, cfg)
         sys.stdout.flush()
     except BrokenPipeError:
@@ -583,6 +542,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sieve.session = previous
     print(f"# runtime_ms={int(1000 * (time.perf_counter() - start))}", file=sys.stderr)
     return code
 

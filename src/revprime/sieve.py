@@ -8,6 +8,13 @@ which would otherwise make almost half of all the strided writes; only the
 base primes past the wheel then cross it off.  A shared table is grown by
 sieving only the segments past its limit.
 
+The table, one reversed-prime build per base and the directory of the disk
+cache are held by one Session, `session`, which the library reads at each
+call.  With a cache directory, the session's first table miss loads
+`prime_table.bin` from it (a smaller table there is grown, not re-sieved),
+and every sieve is stored back, so the file holds the largest table built
+so far; a computation that reads no prime never touches it.
+
 Reversed primes are enumerated prime-side, one digit length L at a time
 (primes are much sparser than integers, and a table to b^L is needed for
 the primality tests anyway).  The reverse of a prime leads with
@@ -48,6 +55,7 @@ from .arithmetic import factorize
 from .digits import Base, coprime_leading_indicator, reverse_block
 from .errors import (
     CacheChecksumError,
+    CacheError,
     CacheFormatError,
     CacheVersionError,
     ResourceLimitError,
@@ -136,7 +144,8 @@ def sieve_primes(limit: int, *, extend: PrimeTable | None = None) -> PrimeTable:
     steps = sievers.tolist()
 
     period = math.prod(WHEEL)
-    pattern = _wheel_pattern(period + min(SEGMENT_ODDS, size - start))
+    # segment lo needs lo % period + (hi - lo) entries, at most either bound
+    pattern = _wheel_pattern(min(period + SEGMENT_ODDS, start % period + size - start))
     for lo in range(start, size, SEGMENT_ODDS):
         hi = min(lo + SEGMENT_ODDS, size)
         off = lo % period
@@ -152,18 +161,6 @@ def sieve_primes(limit: int, *, extend: PrimeTable | None = None) -> PrimeTable:
             odd[p >> 1] = True
     odd[0] = False  # 1 is not prime
     return PrimeTable(limit, odd)
-
-
-_table_cache: PrimeTable | None = None
-
-
-def get_prime_table(limit: int) -> PrimeTable:
-    """Return a table covering `limit`, reusing a shared one or growing it
-    by sieving only past its limit."""
-    global _table_cache
-    if _table_cache is None or _table_cache.limit < limit:
-        _table_cache = sieve_primes(limit, extend=_table_cache)
-    return _table_cache
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +284,6 @@ def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
     return ReversedPrimeArrays(base, X, n, p, weight, coprime)
 
 
-_rev_cache: dict[int, ReversedPrimeArrays] = {}
-
-
 def reversed_prime_source_bound(x: int, base: Base) -> int:
     """Sieve limit b^L - 1 (at least 2) that reversed primes up to x need:
     L is the top block length of x, and that block's sources reach b^L - 1."""
@@ -304,17 +298,17 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
     With require_coprime, keep only gcd(n, b^3 - b) = 1.
 
     Each build covers n up to the end X of x's leading-digit group
-    (_group_end).  The build of base b is cached as `_rev_cache[b]`, whose
+    (_group_end).  The build of base b is kept in `session.builds[b]`, whose
     `.x` is that X: a later call with a group end at most X is cut from it,
     a larger one rebuilds up to its own group end.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
     X = _group_end(x, base)
-    full = _rev_cache.get(base.b)
+    full = session.builds.get(base.b)
     if full is None or full.x < X:
         full = _build_blocks(X, base, get_prime_table(reversed_prime_source_bound(x, base)))
-        _rev_cache[base.b] = full
+        session.builds[base.b] = full
     out = full.restrict(x)
     return out.coprime_only() if require_coprime else out
 
@@ -464,18 +458,47 @@ def cache_load(path: str | os.PathLike) -> PrimeTable:
     return PrimeTable(limit, _unpack_mask(raw, count))
 
 
-def cache_prepare(path: str | os.PathLike, limit: int) -> None:
-    """Make the shared table cover `limit` from the file at `path`: use the
-    stored table if it reaches `limit`, else sieve and store the result.  A file of another format version is rebuilt; other cache
-    errors and OSError propagate."""
-    global _table_cache
-    if os.path.exists(path):
-        try:
-            table = cache_load(path)
-        except CacheVersionError:
-            pass
-        else:
-            if table.limit >= limit:
-                _table_cache = table
-                return
-    cache_store(path, get_prime_table(limit))
+# ---------------------------------------------------------------------------
+# Session
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Session:
+    """The prime table and the per-base reversed-prime builds that the
+    library shares, and the directory of their disk cache (none if empty)."""
+
+    cache_dir: str | None = None
+    table: PrimeTable | None = None
+    builds: dict[int, ReversedPrimeArrays] = field(default_factory=dict)
+
+
+session = Session()  # the one the library reads; the CLI gives each command its own
+
+
+def get_prime_table(limit: int) -> PrimeTable:
+    """Return a table covering `limit` from the session, growing it by
+    sieving only past its limit.
+
+    With a cache directory, the first miss creates the directory and loads
+    its `prime_table.bin` (a file of another format version counts as no
+    file; other cache errors propagate), and every sieve is stored there.
+    An OSError becomes a CacheError."""
+    s = session
+    if s.table is not None and s.table.limit >= limit:
+        return s.table
+    path = os.path.join(s.cache_dir, "prime_table.bin") if s.cache_dir else None
+    try:
+        if s.table is None and path:
+            os.makedirs(s.cache_dir, exist_ok=True)
+            if os.path.exists(path):
+                try:
+                    s.table = cache_load(path)
+                except CacheVersionError:
+                    pass
+        if s.table is None or s.table.limit < limit:
+            s.table = sieve_primes(limit, extend=s.table)
+            if path:
+                cache_store(path, s.table)
+    except OSError as exc:
+        raise CacheError(f"cache directory {s.cache_dir}: {exc}") from exc
+    return s.table

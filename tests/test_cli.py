@@ -415,33 +415,44 @@ def _refuse_to_sieve(limit, *, extend=None):
     ("schnirelmann", "--op", "mink", "--n", "600"),
     ("schnirelmann", "--op", "scan", "--lo", "100", "--hi", "300"),
 ])
-def test_cache_dir_serves_every_prime_reading_command(args, tmp_path, monkeypatch, capsys):
+def test_cache_dir_serves_every_prime_reading_command(args, tmp_path, monkeypatch, fresh_session, capsys):
     # a cold run stores the table; a warm one, with no table in memory,
     # reads it back instead of sieving and prints the same rows
     from revprime import cli, sieve
 
     argv = [*args, "--cache-dir", str(tmp_path)]
-    monkeypatch.setattr(sieve, "_table_cache", None)
-    monkeypatch.setattr(sieve, "_rev_cache", {})
     assert cli.main(argv) == 0
     cold = capsys.readouterr().out
     assert (tmp_path / "prime_table.bin").exists()
-    monkeypatch.setattr(sieve, "_table_cache", None)
-    monkeypatch.setattr(sieve, "_rev_cache", {})
+    fresh_session.table, fresh_session.builds = None, {}
     monkeypatch.setattr(sieve, "sieve_primes", _refuse_to_sieve)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == cold
 
 
-def test_cache_dir_past_the_length_ceiling_fails_fast(tmp_path, monkeypatch, capsys):
-    # a dense command refuses N >= 2^31 itself; the cache step must not
-    # first sieve the ten-digit reversed-prime sources
+@pytest.mark.parametrize("args", [
+    ("represent", "--family", "r11", "--n", "3e9"),
+    ("circle", "--op", "curve", "--N", "3e9"),
+    ("circle", "--op", "parseval", "--N", "3e9"),
+    ("circle", "--op", "residual", "--N", "3e9"),
+    ("circle", "--op", "probe", "--N", "3e9"),
+    ("circle", "--op", "expsum", "--kind", "prime", "--N", "3e9"),
+    ("schnirelmann", "--op", "mink", "--n", "3e9"),
+    ("schnirelmann", "--op", "scan", "--lo", "100", "--hi", "3e9"),
+    ("represent", "--family", "r12", "--n", "3e9"),
+    ("represent", "--family", "r0k", "--k", "3", "--n", "3e9"),
+    ("represent", "--family", "rsquare", "--n", "3e9"),
+    ("represent", "--family", "r11", "--n", "3e9", "--exceptions"),
+])
+def test_cache_dir_past_the_length_ceiling_fails_fast(args, tmp_path, monkeypatch, capsys):
+    # a dense command refuses N >= 2^31 before it reads a prime, so the
+    # ten-digit reversed-prime sources are never sieved or stored
     from revprime import cli, sieve
 
     monkeypatch.setattr(sieve, "sieve_primes", _refuse_to_sieve)
-    assert cli.main(["represent", "--family", "r11", "--n", "3e9", "--cache-dir", str(tmp_path)]) == 3
+    assert cli.main([*args, "--cache-dir", str(tmp_path)]) == 3
     assert "ceiling" in capsys.readouterr().err
-    assert not (tmp_path / "prime_table.bin").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args", [
@@ -458,17 +469,66 @@ def test_cache_dir_past_the_length_ceiling_fails_fast(tmp_path, monkeypatch, cap
     ("represent", "--family", "r0k", "--k", "5", "--n", "4,1e6"),
     ("circle", "--op", "probe", "--N", "1e6", "--samples", "0"),
     ("circle", "--op", "probe", "--N", "10"),
+    ("represent", "--family", "r11", "--n", "3", "--exceptions"),
+    ("circle", "--op", "parseval", "--N", "1"),
+    ("circle", "--op", "expsum", "--kind", "prime", "--N", "0"),
+    ("circle", "--op", "curve", "--N", "0", "--samples", "4"),
+    ("enumerate", "--limit", "0"),
 ])
-def test_usage_error_comes_before_the_cache_step(args, tmp_path, monkeypatch, capsys):
+def test_usage_error_comes_before_the_cache_step(args, tmp_path, monkeypatch, fresh_session, capsys):
     # each command checks its arguments first: a usage error sieves nothing
     # and leaves no table in the cache directory
     from revprime import cli, sieve
 
-    monkeypatch.setattr(sieve, "_table_cache", None)
     monkeypatch.setattr(sieve, "sieve_primes", _refuse_to_sieve)
     assert cli.main([*args, "--cache-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("usage error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_dir_is_touched_only_by_a_prime_read(tmp_path, capsys):
+    # under a plain file the directory cannot be made: only a command that
+    # reads primes finds out
+    from revprime import cli
+
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    cache = str(plain / "cache")
+    assert cli.main(["enumerate", "--limit", "0", "--cache-dir", cache]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert cli.main(["circle", "--op", "arcs", "--cache-dir", cache]) == 0
+    assert capsys.readouterr().out.startswith("a,q,lo,hi\n")
+
+
+def test_short_cache_file_is_grown_not_resieved(tmp_path, monkeypatch, capsys):
+    from revprime import cli, sieve
+
+    assert cli.main(["enumerate", "--limit", "1000", "--cache-dir", str(tmp_path)]) == 0
+    real, calls = sieve.sieve_primes, []
+
+    def spy(limit, *, extend=None):
+        calls.append((limit, None if extend is None else extend.limit))
+        return real(limit, extend=extend)
+
+    monkeypatch.setattr(sieve, "sieve_primes", spy)
+    assert cli.main(["enumerate", "--limit", "1e5", "--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert calls == [(99999, 999)]
+    fresh = tmp_path / "fresh.bin"
+    sieve.cache_store(fresh, real(99999))
+    assert (tmp_path / "prime_table.bin").read_bytes() == fresh.read_bytes()
+
+
+def test_main_restores_the_callers_session(tmp_path, fresh_session, capsys):
+    # each command runs in its own session; the caller's is left as it was
+    from revprime import cli, sieve
+
+    assert cli.main(["enumerate", "--limit", "1000", "--cache-dir", str(tmp_path)]) == 0
+    assert sieve.session is fresh_session
+    assert fresh_session == sieve.Session()
+    assert cli.main(["enumerate", "--limit", "0", "--cache-dir", str(tmp_path)]) == 2
+    assert sieve.session is fresh_session
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("how", ["flag", "env", "config"])

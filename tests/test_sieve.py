@@ -108,8 +108,7 @@ def test_grown_table_equals_a_fresh_sieve(old, new):
     assert np.array_equal(grown.odd_mask, eratosthenes_odd_mask(new))
 
 
-def test_get_prime_table_grows_the_shared_table(monkeypatch):
-    monkeypatch.setattr(sieve, "_table_cache", None)
+def test_get_prime_table_grows_the_shared_table(monkeypatch, fresh_session):
     real, calls = sieve.sieve_primes, []
 
     def spy(limit, *, extend=None):
@@ -245,7 +244,7 @@ def _group_cutoffs(b, L_top):
     (7, 6), (31, 3),  # prime: p = b ends in 0 and is dropped
     (36, 3), (257, 2),
 ])
-def test_bounded_build_matches_full_block_oracle(b, L_top, monkeypatch):
+def test_bounded_build_matches_full_block_oracle(b, L_top, fresh_session):
     # the top block is reversed only up to x's leading-digit group; growing
     # the cached build (small x first) and cutting it (large x first) must
     # both give every column of the full-block enumeration cut at x
@@ -255,7 +254,7 @@ def test_bounded_build_matches_full_block_oracle(b, L_top, monkeypatch):
     xs = _group_cutoffs(b, L_top)
     assert xs[0] == 1 and xs[-1] == b**L_top
     for order in (xs, xs[::-1]):
-        monkeypatch.setattr(sieve, "_rev_cache", {})
+        fresh_session.builds.clear()
         for x in order:
             cut = int(np.searchsorted(oracle[0], x, side="right"))
             got = reversed_prime_arrays(x, base)
@@ -264,11 +263,10 @@ def test_bounded_build_matches_full_block_oracle(b, L_top, monkeypatch):
                 assert np.array_equal(getattr(got, name), want[:cut]), (b, x, name)
 
 
-def test_coprime_column_past_int64_modulus(monkeypatch):
+def test_coprime_column_past_int64_modulus(fresh_session):
     # b^3 - b >= 2^63: the coprime column still equals gcd(n, b^3 - b) == 1
     base = Base(2**21 + 1)
     assert base.modulus >= 1 << 63
-    monkeypatch.setattr(sieve, "_rev_cache", {})
     got = reversed_prime_arrays(base.b - 1, base)
     assert got.n.tolist() == sieve_primes(base.b - 1).primes().tolist()
     want = [math.gcd(n, base.modulus) == 1 for n in got.n.tolist()]
@@ -277,23 +275,21 @@ def test_coprime_column_past_int64_modulus(monkeypatch):
 
 
 def _count_builds(monkeypatch):
-    """Empty the reversed-prime cache; every later build is appended to the
-    returned list."""
+    """Every later reversed-prime build is appended to the returned list."""
     builds = []
     build = sieve._build_blocks
     monkeypatch.setattr(sieve, "_build_blocks", lambda *a: builds.append(build(*a)) or builds[-1])
-    monkeypatch.setattr(sieve, "_rev_cache", {})
     return builds
 
 
-def test_ascending_represent_range_builds_once(monkeypatch, capsys):
+def test_ascending_represent_range_builds_once(monkeypatch, fresh_session, capsys):
     builds = _count_builds(monkeypatch)
     assert cli.main(["represent", "--family", "r12", "--n", "117659..117698"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 40
     assert [full.x for full in builds] == [199999]
 
 
-def test_cutoff_at_a_power_of_b_builds_once(monkeypatch, b10):
+def test_cutoff_at_a_power_of_b_builds_once(monkeypatch, fresh_session, b10):
     # 10^5 is not a reversed prime: the 5-digit build, complete to 99999,
     # serves it
     builds = _count_builds(monkeypatch)
@@ -302,15 +298,14 @@ def test_cutoff_at_a_power_of_b_builds_once(monkeypatch, b10):
     assert [full.x for full in builds] == [99999, 199999]
 
 
-def test_count_ap_grid_builds_once_to_the_group_end(monkeypatch, capsys):
-    monkeypatch.setattr(sieve, "_table_cache", None)  # keep the 10^8 table out of later tests
+def test_count_ap_grid_builds_once_to_the_group_end(monkeypatch, fresh_session, capsys):
     builds = _count_builds(monkeypatch)
     args = ["count-ap", "--x", "11700000,18300000", "--q", "1..10", "--a", "0..9"]
     assert cli.main(args) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 10 * 10
     assert [full.x for full in builds] == [19999999]
     # a lone call reverses only the 8-digit primes ending in 1
-    monkeypatch.setattr(sieve, "_rev_cache", {})
+    fresh_session.builds.clear()
     assert reversed_prime_arrays(18300000, Base(10)).x == 18300000
     assert [full.x for full in builds] == [19999999, 19999999]
     top = builds[1].n >= 10**7
