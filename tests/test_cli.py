@@ -414,6 +414,7 @@ def _refuse_to_sieve(limit, *, extend=None):
     ("circle", "--op", "curve", "--N", "5000", "--samples", "4"),
     ("schnirelmann", "--op", "mink", "--n", "600"),
     ("schnirelmann", "--op", "scan", "--lo", "100", "--hi", "300"),
+    ("schnirelmann", "--op", "gap", "--i", "2", "--digits", "2"),
 ])
 def test_cache_dir_serves_every_prime_reading_command(args, tmp_path, monkeypatch, fresh_session, capsys):
     # a cold run stores the table; a warm one, with no table in memory,
@@ -500,7 +501,7 @@ def test_cache_dir_is_touched_only_by_a_prime_read(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("a,q,lo,hi\n")
 
 
-def test_short_cache_file_is_grown_not_resieved(tmp_path, monkeypatch, capsys):
+def test_short_cache_file_is_grown_not_resieved(tmp_path, monkeypatch):
     from revprime import cli, sieve
 
     assert cli.main(["enumerate", "--limit", "1000", "--cache-dir", str(tmp_path)]) == 0
@@ -512,14 +513,13 @@ def test_short_cache_file_is_grown_not_resieved(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(sieve, "sieve_primes", spy)
     assert cli.main(["enumerate", "--limit", "1e5", "--cache-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
     assert calls == [(99999, 999)]
     fresh = tmp_path / "fresh.bin"
     sieve.cache_store(fresh, real(99999))
     assert (tmp_path / "prime_table.bin").read_bytes() == fresh.read_bytes()
 
 
-def test_main_restores_the_callers_session(tmp_path, fresh_session, capsys):
+def test_main_restores_the_callers_session(tmp_path, fresh_session):
     # each command runs in its own session; the caller's is left as it was
     from revprime import cli, sieve
 
@@ -528,7 +528,6 @@ def test_main_restores_the_callers_session(tmp_path, fresh_session, capsys):
     assert fresh_session == sieve.Session()
     assert cli.main(["enumerate", "--limit", "0", "--cache-dir", str(tmp_path)]) == 2
     assert sieve.session is fresh_session
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("how", ["flag", "env", "config"])
