@@ -280,13 +280,6 @@ class MinorArcProbe:
     scaled: dict[float, float]  # A -> max_abs * (log N)^A / N
 
 
-def check_samples(samples: int) -> None:
-    """The sample-count check of minor_arc_probe, made before any prime is
-    read: a usage error is a ValueError."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-
-
 def minor_arc_probe(
     N: int,
     B: float,
@@ -300,7 +293,8 @@ def minor_arc_probe(
     max |revS| * (log N)^A / N over a grid of A.  Purely
     exploratory: no pass/fail is attached to either the conjectured
     reversed-prime decay or the classical prime-sum decay."""
-    check_samples(samples)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     part = build_arcs(N, B)
     rng = np.random.default_rng(seed)
     rev_s = exp_sum_evaluator(N, "reversed_prime_coprime", base)

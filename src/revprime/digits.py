@@ -158,8 +158,8 @@ def coprime_digits(base: Base) -> tuple[int, ...]:
 
 
 def rev_coprime_to_base(r: int, base: Base) -> int:
-    """1 iff gcd(reverse(r), b) = 1, i.e. the last nonzero digit of r is
-    coprime to b; else 0."""
+    """1 iff gcd(reverse(r), b) = 1, i.e. the leading digit of r (the last
+    digit of reverse(r)) is coprime to b; else 0."""
     if r < 1:
         raise ValueError("r must be positive")
     return 1 if math.gcd(reverse(r, base), base.b) == 1 else 0

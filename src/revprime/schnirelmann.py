@@ -76,25 +76,18 @@ class MinKResult:
 
 
 def check_k_max(k_max: int) -> None:
-    """The k_max check of min_k_representation and scan_min_k, made before
-    any prime is read."""
+    """The k_max check of min_k_representation and scan_min_k."""
     if not 1 <= k_max <= MAX_SEARCH_K:
         raise ValueError(f"k_max must be in [1, {MAX_SEARCH_K}]")
-
-
-def check_min_k(N: int, k_max: int) -> None:
-    """The argument checks of min_k_representation, made before any prime
-    is read."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    check_k_max(k_max)
 
 
 def min_k_representation(N: int, base: Base, k_max: int) -> MinKResult:
     """Smallest k <= k_max with N a sum of k reversed primes, plus one
     witness.  k = 1 (N itself a reversed prime) is reported but flagged,
     since the constant of interest is defined with k > 1."""
-    check_min_k(N, k_max)
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    check_k_max(k_max)
     pool = indicator_mask(N, "reversed_prime", base=base)
     layers: list[np.ndarray] = []  # layers[j]: the sums of exactly j + 1 reversed primes
     # N is in layer k + 1 iff N - r is in layer k for some pool member r, so
@@ -130,17 +123,12 @@ class ScanResult:
         return sum(self.counts.values()) + len(self.failures)
 
 
-def check_scan(x_lo: int, x_hi: int, k_max: int) -> None:
-    """The argument checks of scan_min_k, made before any prime is read."""
-    if not 2 <= x_lo <= x_hi:
-        raise ValueError("need 2 <= x_lo <= x_hi")
-    check_k_max(k_max)
-
-
 def scan_min_k(x_lo: int, x_hi: int, base: Base, k_max: int) -> ScanResult:
     """Minimal-k histogram over [x_lo, x_hi]: the minimal k of N is the
     first reach layer over one shared reversed-prime pool that contains N."""
-    check_scan(x_lo, x_hi, k_max)
+    if not 2 <= x_lo <= x_hi:
+        raise ValueError("need 2 <= x_lo <= x_hi")
+    check_k_max(k_max)
     pool = indicator_mask(x_hi, "reversed_prime", base=base)
     counts: dict[int, int] = {}
     open_n = np.arange(x_lo, x_hi + 1)  # targets not yet reached

@@ -334,10 +334,6 @@ class WeightedSequence:
     weights: np.ndarray  # float64
     error_bound: float = 0.0  # a-posteriori bound carried through FFT paths
 
-    @property
-    def length(self) -> int:
-        return len(self.weights)
-
     def __len__(self) -> int:
         return len(self.weights)
 

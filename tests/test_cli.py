@@ -8,14 +8,21 @@ import numpy as np
 import pytest
 
 CLI = [sys.executable, "-m", "revprime.cli"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def cli_env(env=None):
+    """The environment of a CLI child: this one plus env, with src first on
+    PYTHONPATH so that the child imports this checkout, installed or not."""
+    full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, full_env.get("PYTHONPATH")]))
+    full_env.update(env or {})
+    return full_env
 
 
 def run_cli(*args, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=full_env
+        CLI + list(args), capture_output=True, text=True, env=cli_env(env)
     )
 
 
@@ -128,6 +135,32 @@ def test_partition_command():
     assert math.isclose(float(row[2]), math.log(17), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("args, stdout", [
+    ("--base 10 --digits 6 --eta 2 --r 37 --q 7 --a 3",
+     "command,params,observed,predicted,ratio,provenance\n"
+     "partition,L=6;a=3;base=10;eta=2;q=7;r=37,1600.5840390408578,1428.5714285714287,"
+     "1.1204088273286004,exact\n"),
+    ("--base 10 --digits 5 --eta 1 --r 3 --q 1000 --a -1",
+     "command,params,observed,predicted,ratio,provenance\n"
+     "partition,L=5;a=-1;base=10;eta=1;q=1000;r=3,11.512155168367963,25,"
+     "0.46048620673471852,exact\n"),
+    ("--base 6 --digits 7 --eta 1 --r 2 --q 5 --a 1 --format json",
+     '{"command": "partition", "observed": "0", "params": "L=7;a=1;base=6;eta=1;q=5;r=2", '
+     '"predicted": "0", "provenance": "exact", "ratio": "nan"}\n'),
+    ("--base 3 --digits 8 --eta 2 --r 5 --q 30 --a 41 --format json",
+     '{"command": "partition", "observed": "51.490210593154451", '
+     '"params": "L=8;a=41;base=3;eta=2;q=30;r=5", "predicted": "72.900000000000006", '
+     '"provenance": "exact", "ratio": "0.70631290251240664"}\n'),
+], ids=["b10-csv", "b10-negative-a", "b6-json-zero-main-term", "b3-json"])
+@pytest.mark.filterwarnings("ignore::revprime.errors.ModulusRangeWarning")
+def test_partition_stdout_is_pinned(args, stdout, capsys):
+    # no benchmark workload runs partition, so its stdout is pinned here
+    from revprime import cli
+
+    assert cli.main(["partition"] + args.split()) == 0
+    assert capsys.readouterr().out == stdout
+
+
 def test_circle_parseval_row():
     res = run_cli("circle", "--op", "parseval", "--N", "1000")
     header, row = res.stdout.splitlines()
@@ -185,7 +218,7 @@ def test_rsquare_past_the_length_ceiling_fails_fast():
     # a squarefree mask of 10^12 + 1 bytes is refused before it is allocated
     res = subprocess.run(
         CLI + ["represent", "--family", "rsquare", "--n", "1e12"],
-        capture_output=True, text=True, timeout=30,
+        capture_output=True, text=True, timeout=30, env=cli_env(),
     )
     assert res.returncode == 3
     assert "squarefree mask" in res.stderr and "Traceback" not in res.stderr
@@ -239,7 +272,7 @@ def test_closed_stdout_pipe_exits_without_traceback():
     # a reader that stops early, like `enumerate --limit 1000000 | head -1`
     proc = subprocess.Popen(
         CLI + ["enumerate", "--limit", "1000000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
     )
     assert proc.stdout.readline() == "n,p,weight,coprime\n"
     proc.stdout.close()
@@ -308,7 +341,7 @@ def test_overlapping_arcs_fail_before_building():
     # about 7e9 arcs at Q = (log 50000)^5; 1/148283 and 1/148282 overlap
     res = subprocess.run(
         CLI + ["circle", "--op", "arcs", "--N", "50000", "--B", "5"],
-        capture_output=True, text=True, timeout=30,
+        capture_output=True, text=True, timeout=30, env=cli_env(),
     )
     assert res.returncode == 2
     assert "overlap" in res.stderr

@@ -155,6 +155,9 @@ def test_rev_coprime_to_base(b10):
     assert rev_coprime_to_base(2, b10) == 0
     assert rev_coprime_to_base(12, b10) == 1  # rev 21, gcd(21,10)=1
     assert rev_coprime_to_base(25, b10) == 0  # rev 52, gcd(52,10)=2
+    # the leading digit decides, not the last nonzero one
+    assert rev_coprime_to_base(21, b10) == 0  # rev 12, gcd(12,10)=2
+    assert rev_coprime_to_base(120, b10) == 1  # rev 21, gcd(21,10)=1
 
 
 def test_residue_admissible(b10):

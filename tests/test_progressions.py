@@ -174,6 +174,44 @@ def test_batch_matches_masked_sums(b, xs):
                 assert res.main_term == float(main if math.gcd(a, g) == 1 else 0)
 
 
+@pytest.mark.parametrize(
+    "b, L, windows",
+    [
+        (2, 11, [(1, 1), (2, 2), (2, 3), (3, 5)]),
+        (10, 4, [(1, 7), (1, 5), (2, 20), (2, 71), (3, 999)]),
+        (30, 3, [(1, 7), (1, 6), (2, 31), (2, 899)]),
+    ],
+)
+def test_length_and_window_match_masked_sums(b, L, windows):
+    # windows (eta, r) over the L-digit block; in bases 10 and 30 some lead
+    # with a digit that shares a factor with b, so their main term is 0
+    base = Base(b)
+    arr = reversed_prime_arrays(b**L - 1, base, require_coprime=True)
+    n, w = arr.n, arr.weight
+    coprime_leads = sum(math.gcd(d, b) == 1 for d in range(1, b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModulusRangeWarning)
+        for q in (1, 2, 3, 7, 30, 97, 1000):
+            g = math.gcd(q, base.modulus)
+            for a in (0, 1, 5, q + 1, 2 * q + 3, -1, -q - 2):
+                sel = n % q == a % q
+                rho = Fraction(g, totient(g)) / q if math.gcd(a, g) == 1 else 0
+                res = weighted_count_by_length(L, a, q, base)
+                inside = sel & (n >= b ** (L - 1))
+                assert res.observed == float(w[inside].sum()), (q, a)
+                assert res.raw_count == int(inside.sum()), (q, a)
+                assert res.main_term == float(rho * coprime_leads * b ** (L - 1))
+                for eta, r in windows:
+                    width = b ** (L - eta)
+                    res = weighted_count_window(L, eta, r, a, q, base)
+                    inside = sel & (n >= r * width) & (n < (r + 1) * width)
+                    assert res.observed == float(w[inside].sum()), (eta, r, q, a)
+                    assert res.raw_count == int(inside.sum()), (eta, r, q, a)
+                    lead = r // b ** (eta - 1)
+                    expected = rho * width if math.gcd(lead, b) == 1 else 0
+                    assert res.main_term == float(expected), (eta, r, q, a)
+
+
 def test_batch_warns_once_per_offending_cell(b10):
     # q^4 > b^L: q = 30 at x = 1e3 (L = 4) and x = 1e4 (L = 5); q = 7 is fine
     with pytest.warns(ModulusRangeWarning) as record:
