@@ -267,11 +267,8 @@ def cmd_represent(args, cfg: RunConfig) -> int:
         entries = [({"base": cfg.base, "x": x, "family": "r11"}, float(count), 0.0, "exact")]
         emit_rows(cfg, REPORT_FIELDS, report_rows("exceptions", entries))
         return 0
-    values = int_list(args.n)
-    representations.check_family(args.family, args.k)
-    representations.check_target(min(values), args.family, args.k)
     entries = []
-    for profile in representations.representation_counts(values, args.family, base, k=args.k):
+    for profile in representations.representation_counts(int_list(args.n), args.family, base, k=args.k):
         params = {"base": cfg.base, "n": profile.N, "family": args.family}
         if args.family == "r0k":
             params["k"] = args.k

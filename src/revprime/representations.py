@@ -29,12 +29,14 @@ been checked against every n, so the result is exact.
 representation_counts runs a batch of targets, each through exactly the
 chain a lone representation_count runs (indicators truncated at N, the same
 factor order, FFT length and error bound), so every float it returns is
-bitwise the lone call's.  Only transforms are shared (TransformCache): a
-factor's spectrum is reused when its zero-padded input is bitwise the one
-already transformed, and a chain's first stage reuses its inverse transform
-when both factors are unchanged.  Between neighbouring targets the
-indicators differ only where a new prime or reversed prime enters, so most
-targets pay for the accumulator stages alone.
+bitwise the lone call's.  The batch's TransformCache builds each factor kind
+once, at the largest target, and hands target N the prefix view of its
+first N + 1 entries, bitwise the indicator weighted_indicator(N, kind)
+builds.  Transforms are keyed by (kind, nfft, members <= N): a factor's
+spectrum is reused while no new member enters, and a chain's first stage
+reuses its inverse transform while both keys are unchanged.  Between
+neighbouring targets a new prime or reversed prime is rare, so most targets
+pay for the accumulator stages alone.
 
 Families (weights are natural logs of the source primes):
 
@@ -63,9 +65,11 @@ from .errors import ResourceLimitError
 from .sieve import (
     MAX_SEQUENCE_LEN,
     WeightedSequence,
+    get_prime_table,
     indicator_mask,
     leading_coprime_sequence,
     reversed_prime_arrays,
+    reversed_prime_source_bound,
     weighted_indicator,
 )
 
@@ -101,8 +105,7 @@ def convolve(
     On the FFT path, `transforms` lends the spectra of one batch's earlier
     calls; the result is bitwise the one computed without it."""
     lu, lv = len(u), len(v)
-    if lu + lv - 1 > MAX_CONV_LEN:
-        raise ResourceLimitError(f"convolution length {lu + lv - 1} exceeds {MAX_CONV_LEN}")
+    _check_conv_len(lu + lv - 1)
     propagated = u.error_bound * float(np.abs(v.weights).sum()) + v.error_bound * float(
         np.abs(u.weights).sum()
     )
@@ -124,6 +127,11 @@ def convolve(
     if out_len is not None:
         w = w[:out_len]
     return WeightedSequence("conv", w, bound)  # an accumulator, never in a TransformCache
+
+
+def _check_conv_len(full: int) -> None:
+    if full > MAX_CONV_LEN:
+        raise ResourceLimitError(f"convolution length {full} exceeds {MAX_CONV_LEN}")
 
 
 def _fft_product(u: np.ndarray, v: np.ndarray, nfft: int, n: int) -> np.ndarray:
@@ -156,79 +164,84 @@ def _clipped_inverse(spectrum: np.ndarray, nfft: int, n: int) -> np.ndarray:
 
 
 class TransformCache:
-    """The spectra that the convolution chains of one batch of targets share.
+    """The factors of one batch of targets up to `top`, and the spectra that
+    their convolution chains share.
 
-    A factor (any sequence but a convolve() result) is looked up by its kind.
-    Its rfft is reused only when its zero-padded input is bitwise the one
-    last transformed at the same nfft: the same support and the same values,
-    compared as float64 bit patterns.  A right operand keeps its spectrum; a
-    left operand (a chain's head) keeps only its signature and is transformed
-    again when needed.  The clipped inverse transform of a product of two
-    factors (a chain's first stage) is kept, trimmed to out_cap entries, and
-    reused while both factors are unchanged.  Accumulators are never cached,
-    and a stale entry is dropped before its replacement is computed.  Arrays
-    handed out may be shared with the cache and must not be written to.
+    Each factor kind is built once, by one weighted_indicator call at top
+    (the first build refuses a chain too long to convolve, then sieves once
+    for every kind), and factor(N, kind) hands out the prefix view over
+    0..N, bitwise weighted_indicator(N, kind).  A factor's zero-padded input
+    at length nfft is thus named by its key (kind, nfft, members <= N);
+    product() refuses any other sequence but an accumulator (a convolve()
+    result).  A right operand keeps its spectrum; a left one (a chain's
+    head) is transformed again unless its kind holds its key's spectrum.  The
+    clipped inverse transform of a product of two factors (a chain's first
+    stage) is kept over 0..top and reused while both keys are unchanged.
+    Accumulators are never cached, and a stale entry is dropped before its
+    replacement is computed.
     """
 
-    def __init__(self, out_cap: int):
-        self.out_cap = out_cap
-        # kind -> (signature (nfft, support, values), spectrum or None)
-        self._factors: dict[str, tuple[tuple, np.ndarray | None]] = {}
-        # (the two factors' signatures, clipped inverse) of the last first stage
+    def __init__(self, top: int, base: Base):
+        self.top, self.base = top, base
+        self._factors: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # kind -> (weights, support)
+        self._spectra: dict[str, tuple[tuple, np.ndarray]] = {}  # kind -> (key, spectrum)
+        # (the two factors' keys, clipped inverse) of the last first stage
         self._inverse: tuple[tuple, np.ndarray] | None = None
 
-    def _signature(self, seq: WeightedSequence, nfft: int) -> tuple:
-        """The stored signature of seq's kind if it still describes seq at
-        nfft, else a new one that replaces the stale entry."""
-        bits = np.asarray(seq.weights, dtype=np.float64).view(np.uint64)
-        support = np.flatnonzero(bits)
-        values = bits[support]
-        if seq.kind in self._factors:
-            sig = self._factors[seq.kind][0]
-            if sig[0] == nfft and np.array_equal(sig[1], support) and np.array_equal(sig[2], values):
-                return sig
-            del self._factors[seq.kind]
-        sig = (nfft, support, values)
-        self._factors[seq.kind] = (sig, None)
-        return sig
+    def factor(self, N: int, kind: str) -> WeightedSequence:
+        """weighted_indicator(N, kind), as a view of the batch's build."""
+        if N > self.top:
+            raise ValueError(f"target {N} exceeds the batch's largest, {self.top}")
+        if kind not in self._factors:
+            # past MAX_SEQUENCE_LEN weighted_indicator refuses before a sieve
+            if not self._factors and self.top < MAX_SEQUENCE_LEN:
+                _check_conv_len(2 * self.top + 1)
+                get_prime_table(max(self.top, reversed_prime_source_bound(self.top, self.base)))
+            w = weighted_indicator(self.top, kind, base=self.base).weights
+            w.flags.writeable = False  # every target's view shares it
+            self._factors[kind] = (w, np.flatnonzero(w))
+        return WeightedSequence(kind, self._factors[kind][0][: N + 1])
 
-    def _spectrum(
-        self, seq: WeightedSequence, sig: tuple | None, nfft: int, keep: bool
-    ) -> tuple[np.ndarray, bool]:
-        """(rfft of seq at nfft, whether the array is shared with the cache);
-        sig is seq's signature, None for an accumulator."""
-        entry = self._factors.get(seq.kind) if sig is not None else None
-        current = entry is not None and entry[0] is sig
-        if current and entry[1] is not None:
-            return entry[1], True
-        spectrum = np.fft.rfft(seq.weights, nfft)
-        if current and keep:
-            self._factors[seq.kind] = (sig, spectrum)
-        return spectrum, current and keep
+    def _key(self, seq: WeightedSequence, nfft: int) -> tuple | None:
+        """The key of a factor handed out by factor(); None for an accumulator."""
+        if seq.kind == "conv":
+            return None
+        full, support = self._factors.get(seq.kind, (None, None))
+        w = seq.weights
+        # a prefix view has the address, dtype and strides of full[:len(w)]
+        if full is None or w.__array_interface__ != full[: len(w)].__array_interface__:
+            raise ValueError(f"a {seq.kind!r} sequence that is not a prefix of this cache's")
+        return seq.kind, nfft, int(np.searchsorted(support, len(w) - 1, side="right"))
 
     def product(self, u: WeightedSequence, v: WeightedSequence, nfft: int, n: int) -> np.ndarray:
         """The first n entries of the clipped irfft(rfft(u) * rfft(v)) at
         length nfft, as convolve() computes them."""
-        sig_u, sig_v = (None if s.kind == "conv" else self._signature(s, nfft) for s in (u, v))
-        first_stage = sig_u is not None and sig_v is not None
+        keys = self._key(u, nfft), self._key(v, nfft)
+        first_stage = None not in keys
         if first_stage and self._inverse is not None:
-            (kept_u, kept_v), w = self._inverse
-            if kept_u is sig_u and kept_v is sig_v and len(w) >= n:
+            kept, w = self._inverse
+            if kept == keys and len(w) >= n:
                 return w[:n]
             self._inverse = None
             del w
-        sv, _ = self._spectrum(v, sig_v, nfft, keep=True)
-        su, shared = self._spectrum(u, sig_u, nfft, keep=False)
-        if shared:
-            spectrum = su * sv  # u first, as in place: the rounding depends on the order
+        kept_v = self._spectra.pop(v.kind, None)
+        if kept_v is None or kept_v[0] != keys[1]:
+            del kept_v  # stale: dropped before its replacement is computed
+            kept_v = keys[1], np.fft.rfft(v.weights, nfft)
+        if keys[1] is not None:
+            self._spectra[v.kind] = kept_v
+        kept_u = self._spectra.get(u.kind)  # held only if u was a right operand
+        if kept_u is not None and kept_u[0] == keys[0]:
+            # u first, as in place: the rounding depends on the order
+            spectrum = kept_u[1] * kept_v[1]
         else:
-            su *= sv
-            spectrum = su
-        del su, sv
+            spectrum = np.fft.rfft(u.weights, nfft)
+            spectrum *= kept_v[1]
+        del kept_u, kept_v
         if not first_stage:
             return _clipped_inverse(spectrum, nfft, n)
-        w = _clipped_inverse(spectrum, nfft, min(nfft, max(n, self.out_cap))).copy()
-        self._inverse = ((sig_u, sig_v), w)
+        w = _clipped_inverse(spectrum, nfft, max(n, self.top + 1)).copy()
+        self._inverse = (keys, w)
         return w[:n]
 
 
@@ -268,8 +281,7 @@ def reach_step(reach: np.ndarray, addend: np.ndarray, out_len: int | None = None
     the FFT path takes the next 5-smooth one."""
     reach, addend = (np.asarray(m, dtype=bool) for m in (reach, addend))
     full = len(reach) + len(addend) - 1
-    if full > MAX_CONV_LEN:
-        raise ResourceLimitError(f"convolution length {full} exceeds {MAX_CONV_LEN}")
+    _check_conv_len(full)
     n = full if out_len is None else min(full, out_len)
     if len(reach) * len(addend) <= DIRECT_OPS_CAP:
         return np.convolve(reach.astype(np.float64), addend.astype(np.float64))[:n] > 0.5
@@ -324,34 +336,21 @@ def check_target(N: int, family: str, k: int | None) -> None:
         raise ValueError("need N >= k")
 
 
-def _family_sequences(N: int, family: str, base: Base, k: int | None) -> list[WeightedSequence]:
-    if family == "r11":
-        return [
-            weighted_indicator(N, "prime"),
-            weighted_indicator(N, "reversed_prime_coprime", base=base),
-        ]
-    if family == "r12":
-        rev = weighted_indicator(N, "reversed_prime_coprime", base=base)
-        return [weighted_indicator(N, "prime"), rev, rev]
-    if family == "r21":
-        pr = weighted_indicator(N, "prime")
-        return [pr, pr, weighted_indicator(N, "reversed_prime_coprime", base=base)]
+def _chain(family: str, k: int | None) -> tuple[str, ...]:
+    """The factor kinds of a family's convolution chain, left to right."""
+    rev = "reversed_prime_coprime"
     if family == "r0k":
-        rev = weighted_indicator(N, "reversed_prime_coprime", base=base)
-        return [rev] * k
-    raise ValueError(f"unknown family {family!r}")
+        return (rev,) * k
+    return {"r11": ("prime", rev), "r12": ("prime", rev, rev), "r21": ("prime", "prime", rev)}[family]
 
 
 def _predicted(N: int, family: str, base: Base, k: int | None) -> float:
+    """S_k(N) for the chain's k summands times their composition count."""
     if family == "r11":
-        return float(singular_series_k(N, 2, base)) * count_coprime_leading(N, base)
-    if family == "r12":
-        return float(singular_series_k(N, 3, base)) * composition_count(N, "s12", base)
-    if family == "r21":
-        return float(singular_series_k(N, 3, base)) * composition_count(N, "s21", base)
-    if family == "r0k":
-        return float(singular_series_k(N, k, base)) * composition_count(N, "s0k", base, k=k)
-    raise ValueError(f"unknown family {family!r}")
+        comp = count_coprime_leading(N, base)
+    else:
+        comp = composition_count(N, "s" + family[1:], base, k=k)  # s12, s21 or s0k
+    return float(singular_series_k(N, len(_chain(family, k)), base)) * comp
 
 
 def representation_count(
@@ -364,15 +363,15 @@ def representation_count(
 ) -> RepresentationProfile:
     """Weighted count of representations of N in the given family, with the
     predicted main term; see the module docstring for the family key.
-    `transforms` is the batch's shared cache (representation_counts); a lone
-    call gets a fresh one."""
+    `transforms` is the batch's cache (representation_counts), which hands
+    out the factors; a lone call builds its own at N."""
     check_family(family, k)
     check_target(N, family, k)
     if family == "rsquare":
         return squarefree_shift_count(N, base)
     if transforms is None:
-        transforms = TransformCache(out_cap=N + 1)
-    seqs = _family_sequences(N, family, base, k)
+        transforms = TransformCache(N, base)
+    seqs = [transforms.factor(N, kind) for kind in _chain(family, k)]
     conv = convolve_chain(seqs, out_len=N + 1, transforms=transforms)
     exact = float(conv.weights[N])
     provenance = "fft" if conv.error_bound > 0 else "exact"
@@ -391,10 +390,15 @@ def representation_counts(
     base: Base,
     k: int | None = None,
 ) -> list[RepresentationProfile]:
-    """representation_count for each N in Ns, in order.  Every target runs
-    its own chain; one TransformCache shares the transforms whose inputs
-    repeat, so each profile equals the one a lone call returns."""
-    transforms = TransformCache(out_cap=max(Ns, default=0) + 1)
+    """representation_count for each N in Ns, in order.  The family and the
+    least target are checked first.  Every target runs its own chain; one
+    TransformCache builds the factors once and shares the transforms whose
+    inputs repeat, so each profile equals the one a lone call returns."""
+    check_family(family, k)
+    if not Ns:
+        return []
+    check_target(min(Ns), family, k)
+    transforms = TransformCache(max(Ns), base)
     return [
         representation_count(N, family, base, k=k, transforms=transforms)
         for N in Ns
@@ -440,6 +444,7 @@ def composition_count(
             return int((N - 1 - members).sum())
         below = np.cumsum(in_b, dtype=np.int64)  # below[m] = #B(m)
         return int(below[N - 1 - members].sum())
+    _check_conv_len(2 * N + 1)
     seqs = [leading_coprime_sequence(N, base)] * k
     conv = convolve_chain(seqs, out_len=N + 1)
     value = float(conv.weights[N])

@@ -412,6 +412,61 @@ def test_represent_range_stdout_is_pinned(family):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == REPRESENT_SHA256[family]
 
 
+# stdout of represent runs that no benchmark workload covers, recorded from
+# the implementation that built both indicators again for every target
+REPRESENT_RUNS_SHA256 = {
+    ("--base", "2", "represent", "--family", "r21", "--n", "12001..12006"):  # FFT path
+        "a3fbccb55e7ea30ef23aa3c354e25692b2997818c31fbcf60fd900841ab4fe43",
+    ("--base", "30", "represent", "--family", "r0k", "--k", "3", "--n", "20001..20004"):
+        "1d326d19c61306faf7f0915c0eebf62d069b4969f1e17f493e528e31a3a363f8",
+    # the FFT length doubles between N = 65535 and N = 65536
+    ("represent", "--family", "r12", "--n", "65530..65541,65541,65537,65533,65529,65536"):
+        "48c7c118a905f18f7c377e75b1dfe71fe954ce4233e735c71490dedf57756f8e",
+    ("--base", "3", "represent", "--family", "rsquare", "--n", "2..300,1000,999"):
+        "d91f24abd7231cafab8380fcde4c91846765be8c6edd6e4a6d939e360236adeb",
+    ("--format", "json", "represent", "--family", "r11", "--n", "100001..100006,100003"):
+        "2d7d32022f7f7c54ad1821ba2ff7436898ea98f960f855d4b8accb358e8a5233",
+}
+
+
+@pytest.mark.parametrize("args", sorted(REPRESENT_RUNS_SHA256))
+def test_represent_runs_stdout_is_pinned(args):
+    import hashlib
+
+    res = run_cli(*args)
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == REPRESENT_RUNS_SHA256[args]
+
+
+@pytest.mark.parametrize("family,n", [
+    ("r11", "2..1000"),
+    ("r11", "100000..100003"),
+    ("r12", "100000..100003"),
+    ("r21", "100000..100003"),
+    ("r0k", "2..1000"),
+])
+def test_represent_batch_sieves_and_stores_once(family, n, tmp_path, monkeypatch, fresh_session, capsys):
+    # the batch requests one table that reaches its largest target and the
+    # reversed primes' sources before it builds any factor
+    from revprime import cli, sieve
+
+    calls = {"sieve_primes": 0, "cache_store": 0}
+    for name in calls:
+        original = getattr(sieve, name)
+
+        def spy(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(sieve, name, spy)
+    argv = ["represent", "--family", family, "--n", n, "--cache-dir", str(tmp_path)]
+    if family == "r0k":
+        argv += ["--k", "2"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == {"sieve_primes": 1, "cache_store": 1}
+
+
 # stdout recorded from the implementation that found exceptional evens by an
 # FFT reach step, and took the curve's fractional parts with `% 1.0`
 PINNED_SHA256 = {

@@ -506,16 +506,26 @@ BATCHES = [
 ]
 
 
+# the factor kinds of each family's chain, left to right
+CHAIN_KINDS = {
+    "r11": ("prime", "reversed_prime_coprime"),
+    "r12": ("prime", "reversed_prime_coprime", "reversed_prime_coprime"),
+    "r21": ("prime", "prime", "reversed_prime_coprime"),
+}
+
+
 @pytest.mark.parametrize("family,k,b,Ns", BATCHES)
 def test_batch_equals_lone_calls(family, k, b, Ns):
     base = Base(b)
     batch = reps.representation_counts(Ns, family, base, k=k)
     assert [p.N for p in batch] == Ns
+    kinds = CHAIN_KINDS.get(family, ("reversed_prime_coprime",) * (k or 0))
     for N, got in zip(Ns, batch):
         _same_profile(got, representation_count(N, family, base, k=k))
         if got.provenance == "fft":
-            # and bitwise the chain run with no transforms shared at all
-            seqs = reps._family_sequences(N, family, base, k)
+            # and bitwise the chain of indicators built at N, run with no
+            # transforms shared at all
+            seqs = [weighted_indicator(N, kind, base=base) for kind in kinds]
             assert got.exact == float(reps.convolve_chain(seqs, out_len=N + 1).weights[N])
 
 
@@ -553,20 +563,83 @@ def test_batch_transforms_only_new_inputs(b10, monkeypatch):
     assert want_rfft < 3 * len(Ns)  # the window does share transforms
 
 
-def test_transform_cache_compares_values_not_just_support():
-    # same support, new values: the factor must be transformed again
-    rng = np.random.default_rng(5)
-    n = 12000
-    assert n * n > reps.DIRECT_OPS_CAP
-    first = np.where(rng.random(n) < 0.1, rng.random(n), 0.0)
-    v = WeightedSequence("v", rng.random(n))
-    cache = reps.TransformCache(out_cap=n)
-    for weights in (first, 2.0 * first, first):
-        u = WeightedSequence("u", weights)
-        got = convolve(u, v, out_len=n, transforms=cache)
-        want = convolve(u, v, out_len=n)
-        assert got.error_bound == want.error_bound
-        assert np.array_equal(got.weights, want.weights)
+def test_transform_cache_refuses_what_it_did_not_hand_out(b10):
+    # a key (kind, nfft, members <= N) names a zero-padded input only for a
+    # prefix view of the cache's own build, so nothing else may be keyed
+    N, top = 15000, 20000
+    assert (N + 1) ** 2 > reps.DIRECT_OPS_CAP
+    cache = reps.TransformCache(top, b10)
+    pr, rev = cache.factor(N, "prime"), cache.factor(N, "reversed_prime_coprime")
+    got = convolve(pr, rev, out_len=N + 1, transforms=cache)
+    want = convolve(
+        weighted_indicator(N, "prime"),
+        weighted_indicator(N, "reversed_prime_coprime", base=b10),
+        out_len=N + 1,
+    )
+    assert got.error_bound == want.error_bound
+    assert np.array_equal(got.weights, want.weights)
+    whole = cache.factor(top, "prime").weights
+    foreign = [
+        weighted_indicator(N, "prime"),  # the same values in an array of its own
+        WeightedSequence("prime", 2.0 * pr.weights),
+        WeightedSequence("prime", whole[1 : N + 2]),  # a view, but not a prefix
+        WeightedSequence("prime", whole[: 2 * N + 1 : 2]),
+        WeightedSequence("u", pr.weights),  # a kind the cache never built
+    ]
+    for seq in foreign:
+        for u, v in ((seq, rev), (pr, seq)):
+            with pytest.raises(ValueError, match="not a prefix"):
+                convolve(u, v, out_len=N + 1, transforms=cache)
+    with pytest.raises(ValueError, match="exceeds the batch's largest"):
+        cache.factor(top + 1, "prime")
+
+
+def _spy(monkeypatch, module, name, calls):
+    """Append the positional arguments of each call of module.name to calls."""
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_batch_builds_each_factor_kind_once(monkeypatch, b10):
+    calls = []
+    _spy(monkeypatch, reps, "weighted_indicator", calls)
+    Ns = list(range(12001, 12006)) + [12003, 12000]
+    reps.representation_counts(Ns, "r21", b10)
+    assert sorted(calls) == [(12005, "prime"), (12005, "reversed_prime_coprime")]
+
+
+def test_over_long_chain_is_refused_before_any_build(monkeypatch, fresh_session, b10):
+    monkeypatch.setattr(reps, "MAX_CONV_LEN", 1 << 16)
+    built = []
+    _spy(monkeypatch, reps, "weighted_indicator", built)
+    _spy(monkeypatch, reps, "leading_coprime_sequence", built)
+    calls = [
+        lambda: representation_count(40000, "r12", b10),
+        lambda: representation_count(40000, "r0k", b10, k=3),
+        lambda: reps.representation_counts([100, 40000], "r11", b10),
+        lambda: composition_count(40000, "s0k", b10, k=3),
+    ]
+    for call in calls:
+        with pytest.raises(ResourceLimitError, match="convolution length 80001 exceeds 65536"):
+            call()
+    assert fresh_session.table is None and built == []
+
+
+def test_batch_is_checked_before_any_build(monkeypatch, fresh_session, b10):
+    built = []
+    _spy(monkeypatch, reps, "weighted_indicator", built)
+    with pytest.raises(ValueError, match="N must be >= 2"):
+        reps.representation_counts([100000, 1], "r11", b10)
+    with pytest.raises(ValueError, match="ternary compositions need N >= 3"):
+        reps.representation_counts([100000, 2], "r12", b10)
+    with pytest.raises(ValueError, match="r0k requires"):
+        reps.representation_counts([100000], "r0k", b10, k=9)
+    assert fresh_session.table is None and built == []
 
 
 def test_batch_of_no_targets(b10):

@@ -312,6 +312,29 @@ def test_count_ap_grid_builds_once_to_the_group_end(monkeypatch, fresh_session, 
     assert top.any() and (builds[1].p[top] % 10 == 1).all()
 
 
+@pytest.mark.parametrize("b", [2, 3, 10, 30])
+def test_weighted_indicator_is_bitwise_a_prefix_of_a_longer_one(b, fresh_session):
+    # a represent batch hands target N the view weights[:N + 1] of one build
+    # at its largest target M; it must be bitwise the indicator built at N,
+    # before and after the session's table and reversed-prime build grow
+    base, M = Base(b), 30000
+    kinds = ("prime", "reversed_prime_coprime")
+    Ns = list(range(990, 1010)) + [4096, 4097, 29999, M]
+    before = {(N, kind): weighted_indicator(N, kind, base=base) for N in Ns[:22] for kind in kinds}
+    longer = {kind: weighted_indicator(M, kind, base=base).weights for kind in kinds}
+    assert fresh_session.builds[b].x >= M
+    members = set()
+    for N in Ns:
+        for kind in kinds:
+            prefix = longer[kind][: N + 1].view(np.uint64)
+            after = weighted_indicator(N, kind, base=base).weights.view(np.uint64)
+            assert np.array_equal(prefix, after), (N, kind)
+            if (N, kind) in before:
+                assert np.array_equal(prefix, before[N, kind].weights.view(np.uint64)), (N, kind)
+            members.add((kind, bool(prefix[N])))
+    assert members == {(kind, m) for kind in kinds for m in (False, True)}
+
+
 def test_coprime_filter(b10):
     arr = reversed_prime_arrays(1000, b10, require_coprime=True)
     assert np.all(np.gcd(arr.n, 990) == 1)
