@@ -64,7 +64,6 @@ from .representations import (
     exceptional_evens,
     reach_step,
     representation_count,
-    squarefree_shift_count,
 )
 from .schnirelmann import (
     GapReport,

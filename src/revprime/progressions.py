@@ -237,15 +237,12 @@ def _prime_side_window(L: int, eta: int, r: int, a: int, q: int, base: Base) -> 
     b = base.b
     primes = get_prime_table(b**L - 1).primes(b**L - 1)
     lo = int(np.searchsorted(primes, b ** (L - 1), side="left"))
+    # p = rev(r) mod b^eta ends in r's leading digit, which is nonzero
     block = primes[lo:]
-    if L > 1:
-        block = block[block % b != 0]
     block = block[block % b**eta == reverse(r, base)]
     rev = reverse_block(block, L, base)
-    if base.modulus < (1 << 63):
-        keep = np.gcd(rev, base.modulus) == 1
-    else:
-        keep = np.array([math.gcd(int(v), base.modulus) == 1 for v in rev], dtype=bool)
+    # gcd(n, b^3 - b) = 1 iff n is coprime to each of b - 1, b and b + 1
+    keep = (np.gcd(rev, b - 1) == 1) & (np.gcd(rev, b) == 1) & (np.gcd(rev, b + 1) == 1)
     keep &= rev % q == a
     return float(np.log(block[keep].astype(np.float64)).sum()), int(keep.sum())
 

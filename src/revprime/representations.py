@@ -29,9 +29,9 @@ been checked against every n, so the result is exact.
 representation_counts runs a batch of targets, each through exactly the
 chain a lone representation_count runs (indicators truncated at N, the same
 factor order, FFT length and error bound), so every float it returns is
-bitwise the lone call's.  The batch's TransformCache builds each factor kind
-once, at the largest target, and hands target N the prefix view of its
-first N + 1 entries, bitwise the indicator weighted_indicator(N, kind)
+bitwise the lone call's.  The batch's TransformCache builds each factor kind,
+rsquare's inputs and the s0k table once, at the largest target, and hands
+target N the prefix of its first N + 1 entries, bitwise what a lone call
 builds.  Transforms are keyed by (kind, nfft, members <= N): a factor's
 spectrum is reused while no new member enters, and a chain's first stage
 reuses its inverse transform while both keys are unchanged.  Between
@@ -67,7 +67,6 @@ from .sieve import (
     WeightedSequence,
     get_prime_table,
     indicator_mask,
-    leading_coprime_sequence,
     reversed_prime_arrays,
     reversed_prime_source_bound,
     weighted_indicator,
@@ -164,8 +163,10 @@ def _clipped_inverse(spectrum: np.ndarray, nfft: int, n: int) -> np.ndarray:
 
 
 class TransformCache:
-    """The factors of one batch of targets up to `top`, and the spectra that
-    their convolution chains share.
+    """Every array of one batch of targets up to `top` that costs a target
+    more than O(N), each built once at top, and the spectra that the
+    batch's convolution chains share: rsquare's inputs (squarefree_shift),
+    the s0k table (composition) and the factors.
 
     Each factor kind is built once, by one weighted_indicator call at top
     (the first build refuses a chain too long to convolve, then sieves once
@@ -187,11 +188,44 @@ class TransformCache:
         self._spectra: dict[str, tuple[tuple, np.ndarray]] = {}  # kind -> (key, spectrum)
         # (the two factors' keys, clipped inverse) of the last first stage
         self._inverse: tuple[tuple, np.ndarray] | None = None
+        # rsquare's (squarefree mask, coprime reversed primes); k -> s0k over 0..top
+        self._shifts, self._compositions = None, {}
+
+    def _check_top(self, N: int) -> None:
+        if N > self.top:
+            raise ValueError(f"target {N} exceeds the batch's largest, {self.top}")
+
+    def squarefree_shift(self, N: int) -> float:
+        """Weighted count of N = n + eta with n a reversed prime coprime to
+        b^3 - b and eta squarefree (eta = 0 excluded: mu^2(0) = 0)."""
+        self._check_top(N)
+        if self._shifts is None:
+            sqfree = squarefree_mask(self.top)  # refuses past the ceiling before a prime is read
+            self._shifts = sqfree, reversed_prime_arrays(self.top, self.base, require_coprime=True)
+        sqfree, arrays = self._shifts
+        cut = int(np.searchsorted(arrays.n, N))  # n < N: difference 0 is not squarefree
+        return float(arrays.weight[:cut][sqfree[N - arrays.n[:cut]]].sum())
+
+    def composition(self, N: int, k: int) -> int:
+        """s0k(N) from B^{*k} over 0..top: rounded while that is provably
+        exact everywhere, else redone in exact integers.  Outside the
+        transforms, where it would evict the kept first stage."""
+        self._check_top(N)
+        if k not in self._compositions:
+            _check_conv_len(2 * self.top + 1)
+            in_b = WeightedSequence("B_set", coprime_leading_indicator(self.top, self.base))
+            conv = convolve_chain([in_b] * k, out_len=self.top + 1)
+            counts = np.rint(conv.weights)  # integers, exact in float64 below 2^53
+            if conv.error_bound >= 0.25 or counts.max() >= 2.0**53:
+                counts = ones = in_b.weights.astype(np.int64)
+                for _ in range(k - 1):
+                    counts = exact_int_convolve(counts, ones)[: self.top + 1]
+            self._compositions[k] = counts
+        return int(self._compositions[k][N])
 
     def factor(self, N: int, kind: str) -> WeightedSequence:
         """weighted_indicator(N, kind), as a view of the batch's build."""
-        if N > self.top:
-            raise ValueError(f"target {N} exceeds the batch's largest, {self.top}")
+        self._check_top(N)
         if kind not in self._factors:
             # past MAX_SEQUENCE_LEN weighted_indicator refuses before a sieve
             if not self._factors and self.top < MAX_SEQUENCE_LEN:
@@ -256,20 +290,20 @@ def convolve_chain(
 
 def exact_int_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact convolution of non-negative integer sequences via big-integer
-    packing (Kronecker substitution); object-dtype result."""
-    ai = [int(x) for x in a]
-    bi = [int(x) for x in b]
+    packing (Kronecker substitution) into little-endian byte fields wide
+    enough for any output entry, each a pass over one buffer; object dtype."""
+    ai, bi = ([int(x) for x in xs] for xs in (a, b))
     if not ai or not bi:
         return np.empty(0, dtype=object)
-    maxval = max(ai) * max(bi) * min(len(ai), len(bi))
-    block = max(maxval.bit_length() + 1, 8)
-    pa = sum(x << (i * block) for i, x in enumerate(ai))
-    pb = sum(x << (i * block) for i, x in enumerate(bi))
-    prod = pa * pb
-    mask = (1 << block) - 1
-    out = np.empty(len(ai) + len(bi) - 1, dtype=object)
-    for i in range(len(out)):
-        out[i] = (prod >> (i * block)) & mask
+    # bounds every output entry, and every input entry (so a field holds it) too
+    maxval = max(max(ai), 1) * max(max(bi), 1) * min(len(ai), len(bi))
+    width = maxval.bit_length() // 8 + 1
+    fields = (b"".join(x.to_bytes(width, "little") for x in xs) for xs in (ai, bi))
+    pa, pb = (int.from_bytes(f, "little") for f in fields)
+    n = len(ai) + len(bi) - 1
+    raw = (pa * pb).to_bytes(n * width, "little")
+    out = np.empty(n, dtype=object)
+    out[:] = [int.from_bytes(raw[i : i + width], "little") for i in range(0, n * width, width)]
     return out
 
 
@@ -344,12 +378,14 @@ def _chain(family: str, k: int | None) -> tuple[str, ...]:
     return {"r11": ("prime", rev), "r12": ("prime", rev, rev), "r21": ("prime", "prime", rev)}[family]
 
 
-def _predicted(N: int, family: str, base: Base, k: int | None) -> float:
+def _predicted(N: int, family: str, base: Base, k: int | None, transforms: TransformCache) -> float:
     """S_k(N) for the chain's k summands times their composition count."""
+    if family == "rsquare":
+        return count_coprime_leading(N, base) / ZETA2 * float(singular_series_squarefree(N, base))
     if family == "r11":
         comp = count_coprime_leading(N, base)
-    else:
-        comp = composition_count(N, "s" + family[1:], base, k=k)  # s12, s21 or s0k
+    else:  # s12, s21 or s0k
+        comp = composition_count(N, "s" + family[1:], base, k=k, transforms=transforms)
     return float(singular_series_k(N, len(_chain(family, k)), base)) * comp
 
 
@@ -363,23 +399,24 @@ def representation_count(
 ) -> RepresentationProfile:
     """Weighted count of representations of N in the given family, with the
     predicted main term; see the module docstring for the family key.
-    `transforms` is the batch's cache (representation_counts), which hands
-    out the factors; a lone call builds its own at N."""
+    `transforms` is the batch's cache (representation_counts), which holds
+    the builds; a lone call builds its own at N."""
     check_family(family, k)
     check_target(N, family, k)
-    if family == "rsquare":
-        return squarefree_shift_count(N, base)
     if transforms is None:
         transforms = TransformCache(N, base)
-    seqs = [transforms.factor(N, kind) for kind in _chain(family, k)]
-    conv = convolve_chain(seqs, out_len=N + 1, transforms=transforms)
-    exact = float(conv.weights[N])
-    provenance = "fft" if conv.error_bound > 0 else "exact"
-    if provenance == "fft" and exact <= conv.error_bound:
-        # near zero through an FFT: recount exactly over the reach layers
-        exact = _exact_value(N, seqs, _tail_reach(seqs, N))
-        provenance = "exact"
-    predicted = _predicted(N, family, base, k)
+    if family == "rsquare":
+        exact, provenance = transforms.squarefree_shift(N), "exact"
+    else:
+        seqs = [transforms.factor(N, kind) for kind in _chain(family, k)]
+        conv = convolve_chain(seqs, out_len=N + 1, transforms=transforms)
+        exact = float(conv.weights[N])
+        provenance = "fft" if conv.error_bound > 0 else "exact"
+        if provenance == "fft" and exact <= conv.error_bound:
+            # near zero through an FFT: recount exactly over the reach layers
+            exact = _exact_value(N, seqs, _tail_reach(seqs, N))
+            provenance = "exact"
+    predicted = _predicted(N, family, base, k, transforms)
     ratio = exact / predicted if predicted > 0 else float("nan")
     return RepresentationProfile(N, family, exact, predicted, ratio, provenance)
 
@@ -392,7 +429,7 @@ def representation_counts(
 ) -> list[RepresentationProfile]:
     """representation_count for each N in Ns, in order.  The family and the
     least target are checked first.  Every target runs its own chain; one
-    TransformCache builds the factors once and shares the transforms whose
+    TransformCache builds every input once and shares the transforms whose
     inputs repeat, so each profile equals the one a lone call returns."""
     check_family(family, k)
     if not Ns:
@@ -406,7 +443,7 @@ def representation_counts(
 
 
 def composition_count(
-    N: int, family: str, base: Base, k: int | None = None
+    N: int, family: str, base: Base, k: int | None = None, *, transforms: TransformCache | None = None
 ) -> int:
     """Compositions of N into positive parts with leading-digit constraints:
 
@@ -421,8 +458,8 @@ def composition_count(
         s21(N) = sum_{n in B, n <= N-2} (N-1-n)
 
     exact while N^2/2 < 2^63, which the MAX_SEQUENCE_LEN ceiling on N
-    ensures.  s0k runs the convolution chain of B, rounded to the integer
-    while the error bound allows it, else redone with exact integers.
+    ensures.  s0k reads the table B^{*k} of `transforms`, the batch's cache
+    (a lone call builds its own at N).
     """
     if family not in COMP_FAMILIES:
         raise ValueError(f"unknown composition family {family!r}")
@@ -437,42 +474,14 @@ def composition_count(
         raise ResourceLimitError(
             f"composition count at N = {N} exceeds the {MAX_SEQUENCE_LEN} ceiling"
         )
-    if family != "s0k":
-        in_b = coprime_leading_indicator(N - 2, base) > 0
-        members = np.flatnonzero(in_b)  # n in B, n <= N - 2
-        if family == "s21":
-            return int((N - 1 - members).sum())
-        below = np.cumsum(in_b, dtype=np.int64)  # below[m] = #B(m)
-        return int(below[N - 1 - members].sum())
-    _check_conv_len(2 * N + 1)
-    seqs = [leading_coprime_sequence(N, base)] * k
-    conv = convolve_chain(seqs, out_len=N + 1)
-    value = float(conv.weights[N])
-    # counts are integers; the float path is trusted only while it provably
-    # rounds to the right integer, else redo with exact integer convolution
-    if value >= 2.0**53 or conv.error_bound >= 0.25:
-        acc = exact_int_convolve(seqs[0].weights.astype(np.int64), seqs[1].weights.astype(np.int64))[: N + 1]
-        for nxt in seqs[2:]:
-            acc = exact_int_convolve(acc, nxt.weights.astype(np.int64))[: N + 1]
-        return int(acc[N])
-    return int(round(value))
-
-
-def squarefree_shift_count(N: int, base: Base) -> RepresentationProfile:
-    """Weighted count of N = n + eta with n a reversed prime coprime to
-    b^3 - b and eta squarefree (eta = 0 excluded: mu^2(0) = 0)."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    sqfree = squarefree_mask(N)
-    arrays = reversed_prime_arrays(N, base, require_coprime=True)
-    inner = arrays.n < N  # difference 0 is not squarefree
-    n, w = arrays.n[inner], arrays.weight[inner]
-    exact = float(w[sqfree[N - n]].sum())
-    predicted = count_coprime_leading(N, base) / ZETA2 * float(
-        singular_series_squarefree(N, base)
-    )
-    ratio = exact / predicted if predicted > 0 else float("nan")
-    return RepresentationProfile(N, "rsquare", exact, predicted, ratio, "exact")
+    if family == "s0k":
+        return (transforms or TransformCache(N, base)).composition(N, k)
+    in_b = coprime_leading_indicator(N - 2, base) > 0
+    members = np.flatnonzero(in_b)  # n in B, n <= N - 2
+    if family == "s21":
+        return int((N - 1 - members).sum())
+    below = np.cumsum(in_b, dtype=np.int64)  # below[m] = #B(m)
+    return int(below[N - 1 - members].sum())
 
 
 def squarefree_mask(x: int) -> np.ndarray:

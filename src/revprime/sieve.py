@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arithmetic import factorize
-from .digits import Base, coprime_leading_indicator, reverse_block
+from .digits import Base, reverse_block
 from .errors import (
     CacheChecksumError,
     CacheError,
@@ -380,11 +380,6 @@ def weighted_indicator(x: int, kind: str, base: Base | None = None) -> WeightedS
 def indicator_mask(x: int, kind: str, base: Base | None = None) -> np.ndarray:
     """Boolean mask over 0..x of a kind of indicator_support."""
     return _indicator(x, kind, base, bool)
-
-
-def leading_coprime_sequence(x: int, base: Base) -> WeightedSequence:
-    """0/1 indicator of integers whose leading digit is coprime to b."""
-    return WeightedSequence("B_set", coprime_leading_indicator(x, base))
 
 
 # ---------------------------------------------------------------------------

@@ -207,10 +207,11 @@ def check_representation_oracle(n_max: int = 2000, bases: tuple[int, ...] = (2, 
         # squarefree shifts: direct per-N enumeration with trial-division mu^2
         sq = np.array([_is_squarefree_slow(t) for t in range(n_max + 1)])
         arrays = reversed_prime_arrays(n_max, base, require_coprime=True)
-        for N in list(range(2, n_max + 1, 53)) + [n_max]:
+        Ns = list(range(2, n_max + 1, 53)) + [n_max]
+        for N, profile in zip(Ns, representations.representation_counts(Ns, "rsquare", base)):
             inner = arrays.n < N
             want = float(arrays.weight[inner][sq[N - arrays.n[inner]]].sum())
-            got = representations.squarefree_shift_count(N, base).exact
+            got = profile.exact
             if abs(got - want) > rel_tol * max(1.0, want):
                 return False, f"rsquare({N}) b={b}: {got} vs oracle {want}"
     return True, f"five families, N <= {n_max}, bases {bases}; worst rel err {worst:.2e}"

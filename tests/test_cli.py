@@ -85,11 +85,11 @@ def test_represent_r0k_600():
 
 def test_represent_rsquare_prediction_matches_library():
     from revprime.digits import Base
-    from revprime.representations import squarefree_shift_count
+    from revprime.representations import representation_count
 
     res = run_cli("represent", "--family", "rsquare", "--n", "1000")
     row = res.stdout.splitlines()[1].split(",")
-    profile = squarefree_shift_count(1000, Base(10))
+    profile = representation_count(1000, "rsquare", Base(10))
     assert math.isclose(float(row[3]), profile.predicted, rel_tol=1e-15)
 
 
@@ -426,6 +426,17 @@ REPRESENT_RUNS_SHA256 = {
         "d91f24abd7231cafab8380fcde4c91846765be8c6edd6e4a6d939e360236adeb",
     ("--format", "json", "represent", "--family", "r11", "--n", "100001..100006,100003"):
         "2d7d32022f7f7c54ad1821ba2ff7436898ea98f960f855d4b8accb358e8a5233",
+    # recorded from the implementation that built rsquare's inputs and the
+    # s0k main term again for every target; the last one ran the exact
+    # integer fallback of s0k at every target
+    ("--base", "10", "represent", "--family", "rsquare", "--n", "99990..100010,100005,77"):
+        "24cd4b5b1f541c689de76e216d24a1af5d7e80c23a2f4099e27fbb5c5b4f8e57",
+    ("--base", "30", "represent", "--family", "rsquare", "--n", "2..3000"):
+        "fb080a54e567bf4d7072ace185fbef32050744bfb97a98f70e8a832925949d49",
+    ("--base", "10", "represent", "--family", "r0k", "--k", "4", "--n", "3000..3009"):
+        "d3240202c1cf970fd12547aaf8dd1629afa3e3d799e1279e3ad5859415f3cb79",
+    ("--base", "2", "represent", "--family", "r0k", "--k", "6", "--n", "11590..11593"):
+        "e017f1d03543e3b10b9051be7c5575af4d2193139c0dd52118692629f63ae17d",
 }
 
 
@@ -450,21 +461,57 @@ def test_represent_batch_sieves_and_stores_once(family, n, tmp_path, monkeypatch
     # reversed primes' sources before it builds any factor
     from revprime import cli, sieve
 
-    calls = {"sieve_primes": 0, "cache_store": 0}
-    for name in calls:
-        original = getattr(sieve, name)
-
-        def spy(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(sieve, name, spy)
+    calls = _count_calls(monkeypatch, (sieve, "sieve_primes"), (sieve, "cache_store"))
     argv = ["represent", "--family", family, "--n", n, "--cache-dir", str(tmp_path)]
     if family == "r0k":
         argv += ["--k", "2"]
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert calls == {"sieve_primes": 1, "cache_store": 1}
+
+
+def _count_calls(monkeypatch, *spied):
+    """The number of calls of each module.name, for the (module, name)
+    pairs in spied, counted from now on."""
+    calls = {name: 0 for _, name in spied}
+    for module, name in spied:
+        original = getattr(module, name)
+
+        def spy(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("base,n", [("10", "2..1000"), ("30", "2..3000"), ("2", "1000,2,999")])
+def test_rsquare_batch_builds_its_inputs_once(base, n, tmp_path, monkeypatch, fresh_session, capsys):
+    # one squarefree mask and one reversed-prime build at the largest
+    # target: one sieve and one cache write for the whole batch
+    from revprime import cli, representations, sieve
+
+    calls = _count_calls(
+        monkeypatch, (sieve, "sieve_primes"), (sieve, "cache_store"), (representations, "squarefree_mask")
+    )
+    argv = ["--base", base, "represent", "--family", "rsquare", "--n", n, "--cache-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(cli.int_list(n))
+    assert calls == {"sieve_primes": 1, "cache_store": 1, "squarefree_mask": 1}
+
+
+@pytest.mark.parametrize("k,n", [(2, "2..1000"), (4, "3000..3009"), (6, "5000,4990,5000")])
+def test_r0k_batch_builds_its_main_term_once(k, n, monkeypatch, fresh_session, capsys):
+    # the s0k table is built once, at the largest target, from one
+    # leading-digit indicator
+    from revprime import cli, representations
+
+    calls = _count_calls(
+        monkeypatch, (representations, "coprime_leading_indicator"), (representations, "composition_count")
+    )
+    assert cli.main(["represent", "--family", "r0k", "--k", str(k), "--n", n]) == 0
+    capsys.readouterr()
+    assert calls == {"coprime_leading_indicator": 1, "composition_count": len(cli.int_list(n))}
 
 
 # stdout recorded from the implementation that found exceptional evens by an
@@ -659,3 +706,60 @@ def test_inexact_integer_flag_exits_2():
     assert res.returncode == 2
     assert res.stdout == ""
     assert "argument --N: not an integer: '1.5e0'" in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# the represent contract, case by case
+# ---------------------------------------------------------------------------
+
+CONTRACT_FAMILIES = [("r11", None), ("r12", None), ("r21", None), ("rsquare", None)] + [
+    ("r0k", k) for k in (1, 2, 6, 7)
+]
+
+
+def _contract_targets(family, k):
+    """The --n values of one family's contract cases: the edges of the
+    target checks, the length ceilings, an inexact integer, a reversed
+    range and a duplicated target."""
+    targets = ["-1", "0", "1", "2", "3", str(2**31), "3e9", "1.5e0", "40..30", "40,40"]
+    if k is not None:
+        targets += [str(k - 1), str(k)]
+    if family != "rsquare":  # past MAX_CONV_LEN, below the length ceiling
+        targets.append(str(2**29 + 1))
+    return targets
+
+
+@pytest.mark.parametrize("family,k", CONTRACT_FAMILIES)
+def test_represent_contract(family, k, tmp_path, monkeypatch, capsys):
+    # every case ends in an exit code of the contract, with no traceback; a
+    # refused one leaves the cache directory empty, and an accepted one is
+    # quick.  A sieve past 10^6 would mean a case reads primes it must not.
+    import time
+
+    from revprime import cli, sieve
+
+    real = sieve.sieve_primes
+
+    def small_sieve(limit, *, extend=None):
+        if limit > 10**6:
+            raise AssertionError(f"sieved to {limit}")
+        return real(limit, extend=extend)
+
+    monkeypatch.setattr(sieve, "sieve_primes", small_sieve)
+    for i, target in enumerate(_contract_targets(family, k)):
+        cache = tmp_path / f"cache{i}"
+        argv = ["represent", "--family", family, f"--n={target}", "--cache-dir", str(cache)]
+        if k is not None:
+            argv += ["--k", str(k)]
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        case = (family, k, target, code, err)
+        assert code in (0, 1, 2, 3), case
+        assert "Traceback" not in err, case
+        if code in (2, 3):
+            assert out == "" and (not cache.exists() or list(cache.iterdir()) == []), case
+        if code == 0:
+            assert elapsed < 10, case
+            assert len(out.splitlines()) == 1 + len(cli.int_list(target)), case

@@ -109,6 +109,30 @@ def test_window_brute_force(b10):
     assert abs(res.observed - float(arr.weight[inside].sum())) < 1e-12
 
 
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_window_past_int64_modulus():
+    # b^3 - b >= 2^63: the prime-side cross-check tests gcd(n, b^3 - b) = 1
+    # against b - 1, b and b + 1 in int64.  With L = 1 the window at r is
+    # the single n = r, a reversed prime iff r is a prime.  b = 3^2 43 5419
+    # and b + 1 = 2 17 61681, so several of these r share a factor with it.
+    base = Base(2**21 + 1)
+    assert base.modulus >= 1 << 63
+    rs = (2, 3, 5, 7, 17, 43, 97, 5419, 61681, 1000003, 2**21 - 1, 2**21 - 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModulusRangeWarning)
+        for r in rs:
+            member = _is_prime(r) and math.gcd(r, base.modulus) == 1
+            for a, q in ((0, 1), (1, 2), (r % 7, 7), (3, 7), (r % 30, 30)):
+                res = weighted_count_window(1, 1, r, a, q, base)
+                hit = member and r % q == a % q
+                assert res.raw_count == int(hit), (r, a, q)
+                assert res.observed == (math.log(r) if hit else 0.0), (r, a, q)
+    assert any(_is_prime(r) and math.gcd(r, base.modulus) > 1 for r in rs)
+
+
 def test_window_domain_errors(b10):
     with pytest.raises(ValueError):
         weighted_count_window(3, 1, 10, 0, 1, b10)  # r has two digits

@@ -16,7 +16,6 @@ from revprime.representations import (
     exceptional_evens,
     representation_count,
     squarefree_mask,
-    squarefree_shift_count,
 )
 from revprime.sieve import (
     WeightedSequence,
@@ -63,6 +62,52 @@ def test_exact_int_convolve():
     big = np.array([2**40, 2**41])
     gotbig = exact_int_convolve(big, big)
     assert gotbig[1] == 2 * 2**81
+
+
+def _double_loop_convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += int(x) * int(y)
+    return out
+
+
+@pytest.mark.parametrize("a,b", [
+    ([0, 0, 0], [0, 0]),  # all zeros: one-byte fields
+    ([0, 3, 0, 0, 5, 0], [0, 0, 7, 0]),  # zeros inside and at both ends
+    ([9], [4]),
+    ([0], [1, 2, 3]),
+    ([6], [1, 0, 2**70]),
+    ([2**64, 0, 2**64 + 1], [2**65 - 1, 3]),  # entries past 2^64
+    ([255, 256, 65535], [255, 1, 65536]),  # byte boundaries
+])
+def test_exact_int_convolve_vs_double_loop(a, b):
+    # object arrays, as a chain's later stages pass them
+    got = exact_int_convolve(np.array(a, dtype=object), np.array(b, dtype=object))
+    assert got.dtype == object
+    assert [int(x) for x in got] == _double_loop_convolve(a, b)
+    assert [int(x) for x in exact_int_convolve(np.array(b, dtype=object), np.array(a, dtype=object))] == (
+        _double_loop_convolve(b, a)
+    )
+
+
+def test_exact_int_convolve_on_random_int64_arrays():
+    rng = np.random.default_rng(5)
+    for la, lb in ((1, 1), (1, 40), (37, 1), (60, 45)):
+        a = rng.integers(0, 2**62, la) * (rng.random(la) < 0.7)
+        b = rng.integers(0, 2**62, lb) * (rng.random(lb) < 0.7)
+        assert [int(x) for x in exact_int_convolve(a, b)] == _double_loop_convolve(a, b)
+
+
+@pytest.mark.parametrize("b,k,N", [(2, 6, 5000), (3, 6, 5000), (2, 4, 30000), (3, 5, 11590)])
+def test_s0k_exact_fallback_in_prime_bases(monkeypatch, b, k, N):
+    # every leading digit is coprime to a prime base, so s0k(N) is the number
+    # of compositions of N into k parts; at these N the rounded chain cannot
+    # be trusted (a value past 2^53, or an FFT bound past 1/4)
+    calls = []
+    _spy(monkeypatch, reps, "exact_int_convolve", calls)
+    assert composition_count(N, "s0k", Base(b), k=k) == math.comb(N - 1, k - 1)
+    assert len(calls) == k - 1
 
 
 def brute_family(N, seqs):
@@ -175,14 +220,14 @@ def test_squarefree_mask():
 
 
 def test_squarefree_shift_exact(b10):
-    profile = squarefree_shift_count(100, b10)
+    profile = representation_count(100, "rsquare", b10)
     assert abs(profile.exact - 23.984898763069932) < 1e-12
     assert profile.provenance == "exact"
 
 
 def test_squarefree_shift_excludes_difference_zero(b10):
     # 17 is itself a reversed prime (rev 71); the n = N term must not count
-    profile = squarefree_shift_count(17, b10)
+    profile = representation_count(17, "rsquare", b10)
     arr = reversed_prime_arrays(17, b10, require_coprime=True)
     sq = squarefree_mask(17)
     expected = float(arr.weight[(arr.n < 17) & sq[17 - arr.n]].sum())
@@ -193,7 +238,7 @@ def test_squarefree_ratio_tolerance(b10, fixtures):
     tol = fixtures["rsquare_ratio_tol.b10"]
     devs = []
     for N in (10**4, 10**5, 10**6):
-        profile = squarefree_shift_count(N, b10)
+        profile = representation_count(N, "rsquare", b10)
         devs.append(abs(profile.ratio - 1.0))
         assert devs[-1] <= tol, (N, profile.ratio)
     assert devs[-1] < devs[0]  # the trend tightens over the decade span
@@ -617,7 +662,7 @@ def test_over_long_chain_is_refused_before_any_build(monkeypatch, fresh_session,
     monkeypatch.setattr(reps, "MAX_CONV_LEN", 1 << 16)
     built = []
     _spy(monkeypatch, reps, "weighted_indicator", built)
-    _spy(monkeypatch, reps, "leading_coprime_sequence", built)
+    _spy(monkeypatch, reps, "coprime_leading_indicator", built)
     calls = [
         lambda: representation_count(40000, "r12", b10),
         lambda: representation_count(40000, "r0k", b10, k=3),
@@ -756,7 +801,6 @@ def test_composition_count_length_ceiling(b10, monkeypatch, family, k):
 
     with monkeypatch.context() as m:
         m.setattr(reps, "coprime_leading_indicator", no_allocation)
-        m.setattr(reps, "leading_coprime_sequence", no_allocation)
         with pytest.raises(ResourceLimitError):
             composition_count(sieve.MAX_SEQUENCE_LEN, family, b10, k=k)
     monkeypatch.setattr(reps, "MAX_SEQUENCE_LEN", 1000)
