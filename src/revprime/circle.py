@@ -23,6 +23,7 @@ reported, and nothing on the minor arcs is asserted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,8 +138,17 @@ def build_arcs(N: int, B: float) -> ArcPartition:
     (N too small for the chosen B)."""
     if N < 16:
         raise ValueError("N must be >= 16")
+    if N > sys.float_info.max:  # the arcs' halfwidth Q / N needs N as a float
+        raise ValueError(f"N must be at most {sys.float_info.max:.17g}")
+    if not math.isfinite(B):
+        raise ValueError(f"B must be finite, not {B}")
     if B < 1:
         raise ValueError("B must be >= 1")
+    # log log N > 0 for N >= 16; past the grid bound (log N)^B may overflow
+    if B * math.log(math.log(N)) > math.log(MAX_ARC_GRID):
+        raise ResourceLimitError(
+            f"Q = (log N)^B exceeds {MAX_ARC_GRID}; floor(Q)^2 exceeds the {MAX_ARC_GRID} ceiling"
+        )
     Q = math.log(N) ** B
     halfwidth = Q / N
     m = int(Q)
@@ -227,12 +237,12 @@ def weyl_ratio(
     dist = distance_to_integer(beta)
     if dist == 0.0:
         raise ValueError("beta must not be an integer")
+    if kind not in ("all", "B_set"):
+        raise ValueError("kind must be 'all' or 'B_set'")
+    if kind == "B_set" and N < 2:
+        raise ValueError("B_set ratios need N >= 2 (they divide by log N)")
     s = abs(exp_sum(beta, N, kind, base))
-    if kind == "all":
-        return s * dist
-    if kind == "B_set":
-        return s * dist / math.log(N)
-    raise ValueError("kind must be 'all' or 'B_set'")
+    return s * dist if kind == "all" else s * dist / math.log(N)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +367,16 @@ def gamma_sigma(seed: WeaklyDigitalSeed, lam: int) -> tuple[list[float], float]:
     const = (2.0 * math.log(2.0)) / (2.0 * (b - 1) * b**4 * math.log(b) ** 2)
     gammas = []
     for i in range(lam):
-        diff = b * seed.row(i) - seed.row(i + 1)
-        total = 0.0
-        for m in range(b):
-            for n in range(m + 1, b):
-                t = diff[m] - diff[n]
-                t = abs(t - round(t))
-                total += t * t
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite t is refused
+            diff = b * seed.row(i) - seed.row(i + 1)
+            total = 0.0
+            for m in range(b):
+                for n in range(m + 1, b):
+                    t = diff[m] - diff[n]
+                    if not math.isfinite(t):
+                        raise ValueError(f"D_{i}({m}) - D_{i}({n}) is past the float range")
+                    t = abs(t - round(t))
+                    total += t * t
         gammas.append(const * total)
     return gammas, math.fsum(gammas)
 
@@ -382,9 +395,20 @@ def congruence_reversal_seed(
     if q < 1 or d < 1 or L < 1:
         raise ValueError("q, d, L must be >= 1")
     b = base.b
+    # a float has no b^(L-1) >= 2^1024: refused before that power is computed
+    past = f"the digit maps of L = {L} in base {b} at these h/q and k/d are past the float range"
+    if (L - 1) * (b.bit_length() - 1) >= 1024:
+        raise ValueError(past)
     m = np.arange(b, dtype=np.float64)
-    rows = [
-        (h / q) * m * float(b ** (L - i - 1)) + (k / d) * m * float(b**i)
-        for i in range(L)
-    ]
-    return WeaklyDigitalSeed(base, np.vstack(rows))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            rows = [
+                (h / q) * m * float(b ** (L - i - 1)) + (k / d) * m * float(b**i)
+                for i in range(L)
+            ]
+    except OverflowError:  # h/q, k/d or a power of b has no float
+        raise ValueError(past) from None
+    maps = np.vstack(rows)
+    if not np.isfinite(maps).all():
+        raise ValueError(past)
+    return WeaklyDigitalSeed(base, maps)

@@ -267,8 +267,13 @@ def cmd_represent(args, cfg: RunConfig) -> int:
         entries = [({"base": cfg.base, "x": x, "family": "r11"}, float(count), 0.0, "exact")]
         emit_rows(cfg, REPORT_FIELDS, report_rows("exceptions", entries))
         return 0
+    # checked on the ranges' ends: a range past a ceiling is never listed
+    ranges = _int_ranges(args.n)
+    least, largest = min(part[0] for part in ranges), max(part[-1] for part in ranges)
+    representations.check_batch(least, largest, args.family, args.k)
     entries = []
-    for profile in representations.representation_counts(int_list(args.n), args.family, base, k=args.k):
+    targets = [N for part in ranges for N in part]
+    for profile in representations.representation_counts(targets, args.family, base, k=args.k):
         params = {"base": cfg.base, "n": profile.N, "family": args.family}
         if args.family == "r0k":
             params["k"] = args.k

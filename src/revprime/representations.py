@@ -12,19 +12,23 @@ the last bits of every printed count depend on it.  Existence questions are
 answered by reach layers, boolean sumset masks over 0..N (reach_step): the
 0/1 counts are integers and the FFT error bound must stay below 1/2 (under
 MAX_CONV_LEN it is below 1.5e-5), so thresholding at 1/2 is exact.  The mask
-is then the same at any nfft that holds the full convolution, so a reach
-step takes the least 5-smooth one (_next_fast_len), and its bound takes
-||m||_2 = sqrt(#ones) for a 0/1 mask m.  A direct-path zero is already
-exact, as every term is non-negative; an FFT value within its bound of zero
-is recounted by nested summation pruned by the reach layers.  reach_step and
-an uncached convolve share one FFT product kernel (_fft_product).
+is then the same at any nfft that holds the full convolution, so every
+reach step, small or large, is one FFT product at the least 5-smooth length
+(_next_fast_len), and its bound takes ||m||_2 = sqrt(#ones) for a 0/1 mask
+m; DIRECT_OPS_CAP steers the weighted chains alone.  A direct-path zero is
+already exact, as every term is non-negative; an FFT value within its bound
+of zero is recounted by nested summation pruned by the reach layers.
+reach_step and an uncached convolve share one FFT product kernel
+(_fft_product).
 
 exceptional_evens asks existence for every even N <= x at once, and almost
-every N has a small witness, so it makes no convolution: it sweeps the
-reversed primes n in ascending order and drops each N for which N - n is a
-prime, first by shifted slices over all targets, then by a gather over the
-few survivors.  A target leaves only with a witness, and the survivors have
-been checked against every n, so the result is exact.
+every N has a small witness, so it makes no convolution and builds no dense
+mask: it reads the coprime reversed primes from their build and the odd
+primality from the prime table, sweeps the reversed primes n in ascending
+order and drops each N for which N - n is a prime, first by shifted slices
+over all targets, then by a gather over the few survivors.  A target leaves
+only with a witness, and the survivors have been checked against every n,
+so the result is exact.
 
 representation_counts runs a batch of targets, each through exactly the
 chain a lone representation_count runs (indicators truncated at N, the same
@@ -59,6 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sieve
 from .arithmetic import ZETA2, singular_series_k, singular_series_squarefree
 from .digits import Base, coprime_leading_indicator, count_coprime_leading
 from .errors import ResourceLimitError
@@ -66,13 +71,12 @@ from .sieve import (
     MAX_SEQUENCE_LEN,
     WeightedSequence,
     get_prime_table,
-    indicator_mask,
     reversed_prime_arrays,
     reversed_prime_source_bound,
     weighted_indicator,
 )
 
-# len(u) * len(v) above which convolution switches from direct to FFT
+# len(u) * len(v) above which convolve() switches from direct to FFT
 DIRECT_OPS_CAP = 1 << 27
 MAX_CONV_LEN = 1 << 30
 MAX_PURE_K = 6
@@ -309,16 +313,14 @@ def exact_int_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def reach_step(reach: np.ndarray, addend: np.ndarray, out_len: int | None = None) -> np.ndarray:
     """The sumset R + A as a boolean mask: index n is set iff n = r + a with
-    reach[r] and addend[a].  The 0/1 convolution counts are integers, so the
-    threshold at 1/2 is exact while the error bound stays below 1/2; the
-    mask is the same at any FFT length that holds the full convolution, so
-    the FFT path takes the next 5-smooth one."""
+    reach[r] and addend[a], by one FFT product at every size.  The 0/1
+    convolution counts are integers, so the threshold at 1/2 is exact while
+    the error bound stays below 1/2; the mask is the same at any FFT length
+    that holds the full convolution, so it takes the next 5-smooth one."""
     reach, addend = (np.asarray(m, dtype=bool) for m in (reach, addend))
     full = len(reach) + len(addend) - 1
     _check_conv_len(full)
     n = full if out_len is None else min(full, out_len)
-    if len(reach) * len(addend) <= DIRECT_OPS_CAP:
-        return np.convolve(reach.astype(np.float64), addend.astype(np.float64))[:n] > 0.5
     nfft = _next_fast_len(full)
     # ||m||_2 of a 0/1 mask is the square root of its count of ones
     bound = 4.0 * math.log2(nfft) * _EPS * math.sqrt(np.count_nonzero(reach) * np.count_nonzero(addend))
@@ -368,6 +370,25 @@ def check_target(N: int, family: str, k: int | None) -> None:
         raise ValueError("ternary compositions need N >= 3")
     if family == "r0k" and N < k:
         raise ValueError("need N >= k")
+
+
+def check_batch(least: int, largest: int, family: str, k: int | None) -> None:
+    """The checks of representation_counts that need only a batch's least
+    and largest targets, made before its targets are listed or a prime is
+    read: the family, the least target, and the ceilings that the batch's
+    first build (at the largest target) meets."""
+    check_family(family, k)
+    check_target(least, family, k)
+    if family == "rsquare":
+        _check_sequence_len(largest, "squarefree mask")
+    else:  # the first factor's indicator, then its chain's length
+        _check_sequence_len(largest, "indicator")
+        _check_conv_len(2 * largest + 1)
+
+
+def _check_sequence_len(x: int, what: str) -> None:
+    if x >= MAX_SEQUENCE_LEN:
+        raise ResourceLimitError(f"{what} of length {x + 1} exceeds the {MAX_SEQUENCE_LEN} ceiling")
 
 
 def _chain(family: str, k: int | None) -> tuple[str, ...]:
@@ -427,14 +448,15 @@ def representation_counts(
     base: Base,
     k: int | None = None,
 ) -> list[RepresentationProfile]:
-    """representation_count for each N in Ns, in order.  The family and the
-    least target are checked first.  Every target runs its own chain; one
-    TransformCache builds every input once and shares the transforms whose
-    inputs repeat, so each profile equals the one a lone call returns."""
+    """representation_count for each N in Ns, in order.  The family, the
+    least target and the first build's ceilings are checked first
+    (check_batch).  Every target runs its own chain; one TransformCache
+    builds every input once and shares the transforms whose inputs repeat,
+    so each profile equals the one a lone call returns."""
     check_family(family, k)
     if not Ns:
         return []
-    check_target(min(Ns), family, k)
+    check_batch(min(Ns), max(Ns), family, k)
     transforms = TransformCache(max(Ns), base)
     return [
         representation_count(N, family, base, k=k, transforms=transforms)
@@ -486,10 +508,7 @@ def composition_count(
 
 def squarefree_mask(x: int) -> np.ndarray:
     """Boolean array m[0..x]: m[n] iff n is squarefree (m[0] = False)."""
-    if x >= MAX_SEQUENCE_LEN:
-        raise ResourceLimitError(
-            f"squarefree mask of length {x + 1} exceeds the {MAX_SEQUENCE_LEN} ceiling"
-        )
+    _check_sequence_len(x, "squarefree mask")
     m = np.ones(x + 1, dtype=bool)
     m[0] = False
     for q in range(2, math.isqrt(x) + 1):
@@ -504,19 +523,22 @@ def exceptional_evens(x: int, base: Base) -> np.ndarray:
 
     Every such n is odd (coprime to b^3 - b, which is even), so an even N
     needs an odd p.  The sweep works on odd halves: index m stands for the
-    target N = 2m + 2, and index i of podd = pmask[1::2] for 2i + 1, so
-    n = 2s + 1 witnesses target m iff podd[m - s].  While many targets are
-    alive, each n costs one shifted slice over all of them (dense phase).
-    Once fewer than 1/64 survive (checked every 16 steps), the survivors are
-    tested against blocks of the next reversed primes by a gather (gather
-    phase); a negative m - s is clipped to 0, and podd[0] (the integer 1)
-    is False.  A target is dropped only with a witness in hand, and a
-    survivor has been checked against every n, so the survivors are exactly
-    the exceptions."""
+    target N = 2m + 2, and index i of podd, the prime table's odd mask, for
+    2i + 1, so n = 2s + 1 witnesses target m iff podd[m - s].  While many
+    targets are alive, each n costs one shifted slice over all of them
+    (dense phase).  Once fewer than 1/64 survive (checked every 16 steps),
+    the survivors are tested against blocks of the next reversed primes by
+    a gather (gather phase); a negative m - s is clipped to 0, and podd[0]
+    (the integer 1) is False.  A target is dropped only with a witness in
+    hand, and a survivor has been checked against every n, so the survivors
+    are exactly the exceptions."""
     if x < 4:
         raise ValueError("x must be >= 4")
-    podd = indicator_mask(x, "prime")[1::2]
-    steps = np.flatnonzero(indicator_mask(x, "reversed_prime_coprime", base=base)) // 2
+    if x >= sieve.MAX_SEQUENCE_LEN:  # read at call time, as the indicators read it
+        raise ResourceLimitError(f"exceptions up to {x} exceed the {sieve.MAX_SEQUENCE_LEN} ceiling")
+    # the build's sources reach b^L - 1 >= x, so the table then covers x
+    steps = reversed_prime_arrays(x, base, require_coprime=True).n // 2
+    podd = get_prime_table(x).odd_mask[: (x + 1) // 2]  # the session's: read only
     h = x // 2
     alive = np.ones(h, dtype=bool)
     not_prime = ~podd[:h]

@@ -113,6 +113,17 @@ def test_build_arcs_ceiling():
         build_arcs(10**12, 2.4)
 
 
+def test_build_arcs_refuses_B_and_N_past_the_float_range():
+    for B in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            build_arcs(10**4, B)
+    # (log N)^B overflows: refused by the grid ceiling before the power
+    with pytest.raises(ResourceLimitError, match="ceiling"):
+        build_arcs(10**4, 1e308)
+    with pytest.raises(ValueError, match="at most"):
+        build_arcs(10**400, 1.0)
+
+
 def test_residual_at_zero_is_pnt_residual(b10):
     N = 10**4
     table = get_prime_table(N)
@@ -233,6 +244,19 @@ def test_gamma_sigma_reversal_seed(b10):
     assert sigma > 0
     assert all(g < 1e-12 for g in gammas[:-1])
     assert gammas[-1] > 1e-7
+
+
+def test_reversal_seed_refuses_maps_past_the_float_range(b10):
+    assert np.isfinite(congruence_reversal_seed(b10, 1, 3, 307).maps).all()
+    # L = 2e6 is refused before b^(L-1) is computed
+    for h, L, k in ((1, 309, 0), (1, 310, 0), (1, 2 * 10**6, 0), (10**400, 10, 0), (1, 10, 10**400)):
+        with pytest.raises(ValueError, match="float range"):
+            congruence_reversal_seed(b10, h, 3, L, k=k)
+    # finite maps whose D_i = b alpha_i - alpha_(i+1) is not
+    seed = congruence_reversal_seed(b10, 1, 3, 308)
+    assert gamma_sigma(seed, 0) == ([], 0.0)
+    with pytest.raises(ValueError, match="float range"):
+        gamma_sigma(seed, 10)
 
 
 def test_gamma_sigma_length_guard(b10):

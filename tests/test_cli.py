@@ -470,6 +470,19 @@ def test_represent_batch_sieves_and_stores_once(family, n, tmp_path, monkeypatch
     assert calls == {"sieve_primes": 1, "cache_store": 1}
 
 
+@pytest.mark.parametrize("n", ["2e5", "7000000"])
+def test_exceptions_sieve_and_store_once(n, tmp_path, monkeypatch, fresh_session, capsys):
+    # the sweep requests the reversed-prime build first: its sources reach
+    # b^L - 1 >= x, so the table it sieves already covers x
+    from revprime import cli, sieve
+
+    calls = _count_calls(monkeypatch, (sieve, "sieve_primes"), (sieve, "cache_store"))
+    argv = ["represent", "--family", "r11", "--n", n, "--exceptions", "--cache-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert calls == {"sieve_primes": 1, "cache_store": 1}
+
+
 def _count_calls(monkeypatch, *spied):
     """The number of calls of each module.name, for the (module, name)
     pairs in spied, counted from now on."""
@@ -610,6 +623,8 @@ def test_cache_dir_past_the_length_ceiling_fails_fast(args, tmp_path, monkeypatc
     ("circle", "--op", "expsum", "--kind", "prime", "--N", "0"),
     ("circle", "--op", "curve", "--N", "0", "--samples", "4"),
     ("enumerate", "--limit", "0"),
+    ("circle", "--op", "weyl", "--kind", "prime", "--N", "1000"),
+    ("circle", "--op", "weyl", "--kind", "B_set", "--N", "1"),
 ])
 def test_usage_error_comes_before_the_cache_step(args, tmp_path, monkeypatch, fresh_session, capsys):
     # each command checks its arguments first: a usage error sieves nothing
@@ -712,6 +727,19 @@ def test_inexact_integer_flag_exits_2():
 # the represent contract, case by case
 # ---------------------------------------------------------------------------
 
+def _refuse_to_sieve_past_1e6(monkeypatch):
+    from revprime import sieve
+
+    real = sieve.sieve_primes
+
+    def small_sieve(limit, *, extend=None):
+        if limit > 10**6:
+            raise AssertionError(f"sieved to {limit}")
+        return real(limit, extend=extend)
+
+    monkeypatch.setattr(sieve, "sieve_primes", small_sieve)
+
+
 CONTRACT_FAMILIES = [("r11", None), ("r12", None), ("r21", None), ("rsquare", None)] + [
     ("r0k", k) for k in (1, 2, 6, 7)
 ]
@@ -736,16 +764,9 @@ def test_represent_contract(family, k, tmp_path, monkeypatch, capsys):
     # quick.  A sieve past 10^6 would mean a case reads primes it must not.
     import time
 
-    from revprime import cli, sieve
+    from revprime import cli
 
-    real = sieve.sieve_primes
-
-    def small_sieve(limit, *, extend=None):
-        if limit > 10**6:
-            raise AssertionError(f"sieved to {limit}")
-        return real(limit, extend=extend)
-
-    monkeypatch.setattr(sieve, "sieve_primes", small_sieve)
+    _refuse_to_sieve_past_1e6(monkeypatch)
     for i, target in enumerate(_contract_targets(family, k)):
         cache = tmp_path / f"cache{i}"
         argv = ["represent", "--family", family, f"--n={target}", "--cache-dir", str(cache)]
@@ -763,3 +784,93 @@ def test_represent_contract(family, k, tmp_path, monkeypatch, capsys):
         if code == 0:
             assert elapsed < 10, case
             assert len(out.splitlines()) == 1 + len(cli.int_list(target)), case
+
+
+def test_represent_range_is_checked_before_it_is_listed(tmp_path):
+    # the ceiling of the batch's first build is checked on the ranges' ends,
+    # so the 2e6 targets below the refused one are never listed
+    import tracemalloc
+
+    from revprime import cli
+
+    tracemalloc.start()
+    try:
+        code = cli.main(["represent", "--family", "r11", "--n", "2..2e6,3e9", "--cache-dir", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 10 * 2**20
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# the circle contract, case by case
+# ---------------------------------------------------------------------------
+
+CIRCLE_INTS = ["-1", "0", "1", "2", "3", str(2**31), "3e9", "1e400", "1.5e0"]
+CIRCLE_FLOATS = ["0", "1", "nan", "inf", "1e308"]
+CIRCLE_SMALL = ["-1", "0", "1", "2", "3"]
+
+# op -> (the --kind / --which modes, {flag: values}); each case varies one
+# flag of one mode and leaves the others at their defaults
+CIRCLE_OPS = {
+    "arcs": ([()], {"--N": CIRCLE_INTS, "--B": CIRCLE_FLOATS}),
+    "expsum": (
+        [("--kind", kind) for kind in ("prime", "reversed_prime_coprime", "all", "B_set", "none")],
+        {"--N": CIRCLE_INTS, "--alpha": CIRCLE_FLOATS},
+    ),
+    "residual": (
+        [("--which", "S"), ("--which", "revS")],
+        {"--N": CIRCLE_INTS, "--alpha": CIRCLE_FLOATS, "--B": CIRCLE_FLOATS},
+    ),
+    "weyl": (
+        [("--kind", kind) for kind in ("all", "B_set", "prime")],
+        {"--N": CIRCLE_INTS, "--beta": CIRCLE_FLOATS},
+    ),
+    "parseval": ([()], {"--N": CIRCLE_INTS}),
+    "probe": ([()], {"--N": CIRCLE_INTS, "--B": CIRCLE_FLOATS, "--samples": CIRCLE_SMALL}),
+    "curve": ([()], {"--N": CIRCLE_INTS, "--samples": CIRCLE_SMALL}),
+    "gamma": (
+        [()],
+        {
+            **{flag: CIRCLE_INTS for flag in ("--h", "--q", "--k", "--d", "--lam")},
+            "--digits": CIRCLE_SMALL + ["308", "309", "310", "2e6"],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(CIRCLE_OPS))
+def test_circle_contract(op, tmp_path, monkeypatch, capsys):
+    # every case ends in an exit code of the contract, with no traceback; a
+    # usage error or a refused ceiling prints nothing and leaves the cache
+    # directory empty, and an accepted case is quick.  A sieve past 10^6
+    # would mean a case reads primes it must not.
+    import time
+
+    from revprime import cli
+
+    _refuse_to_sieve_past_1e6(monkeypatch)
+    modes, flags = CIRCLE_OPS[op]
+    i = 0
+    for mode in modes:
+        for flag, values in flags.items():
+            for value in values:
+                cache = tmp_path / f"cache{i}"
+                i += 1
+                argv = ["circle", "--op", op, *mode, f"{flag}={value}", "--cache-dir", str(cache)]
+                start = time.perf_counter()
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse refuses an inexact integer
+                    code = exc.code
+                elapsed = time.perf_counter() - start
+                out, err = capsys.readouterr()
+                case = (argv[2:-2], code, err)
+                assert code in (0, 1, 2, 3), case
+                assert "Traceback" not in err, case
+                if code == 2 or (code == 3 and "ceiling" in err):
+                    assert out == "" and (not cache.exists() or list(cache.iterdir()) == []), case
+                if code == 0:
+                    assert elapsed < 10, case

@@ -1,5 +1,6 @@
 import bisect
 import math
+import types
 
 import numpy as np
 import pytest
@@ -367,8 +368,13 @@ def test_exceptional_evens_on_sparse_synthetic_masks(monkeypatch):
     pmask[1] = False  # the integer 1, where the gather clips m - s < 0
     rmask = np.zeros(x + 1, dtype=bool)
     rmask[2 * rng.choice(10**4, 400, replace=False) + 1] = True
-    masks = {"prime": pmask, "reversed_prime_coprime": rmask}
-    monkeypatch.setattr(reps, "indicator_mask", lambda x, kind, base=None, table=None: masks[kind])
+    # the sweep reads the table's odd mask and the coprime build's n column
+    monkeypatch.setattr(reps, "get_prime_table", lambda limit: sieve.PrimeTable(x, pmask[1::2].copy()))
+    monkeypatch.setattr(
+        reps,
+        "reversed_prime_arrays",
+        lambda x, base, require_coprime=False: types.SimpleNamespace(n=np.flatnonzero(rmask)),
+    )
     reach = reps.reach_step(pmask[1::2], rmask[1::2], out_len=x // 2)
     want = 2 * np.flatnonzero(~reach) + 2
     assert len(want) > 100
@@ -496,6 +502,24 @@ def test_reach_step_error_bound_at_one_half(monkeypatch):
     monkeypatch.setattr(reps, "_fft_product", None)  # raises before any transform
     with pytest.raises(ResourceLimitError, match="rounding margin"):
         reps.reach_step(r, a)
+
+
+@pytest.mark.parametrize("lengths", [(3, 2), (4001, 4001)])
+def test_reach_step_is_one_fft_product(lengths, monkeypatch):
+    # small or large, a sumset is one FFT product at the next 5-smooth
+    # length, with the weighted chains' DIRECT_OPS_CAP left as it is
+    rng = np.random.default_rng(12)
+    r, a = (rng.random(n) < 0.3 for n in lengths)
+    r[0] = a[-1] = True
+    full = sum(lengths) - 1
+    lengths_seen = []
+    product = reps._fft_product
+    monkeypatch.setattr(
+        reps, "_fft_product", lambda u, v, nfft, n: lengths_seen.append(nfft) or product(u, v, nfft, n)
+    )
+    want = np.convolve(r.astype(np.int64), a.astype(np.int64)) > 0
+    assert reps.reach_step(r, a).tolist() == want.tolist()
+    assert lengths_seen == [reps._next_fast_len(full)]
 
 
 def test_reach_step_length_ceiling(monkeypatch):
