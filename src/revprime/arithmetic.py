@@ -144,17 +144,28 @@ def singular_series_ternary_divisor_sum(N: int, base: Base) -> Fraction:
         sum_{q | b^3-b} mu(q)/phi(q)^3 * c_q(N),
 
     which must equal singular_series_ternary(N) exactly (the sum collapses
-    to the Euler product over the squarefree divisors).
+    to the Euler product over the squarefree divisors).  With D the product
+    of (p - 1)^3 over the primes p | b^3 - b, each term is the integer
+    mu(q) D/phi(q)^3 times the integer c_q(N), over D.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    primes = distinct_primes(base.modulus)
-    total = Fraction(0)
+    D, terms = _ternary_divisor_terms(base.b)
+    return Fraction(sum(unit * ramanujan_sum(q, N) for q, unit in terms), D)
+
+
+@lru_cache(maxsize=1024)
+def _ternary_divisor_terms(b: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(D, ((q, mu(q) D/phi(q)^3) for each squarefree q | b^3 - b)), with D
+    the product of (p - 1)^3 over the primes p | b^3 - b."""
+    primes = distinct_primes(b**3 - b)
+    D = math.prod((p - 1) ** 3 for p in primes)
+    terms = []
     for r in range(len(primes) + 1):
         for subset in combinations(primes, r):
             q = math.prod(subset)
-            total += Fraction(mobius(q), totient(q) ** 3) * ramanujan_sum(q, N)
-    return total
+            terms.append((q, mobius(q) * (D // totient(q) ** 3)))
+    return D, tuple(terms)
 
 
 def singular_series_squarefree(N: int, base: Base) -> Fraction:

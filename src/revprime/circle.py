@@ -30,7 +30,7 @@ import numpy as np
 
 from .arithmetic import mobius, totient
 from .digits import Base, coprime_leading_indicator
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, brief
 from .sieve import indicator_support, weighted_indicator
 
 EXP_SUM_KINDS = ("prime", "reversed_prime_coprime", "all", "B_set")
@@ -68,7 +68,7 @@ def exp_sum_evaluator(x: int, kind: str, base: Base | None = None) -> ExpSumEval
     if x < 1:
         raise ValueError("x must be >= 1")
     if x >= MAX_SUM_LEN:
-        raise ResourceLimitError(f"sum over {x} terms exceeds the {MAX_SUM_LEN} ceiling")
+        raise ResourceLimitError(f"sum over {brief(x)} terms exceeds the {MAX_SUM_LEN} ceiling")
     if kind in ("prime", "reversed_prime_coprime"):
         n, w = indicator_support(x, kind, base)
     elif kind == "all":
@@ -85,6 +85,8 @@ def exp_sum_evaluator(x: int, kind: str, base: Base | None = None) -> ExpSumEval
 
 def exp_sum(alpha: float, x: int, kind: str, base: Base | None = None) -> complex:
     """The complex exponential sum of the given kind at alpha (reduced mod 1)."""
+    if not math.isfinite(alpha):  # checked before the support is built
+        raise ValueError(f"alpha must be finite, not {alpha}")
     return exp_sum_evaluator(x, kind, base)(alpha)
 
 
@@ -234,6 +236,8 @@ def weyl_ratio(
     kind "all":   |sum_{n<=N} e(n beta)| * ||beta||
     kind "B_set": |sum_{n<=N, lead coprime} e(n beta)| * ||beta|| / log N
     """
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, not {beta}")
     dist = distance_to_integer(beta)
     if dist == 0.0:
         raise ValueError("beta must not be an integer")

@@ -105,16 +105,17 @@ def reverse_padded(n: int, length: int, base: Base) -> int:
 def reverse_block(values: np.ndarray, length: int, base: Base) -> np.ndarray:
     """Vectorized digital reverse for an int64 array of integers with at
     most `length` base-b digits (zero-padded reversal, so the same value as
-    reverse() on integers with exactly `length` digits).
+    reverse() on integers with exactly `length` digits), as a new array.
 
-    The digits go k at a time, k the largest with b^k <= 2^12 (at least 1):
-    one divmod by b^k per step and a lookup in the table of reversed k-digit
-    numbers, none for k = 1, where that table is the identity.  The top step
-    takes the length - (steps - 1) k digits left, whose reverses are the
-    table's entries divided exactly by b^(k - that many)."""
+    The digits go k at a time, k the largest with b^k <= 2^14 (at least 1):
+    one floor division by b^k per step (numpy's is faster than its % or
+    divmod), a multiply-subtract for the low k digits and a lookup in the
+    table of reversed k-digit numbers, none for k = 1, where that table is
+    the identity.  The top step takes the `step` digits left, whose
+    reverses are the table's entries divided exactly by b^(k - step)."""
     b = base.b
     k = 1
-    while b ** (k + 1) <= 1 << 12:
+    while b ** (k + 1) <= 1 << 14:
         k += 1
     table = None
     if k > 1:
@@ -124,15 +125,15 @@ def reverse_block(values: np.ndarray, length: int, base: Base) -> np.ndarray:
             rest, digit = np.divmod(rest, b)
             table *= b
             table += digit
-    tmp = np.array(values, dtype=np.int64)
+    high = values = np.asarray(values, dtype=np.int64)
     rev = None
     while length > 0:
         step = min(k, length)
         length -= step
+        chunk = high
         if length:
-            tmp, chunk = np.divmod(tmp, b**step, out=(tmp, np.empty_like(tmp)))
-        else:
-            chunk = tmp  # the top `step` digits
+            high = chunk // b**step
+            chunk = chunk - high * b**step
         if table is not None:
             chunk = table[chunk] if step == k else table[chunk] // b ** (k - step)
         if rev is None:
@@ -140,7 +141,9 @@ def reverse_block(values: np.ndarray, length: int, base: Base) -> np.ndarray:
         else:
             rev *= b**step
             rev += chunk
-    return np.zeros(len(tmp), dtype=np.int64) if rev is None else rev
+    if rev is None:
+        return np.zeros(len(values), dtype=np.int64)
+    return rev.copy() if rev is values else rev  # k = 1 and one digit: never the input
 
 
 def is_reversal_coprime(n: int, base: Base) -> bool:

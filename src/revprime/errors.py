@@ -1,4 +1,12 @@
-"""Shared exception types."""
+"""Shared exception types, and the short form of an integer in their messages."""
+
+from decimal import Decimal
+
+
+def brief(n: int) -> str:
+    """n as written when it has at most 20 digits, else its magnitude in
+    e-notation ("~1.0e+400"): a message never spells out a huge integer."""
+    return str(n) if -(10**20) < n < 10**20 else f"~{Decimal(n):.1e}"
 
 
 class ResourceLimitError(Exception):

@@ -42,7 +42,7 @@ from .digits import (
     reverse,
     reverse_block,
 )
-from .errors import CrossCheckError, ModulusRangeWarning
+from .errors import CrossCheckError, ModulusRangeWarning, brief
 from .sieve import get_prime_table, reversed_prime_arrays
 
 NAN = float("nan")
@@ -71,7 +71,7 @@ def _check_modulus_guard(q: int, L: int, base: Base) -> None:
 def _check_modulus(q: int) -> None:
     # residues n % q are taken in int64
     if not 1 <= q < 1 << 63:
-        raise ValueError(f"q must lie in [1, 2^63), got {q}")
+        raise ValueError(f"q must lie in [1, 2^63), got {brief(q)}")
 
 
 @dataclass
@@ -135,13 +135,17 @@ def _class_counts(
     }
     out = {}
     for q in qs:
-        residue = n % q
-        # a stable sort keeps each class in increasing n, so the members of
-        # a class in a span are one run of it; keys of at most 16 bits take
-        # numpy's radix sort
-        order = np.argsort(residue.astype(np.min_scalar_type(q - 1)), kind="stable")
+        # n mod q by numpy's fast floor division, in the narrowest unsigned
+        # key; a stable sort keeps each class in increasing n, so the
+        # members of a class in a span are one run of it, and keys of at
+        # most 16 bits take numpy's radix sort
+        residue = (n - n // q * q).astype(np.min_scalar_type(q - 1))
+        order = np.argsort(residue, kind="stable")
         residue, w = residue[order], weight[order]
-        starts = np.flatnonzero(np.diff(residue, prepend=-1))
+        edges = np.empty(len(residue), dtype=bool)  # where a class starts
+        edges[:1] = True
+        np.not_equal(residue[1:], residue[:-1], out=edges[1:])
+        starts = np.flatnonzero(edges)
         g = math.gcd(q, base.modulus)
         for (lo, hi), (cut_lo, cut_hi) in cuts.items():
             runs = starts
@@ -152,7 +156,7 @@ def _class_counts(
             held = sizes > 0
             leading = count_coprime_leading(hi, base) - count_coprime_leading(lo - 1, base)
             out[(lo, hi), q] = ClassCounts(
-                q, base, residue[starts[held]],
+                q, base, residue[starts[held]].astype(np.int64),
                 _class_sums(w, runs[held], sizes[held]), sizes[held],
                 Fraction(g, totient(g)) / q * leading,
             )

@@ -66,7 +66,7 @@ import numpy as np
 from . import sieve
 from .arithmetic import ZETA2, singular_series_k, singular_series_squarefree
 from .digits import Base, coprime_leading_indicator, count_coprime_leading
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, brief
 from .sieve import (
     MAX_SEQUENCE_LEN,
     WeightedSequence,
@@ -134,7 +134,7 @@ def convolve(
 
 def _check_conv_len(full: int) -> None:
     if full > MAX_CONV_LEN:
-        raise ResourceLimitError(f"convolution length {full} exceeds {MAX_CONV_LEN}")
+        raise ResourceLimitError(f"convolution length {brief(full)} exceeds {MAX_CONV_LEN}")
 
 
 def _fft_product(u: np.ndarray, v: np.ndarray, nfft: int, n: int) -> np.ndarray:
@@ -388,7 +388,7 @@ def check_batch(least: int, largest: int, family: str, k: int | None) -> None:
 
 def _check_sequence_len(x: int, what: str) -> None:
     if x >= MAX_SEQUENCE_LEN:
-        raise ResourceLimitError(f"{what} of length {x + 1} exceeds the {MAX_SEQUENCE_LEN} ceiling")
+        raise ResourceLimitError(f"{what} of length {brief(x + 1)} exceeds the {MAX_SEQUENCE_LEN} ceiling")
 
 
 def _chain(family: str, k: int | None) -> tuple[str, ...]:
@@ -494,7 +494,7 @@ def composition_count(
             raise ValueError("need N >= k")
     if N >= MAX_SEQUENCE_LEN:
         raise ResourceLimitError(
-            f"composition count at N = {N} exceeds the {MAX_SEQUENCE_LEN} ceiling"
+            f"composition count at N = {brief(N)} exceeds the {MAX_SEQUENCE_LEN} ceiling"
         )
     if family == "s0k":
         return (transforms or TransformCache(N, base)).composition(N, k)
@@ -535,7 +535,7 @@ def exceptional_evens(x: int, base: Base) -> np.ndarray:
     if x < 4:
         raise ValueError("x must be >= 4")
     if x >= sieve.MAX_SEQUENCE_LEN:  # read at call time, as the indicators read it
-        raise ResourceLimitError(f"exceptions up to {x} exceed the {sieve.MAX_SEQUENCE_LEN} ceiling")
+        raise ResourceLimitError(f"exceptions up to {brief(x)} exceed the {sieve.MAX_SEQUENCE_LEN} ceiling")
     # the build's sources reach b^L - 1 >= x, so the table then covers x
     steps = reversed_prime_arrays(x, base, require_coprime=True).n // 2
     podd = get_prime_table(x).odd_mask[: (x + 1) // 2]  # the session's: read only

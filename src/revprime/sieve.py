@@ -22,9 +22,11 @@ the prime's last digit d, so the sources of the n with leading digit d are
 read straight from the odd mask, one entry in b/2 (b even) or in b (b odd),
 and the top block of a cutoff x is read only for the d up to x's leading
 digit: that gives every reversed prime up to the end of x's leading-digit
-group and none past it.  Each block is reversed and sorted in place in its
-slot of the output columns; reversal preserves digit length, so the blocks
-in order are globally increasing.
+group and none past it.  Each strided view is read once, as a contiguous
+copy, for its hits.  Each block is reversed and sorted in place in its slot
+of the output columns; reversal preserves digit length, so the blocks in
+order are globally increasing.  The coprime column is one lookup by n mod
+the product of the small primes dividing b^3 - b.
 
 The disk cache layout is:
 
@@ -59,6 +61,7 @@ from .errors import (
     CacheFormatError,
     CacheVersionError,
     ResourceLimitError,
+    brief,
 )
 
 CACHE_MAGIC = b"REVPRIME-SIEVE\x00\x00"
@@ -124,8 +127,8 @@ def sieve_primes(limit: int, *, extend: PrimeTable | None = None) -> PrimeTable:
     odd numbers above its limit are sieved."""
     if not 2 <= limit <= MAX_SIEVE_LIMIT:
         raise ResourceLimitError(
-            f"sieve limit {limit} outside [2, {MAX_SIEVE_LIMIT}] "
-            f"(mask would need {_sieve_bytes(max(limit, 2))} bytes)"
+            f"sieve limit {brief(limit)} outside [2, {MAX_SIEVE_LIMIT}] "
+            f"(mask would need {brief(_sieve_bytes(max(limit, 2)))} bytes)"
         )
     size = _sieve_bytes(limit)
     odd = np.empty(size, dtype=bool)
@@ -199,10 +202,10 @@ class ReversedPrimeArrays:
         )
 
     def coprime_only(self) -> "ReversedPrimeArrays":
-        m = self.coprime
+        keep = np.flatnonzero(self.coprime)  # one index gather beats three boolean masks
         return ReversedPrimeArrays(
-            self.base, self.x, self.n[m], self.p[m],
-            self.weight[m], np.ones(int(m.sum()), dtype=bool),
+            self.base, self.x, self.n.take(keep), self.p.take(keep),
+            self.weight.take(keep), np.ones(len(keep), dtype=bool),
         )
 
 
@@ -242,13 +245,15 @@ def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
     top block): an L-digit prime shares no factor with b, and p = b ends
     in 0.  A block's p are reversed into n, n is sorted in place, and p is
     taken back as reverse(n), which is exact because n's last digit is p's
-    leading digit.  Counting the views first lets n and p be filled in
-    place, with no per-block parts to join."""
+    leading digit.  Each view is read once, as a contiguous copy (numpy
+    finds the nonzero entries of a strided view several times slower), and
+    its hits are kept until every block is counted, so n and p are filled
+    in place, with no per-block parts to join."""
     b = base.b
     L_max = _max_block_length(X + 1, base)  # the digit length of X (0 for X = 0)
     stride = b // 2 if b % 2 == 0 else b  # index step between odd p = d mod b
     small = table.primes(min(X, b - 1))
-    blocks = []  # (L, [(view, count, first p)]) for L >= 2
+    blocks = []  # (L, [(view hits, first p)]) for L >= 2
     for L in range(2, L_max + 1):
         lo = b ** (L - 1)
         top = X // lo if L == L_max else b - 1
@@ -257,30 +262,41 @@ def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
             if math.gcd(d, b) == 1:
                 p0 = lo + d if (lo + d) % 2 else lo + d + b  # the least odd p = d mod b
                 view = table.odd_mask[p0 // 2 : b**L // 2 : stride]
-                views.append((view, int(np.count_nonzero(view)), p0))
+                views.append((np.flatnonzero(view.copy()), p0))
         blocks.append((L, views))
-    total = len(small) + sum(c for _, views in blocks for _, c, _ in views)
+    total = len(small) + sum(len(hits) for _, views in blocks for hits, _ in views)
     n = np.empty(total, dtype=np.int64)
     p = np.empty(total, dtype=np.int64)
     n[: len(small)] = p[: len(small)] = small
     pos = len(small)
     for L, views in blocks:
         start = pos
-        for view, count, p0 in views:
-            np.multiply(view.nonzero()[0], 2 * stride, out=p[pos : pos + count])
+        while views:  # a view's hits are dropped once they are in p
+            hits, p0 = views.pop()
+            count = len(hits)
+            np.multiply(hits, 2 * stride, out=p[pos : pos + count])
             p[pos : pos + count] += p0
             pos += count
+        del hits  # every block has the view d = 1
         n[start:pos] = reverse_block(p[start:pos], L, base)
         n[start:pos].sort()
         p[start:pos] = reverse_block(n[start:pos], L, base)
     weight = np.log(p, dtype=np.float64)
-    # gcd(n, b^3 - b) = 1 iff no prime q dividing b - 1, b or b + 1 divides n
-    coprime = np.ones(total, dtype=bool)
-    shared = set().union(*(factorize(m) for m in (b - 1, b, b + 1)))
-    for q in sorted(shared):
+    # gcd(n, b^3 - b) = 1 iff no prime q dividing b - 1, b or b + 1 divides
+    # n: one lookup by n mod M, M the product of the least of them while
+    # M <= 2^16, then a division test by each one left that is at most X
+    shared = sorted(set().union(*(factorize(m) for m in (b - 1, b, b + 1))))
+    M, unit = 1, np.ones(1, dtype=bool)
+    while shared and M * shared[0] <= 1 << 16:
+        q = shared.pop(0)
+        M, unit = M * q, np.tile(unit, q)
+        unit[::q] = False  # the multiples of q, and unit keeps those of the primes before it
+    rest = n // M * M  # numpy multiplies the temporary in place
+    coprime = unit[np.subtract(n, rest, out=rest)]  # unit[n mod M], in one temporary
+    for q in shared:
         if q > X:
             break
-        coprime &= n % q != 0
+        coprime &= n // q * q != n
     return ReversedPrimeArrays(base, X, n, p, weight, coprime)
 
 
@@ -295,7 +311,9 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
 
     n ranges over integers with nonzero last digit whose digital reverse is
     prime; equivalently n = reverse(p) over primes p with nonzero last digit.
-    With require_coprime, keep only gcd(n, b^3 - b) = 1.
+    With require_coprime, keep only gcd(n, b^3 - b) = 1.  An x of
+    MAX_SEQUENCE_LEN or more is refused before any prime is read: its
+    sources would need a sieve to b^L - 1 > 2^31, and its columns gigabytes.
 
     Each build covers n up to the end X of x's leading-digit group
     (_group_end).  The build of base b is kept in `session.builds[b]`, whose
@@ -304,6 +322,8 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
     """
     if x < 1:
         raise ValueError("x must be >= 1")
+    if x >= MAX_SEQUENCE_LEN:
+        raise ResourceLimitError(f"reversed primes up to {brief(x)} exceed the {MAX_SEQUENCE_LEN} ceiling")
     X = _group_end(x, base)
     full = session.builds.get(base.b)
     if full is None or full.x < X:
@@ -364,7 +384,7 @@ def _indicator(x: int, kind: str, base: Base | None, dtype) -> np.ndarray:
         raise ValueError("x must be >= 1")
     if x >= MAX_SEQUENCE_LEN:
         raise ResourceLimitError(
-            f"indicator of length {x + 1} exceeds the {MAX_SEQUENCE_LEN} ceiling"
+            f"indicator of length {brief(x + 1)} exceeds the {MAX_SEQUENCE_LEN} ceiling"
         )
     w = np.zeros(x + 1, dtype=dtype)
     n, weight = indicator_support(x, kind, base)

@@ -97,6 +97,17 @@ def test_divisor_sum_equals_product(b):
         assert singular_series_ternary_divisor_sum(N, base) == singular_series_ternary(N, base)
 
 
+@pytest.mark.parametrize("b", [2, 3, 10, 30])
+def test_integer_divisor_sum_equals_product_to_3000(b):
+    # the divisor sum adds the integers mu(q) D/phi(q)^3 c_q(N) over one D,
+    # and must give the Euler product's Fraction for every N
+    base = Base(b)
+    for N in range(1, 3001):
+        got = singular_series_ternary_divisor_sum(N, base)
+        assert isinstance(got, Fraction)
+        assert got == singular_series_ternary(N, base), (b, N)
+
+
 @pytest.mark.parametrize("b", [2, 3, 6, 10])
 def test_parity_law(b):
     base = Base(b)

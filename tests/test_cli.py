@@ -874,3 +874,90 @@ def test_circle_contract(op, tmp_path, monkeypatch, capsys):
                     assert out == "" and (not cache.exists() or list(cache.iterdir()) == []), case
                 if code == 0:
                     assert elapsed < 10, case
+
+
+@pytest.mark.parametrize("args", [
+    ("--op", "expsum", "--alpha=nan"),
+    ("--op", "expsum", "--alpha=inf"),
+    ("--op", "expsum", "--kind", "prime", "--alpha=-inf"),
+    ("--op", "weyl", "--beta=nan"),
+    ("--op", "weyl", "--beta=inf"),
+    ("--op", "weyl", "--kind", "B_set", "--beta=-inf"),
+])
+def test_non_finite_phase_is_a_usage_error(args, tmp_path, monkeypatch, capsys):
+    # like residual, expsum and weyl refuse a phase that is not finite,
+    # before a prime is read
+    from revprime import cli, sieve
+
+    monkeypatch.setattr(sieve, "sieve_primes", _refuse_to_sieve)
+    assert cli.main(["circle", *args, "--cache-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    phase = args[-1][2:].partition("=")[0]  # alpha or beta
+    assert out == "" and err.startswith(f"usage error: {phase} must be finite, not ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ("circle", "--op", "expsum", "--N", "1e400"),
+    ("count-ap", "--x", "1e400"),
+    ("count-ap", "--x", "3", "--q", "1e400"),
+])
+def test_messages_never_spell_out_a_huge_integer(args):
+    # an integer past 20 digits is written as its magnitude, once
+    res = run_cli(*args)
+    assert res.returncode in (2, 3)
+    assert res.stdout == "" and len(res.stderr) < 200 and "e+400" in res.stderr
+
+
+def test_messages_keep_integers_of_20_digits():
+    from revprime.errors import brief
+
+    assert brief(10**20 - 1) == "9" * 20 and brief(-(10**20) + 1) == "-" + "9" * 20
+    assert brief(2**31) == "2147483648"
+    assert brief(10**20) == "~1.0e+20" and brief(-(10**400)) == "~-1.0e+400"
+
+
+# ---------------------------------------------------------------------------
+# the count-ap contract, case by case
+# ---------------------------------------------------------------------------
+
+COUNT_AP_INTS = ["-1", "0", "1", "2", "3", str(2**31), "3e9", "1e400", "1.5e0"]
+
+# flag -> the values of its cases; each case varies one flag and leaves the
+# others at --x 1000 --q 1 --a 0
+COUNT_AP_FLAGS = {
+    "--x": COUNT_AP_INTS + ["40..30", "40,40", "30..40,35"],
+    "--q": COUNT_AP_INTS + [str(2**63 - 1), str(2**63), "7..3", "7,7", "1..3,2"],
+    "--a": COUNT_AP_INTS + ["9..3", "4,4", "0..2,1"],
+}
+
+
+@pytest.mark.filterwarnings("ignore::revprime.errors.ModulusRangeWarning")
+@pytest.mark.parametrize("flag", sorted(COUNT_AP_FLAGS))
+def test_count_ap_contract(flag, tmp_path, monkeypatch, capsys):
+    # every case ends in an exit code of the contract, with no traceback; a
+    # usage error or a refused ceiling prints nothing and leaves the cache
+    # directory empty, and an accepted case is quick.  A sieve past 10^6
+    # would mean a case reads primes it must not.
+    import time
+
+    from revprime import cli
+
+    _refuse_to_sieve_past_1e6(monkeypatch)
+    for i, value in enumerate(COUNT_AP_FLAGS[flag]):
+        cache = tmp_path / f"cache{i}"
+        argv = {"--x": "1000", "--q": "1", "--a": "0", flag: value}
+        argv = ["count-ap", *(f"{k}={v}" for k, v in argv.items()), "--cache-dir", str(cache)]
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        case = (argv[1:-2], code, err)
+        assert code in (0, 1, 2, 3), case
+        assert "Traceback" not in err, case
+        if code == 2 or (code == 3 and "ceiling" in err):
+            assert out == "" and (not cache.exists() or list(cache.iterdir()) == []), case
+        if code == 0:
+            assert elapsed < 10, case
+            rows = [len(cli.int_list(argv[i][4:])) for i in (1, 2, 3)]
+            assert len(out.splitlines()) == 1 + math.prod(rows), case

@@ -83,10 +83,15 @@ def _divmod_reverse(n, length, b):
     return rev
 
 
-@pytest.mark.parametrize("b", [*range(2, 37), 64, 4096, 4099, 65537])
+@pytest.mark.parametrize(
+    "b", [*range(2, 37), 64, 127, 128, 129, 4096, 4099, 16384, 65537]
+)
 def test_reverse_block_matches_scalar_oracle(b):
     # every length whose values fit int64, so every remainder of the length
-    # mod the kernel's digits per step; 4096 and above take one digit a step
+    # mod the kernel's digits per step k, the largest with b^k <= 2^14: the
+    # bases 11 | 12, 25 | 26 and 128 | 129 sit on the edges of k = 4, 3, 2,
+    # and 129 and above take one digit a step.  The input is never written
+    # and never returned.
     rng = random.Random(b)
     L = 1
     while b**L <= 1 << 63:
@@ -94,8 +99,10 @@ def test_reverse_block_matches_scalar_oracle(b):
         vals = {0, 1, lo, hi} | {rng.randrange(lo, hi + 1) for _ in range(40)}
         vals |= {v - v % b ** rng.randint(1, L) for v in list(vals)}  # trailing zeros
         vals = sorted(vals)
-        got = reverse_block(np.array(vals, dtype=np.int64), L, Base(b))
+        values = np.array(vals, dtype=np.int64)
+        got = reverse_block(values, L, Base(b))
         assert got.dtype == np.int64
+        assert values.tolist() == vals and not np.shares_memory(got, values), (b, L)
         assert got.tolist() == [_divmod_reverse(v, L, b) for v in vals], (b, L)
         L += 1
     assert L - 1 >= (12 if b <= 36 else 3)  # the longest length tested

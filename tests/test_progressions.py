@@ -9,6 +9,7 @@ from revprime.arithmetic import totient
 from revprime.digits import Base, count_coprime_leading
 from revprime.errors import ModulusRangeWarning
 from revprime.progressions import (
+    _class_counts,
     weighted_count_by_length,
     weighted_count_up_to,
     weighted_count_window,
@@ -196,6 +197,30 @@ def test_batch_matches_masked_sums(b, xs):
                 g = math.gcd(q, base.modulus)
                 main = Fraction(g, totient(g)) / q * count_coprime_leading(x, base)
                 assert res.main_term == float(main if math.gcd(a, g) == 1 else 0)
+
+
+def test_class_counts_match_masked_sums_bit_for_bit(b10):
+    # the residue key is n - n // q * q in the narrowest unsigned type that
+    # holds q - 1 (8, 16, 32 and 64 bits on either side of each edge; n
+    # passes 2^16) and the classes start where the sorted key changes.  The
+    # non-empty classes of both spans are checked, and the counts of up to
+    # 400 of them (every one for q <= 257) against the masked sum, bit for bit
+    spans = [(1, 200000), (12345, 177777)]
+    qs = [1, 2, 10, 255, 256, 257, 65536, 65537, 2**32, 2**63 - 1]
+    counts = _class_counts(spans, qs, b10)
+    arr = reversed_prime_arrays(200000, b10, require_coprime=True)
+    n, w = arr.n, arr.weight
+    for lo, hi in spans:
+        span = (n >= lo) & (n <= hi)
+        for q in qs:
+            cell = counts[(lo, hi), q]
+            present = sorted(set((n[span] % q).tolist()))
+            assert cell.residues.dtype == np.int64 and cell.residues.tolist() == present
+            for a in present[:: -(-len(present) // 400)] + [q - 1, 3]:
+                mask = (n % q == a % q) & span
+                res = cell.result(a)
+                assert res.observed == w[mask].sum(), (lo, hi, q, a)
+                assert res.raw_count == int(mask.sum()), (lo, hi, q, a)
 
 
 @pytest.mark.parametrize(

@@ -263,6 +263,18 @@ def test_bounded_build_matches_full_block_oracle(b, L_top, fresh_session):
                 assert np.array_equal(getattr(got, name), want[:cut]), (b, x, name)
 
 
+@pytest.mark.parametrize("b", range(2, 65))
+def test_coprime_column_matches_gcd(b, fresh_session):
+    # the column looks n up by n mod M, M the product of the least primes
+    # of b^3 - b while M <= 2^16; a prime left out is tested by division.
+    # In base 42 that is 43, and n = 43 = rev(43) must come out not coprime.
+    base = Base(b)
+    got = reversed_prime_arrays(20000, base)
+    assert got.coprime.tolist() == [math.gcd(n, base.modulus) == 1 for n in got.n.tolist()]
+    if b == 42:
+        assert 43 in got.n.tolist() and not got.coprime[got.n.tolist().index(43)]
+
+
 def test_coprime_column_past_int64_modulus(fresh_session):
     # b^3 - b >= 2^63: the coprime column still equals gcd(n, b^3 - b) == 1
     base = Base(2**21 + 1)
