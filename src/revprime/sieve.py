@@ -313,7 +313,7 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
     prime; equivalently n = reverse(p) over primes p with nonzero last digit.
     With require_coprime, keep only gcd(n, b^3 - b) = 1.  An x of
     MAX_SEQUENCE_LEN or more is refused before any prime is read: its
-    sources would need a sieve to b^L - 1 > 2^31, and its columns gigabytes.
+    sources would need a sieve to b^L - 1 >= 2^31, and its columns gigabytes.
 
     Each build covers n up to the end X of x's leading-digit group
     (_group_end).  The build of base b is kept in `session.builds[b]`, whose
@@ -323,7 +323,9 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
     if x < 1:
         raise ValueError("x must be >= 1")
     if x >= MAX_SEQUENCE_LEN:
-        raise ResourceLimitError(f"reversed primes up to {brief(x)} exceed the {MAX_SEQUENCE_LEN} ceiling")
+        raise ResourceLimitError(
+            f"reversed primes up to {brief(x)} exceed the {MAX_SEQUENCE_LEN} ceiling"
+        )
     X = _group_end(x, base)
     full = session.builds.get(base.b)
     if full is None or full.x < X:
