@@ -15,9 +15,19 @@ and evaluates it at any number of alpha; exp_sum is one such evaluation.
 The phase t = n * (alpha mod 1) >= 0 is reduced mod 1 as t - floor(t), which
 is exactly fmod(t, 1), the value t % 1.0 gives (the subtraction is exact by
 Sterbenz's lemma), at a fraction of np.remainder's cost.
+
+When alpha mod 1 = num/den is a dyadic rational (den a power of two) with
+den at most the number of terms and max(n) * num < 2^53, every product
+n * alpha is exact, so every phase is exactly k/den with k = n num mod den.
+The cos and sin of 2 pi k/den are then taken once per k, from a table of den
+entries, and gathered by k: the same float operations on the same values as
+the direct path, so the sum is bit for bit the same.  The curve's grid j/M
+is such an alpha for every j when M is a power of two.
+
 Accumulation uses numpy pairwise summation, whose error grows like
-log(n) * eps (at least as tight as a compensated running sum).  Everything here is diagnostic: ratios and residuals are
-reported, and nothing on the minor arcs is asserted.
+log(n) * eps (at least as tight as a compensated running sum).  Everything
+here is diagnostic: ratios and residuals are reported, and nothing on the
+minor arcs is asserted.
 """
 
 from __future__ import annotations
@@ -41,9 +51,14 @@ MAX_ARC_GRID = 1 << 20  # ceiling on floor(Q)^2; build_arcs makes ~0.3 floor(Q)^
 @dataclass(frozen=True)
 class ExpSumEvaluator:
     """One exponential sum's coefficient support (n, w), built once and
-    evaluated at any number of alpha."""
+    evaluated at any number of alpha.
 
-    n: np.ndarray  # float64: the int64 indices, converted once (exact below 2^53)
+    At a dyadic alpha mod 1 = num/den with den <= len(n) and
+    max(n) * num < 2^53 the phases k/den come from a table of den cos and
+    sin values (see the module docstring); any other alpha takes one cos
+    and one sin per term.  Both paths give the same bits."""
+
+    n: np.ndarray  # int64, increasing
     w: np.ndarray
     # two rows of scratch that every call reuses: fresh temporaries per alpha
     # are paged in again whenever the allocator returns them to the system
@@ -55,7 +70,19 @@ class ExpSumEvaluator:
     def __call__(self, alpha: float) -> complex:
         """The sum at alpha (reduced mod 1)."""
         theta, scratch = self._work
-        np.multiply(self.n, alpha % 1.0, out=theta)
+        alpha %= 1.0
+        num, den = alpha.as_integer_ratio()
+        if den <= len(self.n) and int(self.n[-1]) * num < 1 << 53:
+            # n * alpha is exact, so its fractional part is exactly k/den
+            k = np.multiply(self.n, num, out=scratch.view(np.int64))
+            k &= den - 1
+            table = np.arange(den) / den * (2.0 * np.pi)
+            cos = np.take(np.cos(table), k, out=theta, mode="clip")
+            re = np.sum(np.multiply(self.w, cos, out=theta))
+            sin = np.take(np.sin(table), k, out=theta, mode="clip")
+            im = np.sum(np.multiply(self.w, sin, out=theta))
+            return complex(re, im)
+        np.multiply(self.n, alpha, out=theta)  # n converts exactly below 2^53
         theta -= np.floor(theta, out=scratch)  # exactly t % 1.0; see the module docstring
         theta *= 2.0 * np.pi
         re = np.sum(np.multiply(self.w, np.cos(theta, out=scratch), out=scratch))
@@ -80,7 +107,7 @@ def exp_sum_evaluator(x: int, kind: str, base: Base | None = None) -> ExpSumEval
         w = np.ones(len(n), dtype=np.float64)
     else:
         raise ValueError(f"unknown exponential sum kind {kind!r}")
-    return ExpSumEvaluator(n.astype(np.float64), w)
+    return ExpSumEvaluator(n, w)
 
 
 def exp_sum(alpha: float, x: int, kind: str, base: Base | None = None) -> complex:

@@ -234,7 +234,9 @@ class TransformCache:
             # past MAX_SEQUENCE_LEN weighted_indicator refuses before a sieve
             if not self._factors and self.top < MAX_SEQUENCE_LEN:
                 _check_conv_len(2 * self.top + 1)
-                get_prime_table(max(self.top, reversed_prime_source_bound(self.top, self.base)))
+                bound = reversed_prime_source_bound(self.top, self.base)
+                if bound < MAX_SEQUENCE_LEN:  # else the reversed-prime build refuses
+                    get_prime_table(max(self.top, bound))
             w = weighted_indicator(self.top, kind, base=self.base).weights
             w.flags.writeable = False  # every target's view shares it
             self._factors[kind] = (w, np.flatnonzero(w))

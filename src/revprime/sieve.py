@@ -312,8 +312,9 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
     n ranges over integers with nonzero last digit whose digital reverse is
     prime; equivalently n = reverse(p) over primes p with nonzero last digit.
     With require_coprime, keep only gcd(n, b^3 - b) = 1.  An x of
-    MAX_SEQUENCE_LEN or more is refused before any prime is read: its
-    sources would need a sieve to b^L - 1 >= 2^31, and its columns gigabytes.
+    MAX_SEQUENCE_LEN or more is refused before any prime is read, and so is
+    an x whose sources need a sieve to b^L - 1 >= MAX_SEQUENCE_LEN
+    (x > 10^9 in base 10), whose odd mask alone would take a gigabyte.
 
     Each build covers n up to the end X of x's leading-digit group
     (_group_end).  The build of base b is kept in `session.builds[b]`, whose
@@ -326,10 +327,15 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
         raise ResourceLimitError(
             f"reversed primes up to {brief(x)} exceed the {MAX_SEQUENCE_LEN} ceiling"
         )
+    bound = reversed_prime_source_bound(x, base)
+    if bound >= MAX_SEQUENCE_LEN:
+        raise ResourceLimitError(
+            f"reversed primes up to {x} need a sieve to {bound}, past the {MAX_SEQUENCE_LEN} ceiling"
+        )
     X = _group_end(x, base)
     full = session.builds.get(base.b)
     if full is None or full.x < X:
-        full = _build_blocks(X, base, get_prime_table(reversed_prime_source_bound(x, base)))
+        full = _build_blocks(X, base, get_prime_table(bound))
         session.builds[base.b] = full
     out = full.restrict(x)
     return out.coprime_only() if require_coprime else out

@@ -6,6 +6,7 @@ import pytest
 from revprime.arithmetic import totient
 from revprime.circle import (
     EXP_SUM_KINDS,
+    ExpSumEvaluator,
     WeaklyDigitalSeed,
     build_arcs,
     congruence_reversal_seed,
@@ -83,6 +84,77 @@ def test_exp_sum_evaluator_equals_exp_sum(b10):
         for alpha in alphas:
             want = _direct_exp_sum(alpha, 20000, kind, b10)
             assert evaluate(alpha) == exp_sum(alpha, 20000, kind, b10) == want, (kind, alpha)
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def _cos_sin_sizes(monkeypatch) -> list[int]:
+    """The number of entries of every later np.cos and np.sin call."""
+    sizes = []
+    for name in ("cos", "sin"):
+        real = getattr(np, name)
+
+        def spy(x, *args, real=real, **kwargs):
+            sizes.append(np.size(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    return sizes
+
+
+def test_phase_table_is_the_direct_sum_bit_for_bit(b10, monkeypatch):
+    # alpha mod 1 = j/2^e with 2^e <= len(n) takes its cos and sin from a
+    # table of 2^e entries; one past that cap, and at any other alpha, every
+    # term takes its own.  Both are the reference sum in every bit.
+    sizes = _cos_sin_sizes(monkeypatch)
+    for kind in EXP_SUM_KINDS:
+        evaluate = exp_sum_evaluator(20000, kind, b10)
+        assert evaluate.n.dtype == np.int64
+        support = len(evaluate.n)
+        cap = 1 << (support.bit_length() - 1)  # the largest 2^e <= len(n)
+        assert cap >= 128, (kind, support)
+        # -1e-20 mod 1 is 1.0 and -3/8 mod 1 is 5/8
+        tabled = [0.0, 0.5, 1.0, 3.25, -0.5, -3 / 8, -1e-20, 1 - 2.0**-1, 1 - 2.0**-2,
+                  1 - 2.0**-7, 1 / cap, 3 / cap, 1 - 1 / cap, 7 + 5 / cap, -5 / cap]
+        direct = [1 / (2 * cap), 3 / (2 * cap), 1 - 1 / (2 * cap), 1 - 2.0**-40, 0.1, -0.1, 1e-9]
+        for alpha, table in [(a, True) for a in tabled] + [(a, False) for a in direct]:
+            want = _direct_exp_sum(alpha, 20000, kind, b10)
+            sizes.clear()
+            assert _bits(evaluate(alpha)) == _bits(want), (kind, alpha)
+            assert len(sizes) == 2, (kind, alpha, sizes)
+            if table:
+                assert max(sizes) <= cap, (kind, alpha, sizes)
+            else:
+                assert sizes == [support, support], (kind, alpha, sizes)
+
+
+def test_phase_table_needs_exact_products():
+    # past 2^53 a product n * alpha is rounded, so its phase is no longer
+    # (n num mod den)/den: such an alpha keeps the direct path
+    n = np.arange(2**52 + 1, 2**52 + 128, 2, dtype=np.int64)  # 64 odd n
+    w = np.linspace(1.0, 2.0, len(n))
+    evaluate = ExpSumEvaluator(n, w)
+    for alpha in (1 / 64, 7 / 64, 63 / 64, 0.1):
+        theta = 2.0 * np.pi * ((n * alpha) % 1.0)
+        want = complex(np.sum(w * np.cos(theta)), np.sum(w * np.sin(theta)))
+        assert _bits(evaluate(alpha)) == _bits(want), alpha
+
+
+def test_curve_grid_takes_cos_and_sin_once_per_phase(b10, monkeypatch):
+    # on the grid j/128 no cos or sin call sees more than 128 phases; at 0.1
+    # a call sees every term of the support
+    sizes = _cos_sin_sizes(monkeypatch)
+    for kind in EXP_SUM_KINDS:
+        evaluate = exp_sum_evaluator(10**5, kind, b10)
+        sizes.clear()
+        for j in range(128):
+            evaluate(j / 128)
+        assert len(sizes) == 2 * 128 and max(sizes) <= 128, kind
+        sizes.clear()
+        evaluate(0.1)
+        assert max(sizes) == len(evaluate.n) > 128, kind
 
 
 def test_build_arcs_structure():

@@ -528,7 +528,9 @@ def test_r0k_batch_builds_its_main_term_once(k, n, monkeypatch, fresh_session, c
 
 
 # stdout recorded from the implementation that found exceptional evens by an
-# FFT reach step, and took the curve's fractional parts with `% 1.0`
+# FFT reach step, and took the curve's fractional parts with `% 1.0`; the
+# curves at 100 and 512 samples from the one that took a cos and a sin per
+# term at every alpha
 PINNED_SHA256 = {
     ("--base", "10", "represent", "--family", "r11", "--n", "200000", "--exceptions"):
         "622363e8fe385cdabf0c9939475d77296daf8dbcd8c21f13148d281859d81f38",
@@ -536,6 +538,10 @@ PINNED_SHA256 = {
         "0003f4c66286d2da7f17bd4090419f531fe4fedb413a24eae1d2dac8fc43ba8d",
     ("circle", "--op", "curve", "--N", "20000", "--samples", "64"):
         "8a2ddedff83106f5e74dfb8e7f6120b5ff84278d49c1ec942b44bd2b2a1e7c8d",
+    ("circle", "--op", "curve", "--N", "20000", "--samples", "100"):
+        "4194ca2de25e50af76ccd6a7b1831dab4e009ba7d885c1d01066dee9969133ee",
+    ("circle", "--op", "curve", "--N", "20000", "--samples", "512"):
+        "b23c9ba43353f7e99d64e6c32dbc7696e40cb3e6767f84cc0ad246ed4f00dfe7",
 }
 
 
@@ -901,6 +907,8 @@ def test_non_finite_phase_is_a_usage_error(args, tmp_path, monkeypatch, capsys):
     ("circle", "--op", "expsum", "--N", "1e400"),
     ("count-ap", "--x", "1e400"),
     ("count-ap", "--x", "3", "--q", "1e400"),
+    ("partition", "--digits", "4", "--eta", "1", "--r", "1e400"),
+    ("partition", "--digits", "1e400", "--eta", "1", "--r", "1"),
 ])
 def test_messages_never_spell_out_a_huge_integer(args):
     # an integer past 20 digits is written as its magnitude, once
@@ -926,7 +934,7 @@ COUNT_AP_INTS = ["-1", "0", "1", "2", "3", str(2**31), "3e9", "1e400", "1.5e0"]
 # flag -> the values of its cases; each case varies one flag and leaves the
 # others at --x 1000 --q 1 --a 0
 COUNT_AP_FLAGS = {
-    "--x": COUNT_AP_INTS + ["40..30", "40,40", "30..40,35"],
+    "--x": COUNT_AP_INTS + [str(2**31 - 1), "40..30", "40,40", "30..40,35"],
     "--q": COUNT_AP_INTS + [str(2**63 - 1), str(2**63), "7..3", "7,7", "1..3,2"],
     "--a": COUNT_AP_INTS + ["9..3", "4,4", "0..2,1"],
 }
@@ -961,3 +969,66 @@ def test_count_ap_contract(flag, tmp_path, monkeypatch, capsys):
             assert elapsed < 10, case
             rows = [len(cli.int_list(argv[i][4:])) for i in (1, 2, 3)]
             assert len(out.splitlines()) == 1 + math.prod(rows), case
+
+
+# ---------------------------------------------------------------------------
+# the partition contract, case by case
+# ---------------------------------------------------------------------------
+
+PARTITION_INTS = ["-1", "0", "1", "2", "3", "1e400", "1.5e0"]
+PARTITION_DEFAULTS = {"--digits": "4", "--eta": "1", "--r": "3", "--a": "0", "--q": "1"}
+
+# each case overrides some flags of PARTITION_DEFAULTS.  In base 10 the
+# window's sources need a sieve to 10^L - 1, which passes the 2^31 ceiling
+# at L = 10; r = 10 is b^eta at eta = 1
+PARTITION_CASES = [
+    *({flag: value} for flag in PARTITION_DEFAULTS for value in PARTITION_INTS),
+    {"--digits": "9"},
+    {"--digits": "10"},
+    {"--digits": "1e400", "--eta": "1e400"},
+    {"--digits": "10", "--eta": "1e400"},
+    {"--r": "9"},
+    {"--r": "10"},
+    {"--eta": "2", "--r": "100"},
+    {"--q": str(2**63 - 1)},
+    {"--q": str(2**63)},
+]
+
+
+@pytest.mark.filterwarnings("ignore::revprime.errors.ModulusRangeWarning")
+@pytest.mark.parametrize(
+    "case", PARTITION_CASES, ids=[",".join(f"{k}={v}" for k, v in c.items()) for c in PARTITION_CASES]
+)
+def test_partition_contract(case, tmp_path, monkeypatch, capsys):
+    # every case ends in an exit code of the contract, with no traceback and
+    # within a wall-clock cap; a usage error or a refused ceiling prints
+    # nothing and leaves the cache directory empty.  The one case just below
+    # the ceiling must reach its sieve to 10^9 - 1, which the stub refuses.
+    import time
+
+    from revprime import cli
+
+    _refuse_to_sieve_past_1e6(monkeypatch)
+    cache = tmp_path / "cache"
+    argv = ["partition", *(f"{k}={v}" for k, v in {**PARTITION_DEFAULTS, **case}.items())]
+    argv += ["--cache-dir", str(cache)]
+    start = time.perf_counter()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses an inexact integer
+        code = exc.code
+    except AssertionError as exc:  # the stub refused a sieve
+        code = str(exc)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    outcome = (argv[1:-2], code, err)
+    assert elapsed < 10, outcome
+    if case == {"--digits": "9"}:
+        assert code == f"sieved to {10**9 - 1}", outcome
+        return
+    assert code in (0, 1, 2, 3), outcome
+    assert "Traceback" not in err, outcome
+    if code == 2 or (code == 3 and "ceiling" in err):
+        assert out == "" and (not cache.exists() or list(cache.iterdir()) == []), outcome
+    if code == 0:
+        assert len(out.splitlines()) == 2, outcome

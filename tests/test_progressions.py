@@ -282,3 +282,27 @@ def test_modulus_past_int64_is_a_value_error(b10):
         weighted_count_by_length(3, 0, 1 << 63, b10)
     with pytest.raises(ValueError, match="2\\^63"):
         weighted_count_window(3, 1, 3, 0, 10**19, b10)
+
+
+def test_blocks_whose_sources_pass_the_ceiling_are_refused_before_a_sieve(b10, monkeypatch, fresh_session):
+    # L-digit sources need a sieve to b^L - 1: at 10 digits in base 10 and
+    # 32 in base 2 that reaches 2^31.  The refusal compares digit counts, so
+    # a huge L never builds b^L; the largest cutoff below 2^31 is refused
+    # by its sources' bound, not by its own size
+    from revprime import sieve
+    from revprime.errors import ResourceLimitError
+
+    def refuse(limit, *, extend=None):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(sieve, "sieve_primes", refuse)
+    for L, base in ((10, b10), (10**400, b10), (32, Base(2))):
+        with pytest.raises(ResourceLimitError, match="ceiling"):
+            weighted_count_by_length(L, 0, 1, base)
+        with pytest.raises(ResourceLimitError, match="ceiling"):
+            weighted_count_window(L, 1, 1, 0, 1, base)
+    for x in (10**9 + 1, 2**31 - 1):
+        with pytest.raises(ResourceLimitError, match="sieve to 9999999999"):
+            reversed_prime_arrays(x, b10)
+    with pytest.raises(AssertionError, match=f"sieved to {10**9 - 1}"):
+        reversed_prime_arrays(10**9, b10)  # 10^9 = b^9 needs no 10-digit block
