@@ -216,7 +216,14 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
 
 def cmd_count_ap(args, cfg: RunConfig) -> int:
     base = Base(cfg.base)
-    xs, qs, residues = int_list(args.x), int_list(args.q), int_list(args.a)
+    # the cutoffs are checked on the ranges' ends, as represent's targets
+    # are: a range past a ceiling is never listed
+    x_ranges = _int_ranges(args.x)
+    qs, residues = int_list(args.q), int_list(args.a)
+    if min(part[0] for part in x_ranges) < 1:
+        raise ValueError("x and q must be >= 1")
+    sieve.reversed_prime_source_bound(max(part[-1] for part in x_ranges), base)
+    xs = [x for part in x_ranges for x in part]
     counts = weighted_counts_up_to(xs, qs, base)
     entries = []
     for x in xs:
@@ -270,7 +277,7 @@ def cmd_represent(args, cfg: RunConfig) -> int:
     # checked on the ranges' ends: a range past a ceiling is never listed
     ranges = _int_ranges(args.n)
     least, largest = min(part[0] for part in ranges), max(part[-1] for part in ranges)
-    representations.check_batch(least, largest, args.family, args.k)
+    representations.check_batch(least, largest, args.family, base, args.k)
     entries = []
     targets = [N for part in ranges for N in part]
     for profile in representations.representation_counts(targets, args.family, base, k=args.k):
@@ -324,6 +331,8 @@ def cmd_circle(args, cfg: RunConfig) -> int:
         return 0
     if args.op == "curve":
         xs = np.linspace(0.0, 1.0, args.samples, endpoint=False)
+        # the reversed primes' ceilings are checked before the prime sum sieves
+        sieve.reversed_prime_source_bound(args.N, base)
         prime_s = circle.exp_sum_evaluator(args.N, "prime")
         rev_s = circle.exp_sum_evaluator(args.N, "reversed_prime_coprime", base)
         rows = []
@@ -395,23 +404,19 @@ def _parse_budget(text: str) -> float:
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     if args.suite not in verify.SUITES:
-        print(
-            f"unknown suite {args.suite!r}; available: {', '.join(sorted(verify.SUITES))}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"unknown suite {args.suite!r}; available: {', '.join(sorted(verify.SUITES))}")
+    budget = _parse_budget(args.budget) if args.budget else None
+    if budget is not None and not budget > 0:  # nan too; inf means no limit
+        raise ValueError(f"budget must be positive, not {args.budget!r}: it would check nothing")
     fixtures = None
     if verify.suite_needs_fixtures(args.suite):
         path = cfg.fixtures_path or verify.default_fixtures_path()
         if not os.path.exists(path):
-            print(
+            raise ValueError(
                 f"suite {args.suite!r} needs the oracle fixtures file, not found at {path}; "
-                "regenerate it with scripts/build_fixtures.py",
-                file=sys.stderr,
+                "regenerate it with scripts/build_fixtures.py"
             )
-            return 2
         fixtures = verify.load_fixtures(path)
-    budget = _parse_budget(args.budget) if args.budget else None
     results = verify.run_suite(args.suite, fixtures=fixtures, budget_seconds=budget)
     failed = 0
     for res in results:
@@ -538,8 +543,9 @@ def main(argv: list[str] | None = None) -> int:
     except CrossCheckError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 1
-    except (ResourceLimitError, CacheError) as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, CacheError, MemoryError) as exc:
+        # a MemoryError may carry no message
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

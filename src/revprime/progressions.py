@@ -42,8 +42,8 @@ from .digits import (
     reverse,
     reverse_block,
 )
-from .errors import CrossCheckError, ModulusRangeWarning, ResourceLimitError, brief
-from .sieve import MAX_SEQUENCE_LEN, get_prime_table, reversed_prime_arrays
+from .errors import CrossCheckError, ModulusRangeWarning, brief
+from .sieve import check_block_length, get_prime_table, reversed_prime_arrays
 
 NAN = float("nan")
 
@@ -65,17 +65,6 @@ def _check_modulus_guard(q: int, L: int, base: Base) -> None:
             f"for L={L}; the main term may be unreliable",
             ModulusRangeWarning,
             stacklevel=3,
-        )
-
-
-def _check_block_length(L: int, base: Base) -> None:
-    # the sources of L-digit reversed primes need a sieve to b^L - 1, which
-    # reaches MAX_SEQUENCE_LEN iff L is at least the ceiling's digit count:
-    # decided without taking b^L, since L may be huge
-    if L >= digit_length(MAX_SEQUENCE_LEN, base):
-        raise ResourceLimitError(
-            f"{brief(L)}-digit reversed primes in base {base.b} need a sieve to "
-            f"b^L - 1, past the {MAX_SEQUENCE_LEN} ceiling"
         )
 
 
@@ -205,7 +194,7 @@ def weighted_count_by_length(L: int, a: int, q: int, base: Base) -> APResult:
     if L < 1:
         raise ValueError("L must be >= 1")
     _check_modulus(q)
-    _check_block_length(L, base)
+    check_block_length(L, base)
     _check_modulus_guard(q, L, base)
     span = (base.b ** (L - 1), base.b**L - 1)
     return _class_counts([span], [q], base)[span, q].result(a)
@@ -230,7 +219,7 @@ def weighted_count_window(
     _check_modulus(q)
     if not 1 <= eta <= L:
         raise ValueError("eta must satisfy 1 <= eta <= L")
-    _check_block_length(L, base)
+    check_block_length(L, base)
     if not base.b ** (eta - 1) <= r < base.b**eta:
         raise ValueError(f"r={brief(r)} outside [{base.b**(eta-1)}, {base.b**eta})")
     _check_modulus_guard(q, L, base)

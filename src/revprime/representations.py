@@ -30,17 +30,18 @@ over all targets, then by a gather over the few survivors.  A target leaves
 only with a witness, and the survivors have been checked against every n,
 so the result is exact.
 
-representation_counts runs a batch of targets, each through exactly the
-chain a lone representation_count runs (indicators truncated at N, the same
-factor order, FFT length and error bound), so every float it returns is
-bitwise the lone call's.  The batch's TransformCache builds each factor kind,
-rsquare's inputs and the s0k table once, at the largest target, and hands
-target N the prefix of its first N + 1 entries, bitwise what a lone call
-builds.  Transforms are keyed by (kind, nfft, members <= N): a factor's
-spectrum is reused while no new member enters, and a chain's first stage
-reuses its inverse transform while both keys are unchanged.  Between
-neighbouring targets a new prime or reversed prime is rare, so most targets
-pay for the accumulator stages alone.
+representation_counts is the one engine; a lone representation_count is a
+batch of one.  A batch is checked once (check_batch), so a reversed-prime
+source past the sieve ceiling is refused before any sieve, and builds each
+input once, at its largest target: rsquare's squarefree mask and coprime
+reversed primes, the s0k table, and the factors, whose TransformCache
+hands target N their prefixes over 0..N, bitwise the indicators built at
+N.  Each target runs exactly the chain of a batch of one, so every float a
+batch returns is bitwise the lone call's.  Transforms are keyed by (kind,
+nfft, members <= N): a factor's spectrum is reused while no new member
+enters, and a chain's first stage reuses its inverse transform while both
+keys are unchanged.  Between neighbouring targets a new prime or reversed
+prime is rare, so most targets pay for the accumulator stages alone.
 
 Families (weights are natural logs of the source primes):
 
@@ -167,23 +168,20 @@ def _clipped_inverse(spectrum: np.ndarray, nfft: int, n: int) -> np.ndarray:
 
 
 class TransformCache:
-    """Every array of one batch of targets up to `top` that costs a target
-    more than O(N), each built once at top, and the spectra that the
-    batch's convolution chains share: rsquare's inputs (squarefree_shift),
-    the s0k table (composition) and the factors.
+    """The factors of one batch of targets up to `top`, and the spectra that
+    the batch's convolution chains share.
 
-    Each factor kind is built once, by one weighted_indicator call at top
-    (the first build refuses a chain too long to convolve, then sieves once
-    for every kind), and factor(N, kind) hands out the prefix view over
-    0..N, bitwise weighted_indicator(N, kind).  A factor's zero-padded input
-    at length nfft is thus named by its key (kind, nfft, members <= N);
-    product() refuses any other sequence but an accumulator (a convolve()
-    result).  A right operand keeps its spectrum; a left one (a chain's
-    head) is transformed again unless its kind holds its key's spectrum.  The
-    clipped inverse transform of a product of two factors (a chain's first
-    stage) is kept over 0..top and reused while both keys are unchanged.
-    Accumulators are never cached, and a stale entry is dropped before its
-    replacement is computed.
+    Each factor kind is built once, by one weighted_indicator call at top,
+    and factor(N, kind) hands out the prefix view over 0..N, bitwise
+    weighted_indicator(N, kind).  A factor's zero-padded input at length
+    nfft is thus named by its key (kind, nfft, members <= N); product()
+    refuses any other sequence but an accumulator (a convolve() result).  A
+    right operand keeps its spectrum; a left one (a chain's head) is
+    transformed again unless its kind holds its key's spectrum.  The clipped
+    inverse transform of a product of two factors (a chain's first stage) is
+    kept over 0..top and reused while both keys are unchanged.  Accumulators
+    are never cached, and a stale entry is dropped before its replacement is
+    computed.
     """
 
     def __init__(self, top: int, base: Base):
@@ -192,51 +190,12 @@ class TransformCache:
         self._spectra: dict[str, tuple[tuple, np.ndarray]] = {}  # kind -> (key, spectrum)
         # (the two factors' keys, clipped inverse) of the last first stage
         self._inverse: tuple[tuple, np.ndarray] | None = None
-        # rsquare's (squarefree mask, coprime reversed primes); k -> s0k over 0..top
-        self._shifts, self._compositions = None, {}
-
-    def _check_top(self, N: int) -> None:
-        if N > self.top:
-            raise ValueError(f"target {N} exceeds the batch's largest, {self.top}")
-
-    def squarefree_shift(self, N: int) -> float:
-        """Weighted count of N = n + eta with n a reversed prime coprime to
-        b^3 - b and eta squarefree (eta = 0 excluded: mu^2(0) = 0)."""
-        self._check_top(N)
-        if self._shifts is None:
-            sqfree = squarefree_mask(self.top)  # refuses past the ceiling before a prime is read
-            self._shifts = sqfree, reversed_prime_arrays(self.top, self.base, require_coprime=True)
-        sqfree, arrays = self._shifts
-        cut = int(np.searchsorted(arrays.n, N))  # n < N: difference 0 is not squarefree
-        return float(arrays.weight[:cut][sqfree[N - arrays.n[:cut]]].sum())
-
-    def composition(self, N: int, k: int) -> int:
-        """s0k(N) from B^{*k} over 0..top: rounded while that is provably
-        exact everywhere, else redone in exact integers.  Outside the
-        transforms, where it would evict the kept first stage."""
-        self._check_top(N)
-        if k not in self._compositions:
-            _check_conv_len(2 * self.top + 1)
-            in_b = WeightedSequence("B_set", coprime_leading_indicator(self.top, self.base))
-            conv = convolve_chain([in_b] * k, out_len=self.top + 1)
-            counts = np.rint(conv.weights)  # integers, exact in float64 below 2^53
-            if conv.error_bound >= 0.25 or counts.max() >= 2.0**53:
-                counts = ones = in_b.weights.astype(np.int64)
-                for _ in range(k - 1):
-                    counts = exact_int_convolve(counts, ones)[: self.top + 1]
-            self._compositions[k] = counts
-        return int(self._compositions[k][N])
 
     def factor(self, N: int, kind: str) -> WeightedSequence:
         """weighted_indicator(N, kind), as a view of the batch's build."""
-        self._check_top(N)
+        if N > self.top:
+            raise ValueError(f"target {N} exceeds the batch's largest, {self.top}")
         if kind not in self._factors:
-            # past MAX_SEQUENCE_LEN weighted_indicator refuses before a sieve
-            if not self._factors and self.top < MAX_SEQUENCE_LEN:
-                _check_conv_len(2 * self.top + 1)
-                bound = reversed_prime_source_bound(self.top, self.base)
-                if bound < MAX_SEQUENCE_LEN:  # else the reversed-prime build refuses
-                    get_prime_table(max(self.top, bound))
             w = weighted_indicator(self.top, kind, base=self.base).weights
             w.flags.writeable = False  # every target's view shares it
             self._factors[kind] = (w, np.flatnonzero(w))
@@ -361,31 +320,26 @@ def check_family(family: str, k: int | None) -> None:
         raise ValueError(f"r0k requires 2 <= k <= {MAX_PURE_K}")
 
 
-def check_target(N: int, family: str, k: int | None) -> None:
-    """The target checks of representation_count, made after check_family
-    and before any prime is read: N >= 2, and N at least the summand count
-    that the family's composition count needs (3 for r12 and r21, k for
-    r0k)."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    if family in ("r12", "r21") and N < 3:
-        raise ValueError("ternary compositions need N >= 3")
-    if family == "r0k" and N < k:
-        raise ValueError("need N >= k")
-
-
-def check_batch(least: int, largest: int, family: str, k: int | None) -> None:
-    """The checks of representation_counts that need only a batch's least
+def check_batch(least: int, largest: int, family: str, base: Base, k: int | None) -> None:
+    """The checks of representation_counts, which need only a batch's least
     and largest targets, made before its targets are listed or a prime is
-    read: the family, the least target, and the ceilings that the batch's
-    first build (at the largest target) meets."""
+    read: the family; the least target, at least 2 and at least the summand
+    count that the family's composition count needs (3 for r12 and r21, k
+    for r0k); and the ceilings that the batch's builds at the largest target
+    meet, the reversed primes' sieve last."""
     check_family(family, k)
-    check_target(least, family, k)
+    if least < 2:
+        raise ValueError("N must be >= 2")
+    if family in ("r12", "r21") and least < 3:
+        raise ValueError("ternary compositions need N >= 3")
+    if family == "r0k" and least < k:
+        raise ValueError("need N >= k")
     if family == "rsquare":
         _check_sequence_len(largest, "squarefree mask")
     else:  # the first factor's indicator, then its chain's length
         _check_sequence_len(largest, "indicator")
         _check_conv_len(2 * largest + 1)
+    reversed_prime_source_bound(largest, base)
 
 
 def _check_sequence_len(x: int, what: str) -> None:
@@ -401,74 +355,91 @@ def _chain(family: str, k: int | None) -> tuple[str, ...]:
     return {"r11": ("prime", rev), "r12": ("prime", rev, rev), "r21": ("prime", "prime", rev)}[family]
 
 
-def _predicted(N: int, family: str, base: Base, k: int | None, transforms: TransformCache) -> float:
-    """S_k(N) for the chain's k summands times their composition count."""
+def _chain_count(N: int, family: str, k: int | None, transforms: TransformCache) -> tuple[float, str]:
+    """Target N's weighted count by its family's chain, and its provenance:
+    a function of its own, so that its arrays are freed before the next
+    target starts."""
+    seqs = [transforms.factor(N, kind) for kind in _chain(family, k)]
+    conv = convolve_chain(seqs, out_len=N + 1, transforms=transforms)
+    exact = float(conv.weights[N])
+    if conv.error_bound == 0:
+        return exact, "exact"
+    if exact <= conv.error_bound:
+        # near zero through an FFT: recount exactly over the reach layers
+        return _exact_value(N, seqs, _tail_reach(seqs, N)), "exact"
+    return exact, "fft"
+
+
+def _predicted(N: int, family: str, base: Base, k: int | None, s0k: np.ndarray | None) -> float:
+    """S_k(N) for the chain's k summands times their composition count (for
+    r0k, from the batch's s0k table)."""
     if family == "rsquare":
         return count_coprime_leading(N, base) / ZETA2 * float(singular_series_squarefree(N, base))
     if family == "r11":
         comp = count_coprime_leading(N, base)
-    else:  # s12, s21 or s0k
-        comp = composition_count(N, "s" + family[1:], base, k=k, transforms=transforms)
+    elif family == "r0k":
+        comp = int(s0k[N])
+    else:  # s12 or s21
+        comp = composition_count(N, "s" + family[1:], base)
     return float(singular_series_k(N, len(_chain(family, k)), base)) * comp
 
 
-def representation_count(
-    N: int,
-    family: str,
-    base: Base,
-    k: int | None = None,
-    *,
-    transforms: TransformCache | None = None,
-) -> RepresentationProfile:
-    """Weighted count of representations of N in the given family, with the
-    predicted main term; see the module docstring for the family key.
-    `transforms` is the batch's cache (representation_counts), which holds
-    the builds; a lone call builds its own at N."""
-    check_family(family, k)
-    check_target(N, family, k)
-    if transforms is None:
-        transforms = TransformCache(N, base)
-    if family == "rsquare":
-        exact, provenance = transforms.squarefree_shift(N), "exact"
-    else:
-        seqs = [transforms.factor(N, kind) for kind in _chain(family, k)]
-        conv = convolve_chain(seqs, out_len=N + 1, transforms=transforms)
-        exact = float(conv.weights[N])
-        provenance = "fft" if conv.error_bound > 0 else "exact"
-        if provenance == "fft" and exact <= conv.error_bound:
-            # near zero through an FFT: recount exactly over the reach layers
-            exact = _exact_value(N, seqs, _tail_reach(seqs, N))
-            provenance = "exact"
-    predicted = _predicted(N, family, base, k, transforms)
-    ratio = exact / predicted if predicted > 0 else float("nan")
-    return RepresentationProfile(N, family, exact, predicted, ratio, provenance)
+def representation_count(N: int, family: str, base: Base, k: int | None = None) -> RepresentationProfile:
+    """representation_counts([N], ...): a batch of one."""
+    return representation_counts([N], family, base, k=k)[0]
 
 
 def representation_counts(
-    Ns: list[int],
-    family: str,
-    base: Base,
-    k: int | None = None,
+    Ns: list[int], family: str, base: Base, k: int | None = None
 ) -> list[RepresentationProfile]:
-    """representation_count for each N in Ns, in order.  The family, the
-    least target and the first build's ceilings are checked first
-    (check_batch).  Every target runs its own chain; one TransformCache
-    builds every input once and shares the transforms whose inputs repeat,
-    so each profile equals the one a lone call returns."""
+    """Weighted count of representations of each N in Ns, in order, with the
+    predicted main term; see the module docstring for the family key.  A
+    chain family requests one prime table, at the largest of the largest
+    target and the reversed primes' sources; the s0k table stays outside
+    the transforms, where it would evict the kept first stage."""
     check_family(family, k)
     if not Ns:
         return []
-    check_batch(min(Ns), max(Ns), family, k)
-    transforms = TransformCache(max(Ns), base)
-    return [
-        representation_count(N, family, base, k=k, transforms=transforms)
-        for N in Ns
-    ]
+    top = max(Ns)
+    check_batch(min(Ns), top, family, base, k)
+    s0k = None
+    if family == "rsquare":
+        sqfree = squarefree_mask(top)
+        arrays = reversed_prime_arrays(top, base, require_coprime=True)
+    else:
+        get_prime_table(max(top, reversed_prime_source_bound(top, base)))
+        if family == "r0k":
+            s0k = _s0k_table(top, k, base)
+        transforms = TransformCache(top, base)
+    profiles = []
+    for N in Ns:
+        if family == "rsquare":
+            # N = n + eta, eta squarefree: n < N, as mu^2(0) = 0
+            cut = int(np.searchsorted(arrays.n, N))
+            exact, provenance = float(arrays.weight[:cut][sqfree[N - arrays.n[:cut]]].sum()), "exact"
+        else:
+            exact, provenance = _chain_count(N, family, k, transforms)
+        predicted = _predicted(N, family, base, k, s0k)
+        ratio = exact / predicted if predicted > 0 else float("nan")
+        profiles.append(RepresentationProfile(N, family, exact, predicted, ratio, provenance))
+    return profiles
 
 
-def composition_count(
-    N: int, family: str, base: Base, k: int | None = None, *, transforms: TransformCache | None = None
-) -> int:
+def _s0k_table(top: int, k: int, base: Base) -> np.ndarray:
+    """s0k(n) for every n <= top, from B^{*k}: rounded while that is
+    provably exact everywhere, else redone in exact integers."""
+    _check_conv_len(2 * top + 1)
+    in_b = WeightedSequence("B_set", coprime_leading_indicator(top, base))
+    conv = convolve_chain([in_b] * k, out_len=top + 1)
+    counts = np.rint(conv.weights)  # integers, exact in float64 below 2^53
+    if conv.error_bound >= 0.25 or counts.max() >= 2.0**53:
+        counts = ones = in_b.weights.astype(np.int64)
+        for _ in range(k - 1):
+            counts = exact_int_convolve(counts, ones)[: top + 1]
+    return counts
+
+
+def composition_count(N: int, family: str, base: Base, k: int | None = None) -> int:
     """Compositions of N into positive parts with leading-digit constraints:
 
     s12: n1 + n2 + n3 = N, leading digits of n2 and n3 coprime to b
@@ -482,8 +453,7 @@ def composition_count(
         s21(N) = sum_{n in B, n <= N-2} (N-1-n)
 
     exact while N^2/2 < 2^63, which the MAX_SEQUENCE_LEN ceiling on N
-    ensures.  s0k reads the table B^{*k} of `transforms`, the batch's cache
-    (a lone call builds its own at N).
+    ensures.  s0k reads the table B^{*k} built at N (_s0k_table).
     """
     if family not in COMP_FAMILIES:
         raise ValueError(f"unknown composition family {family!r}")
@@ -499,7 +469,7 @@ def composition_count(
             f"composition count at N = {brief(N)} exceeds the {MAX_SEQUENCE_LEN} ceiling"
         )
     if family == "s0k":
-        return (transforms or TransformCache(N, base)).composition(N, k)
+        return int(_s0k_table(N, k, base)[N])
     in_b = coprime_leading_indicator(N - 2, base) > 0
     members = np.flatnonzero(in_b)  # n in B, n <= N - 2
     if family == "s21":

@@ -21,7 +21,7 @@ import numpy as np
 
 from .digits import Base
 from .representations import reach_step
-from .sieve import indicator_mask, reversed_prime_arrays
+from .sieve import check_block_length, indicator_mask, reversed_prime_arrays
 
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -60,6 +60,7 @@ def verify_gap(i: int, L: int) -> GapReport:
     b_i = primorial(i)
     p_i = _FIRST_PRIMES[i - 1]
     base = Base(b_i)
+    check_block_length(L, base)  # before b_i^(L-1) is taken: L may be huge
     lo = 2 * b_i ** (L - 1)
     hi = (p_i + 1) * b_i ** (L - 1)
     arrays = reversed_prime_arrays(hi, base, require_coprime=False)

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arithmetic import factorize
-from .digits import Base, reverse_block
+from .digits import Base, digit_length, reverse_block
 from .errors import (
     CacheChecksumError,
     CacheError,
@@ -302,8 +302,33 @@ def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
 
 def reversed_prime_source_bound(x: int, base: Base) -> int:
     """Sieve limit b^L - 1 (at least 2) that reversed primes up to x need:
-    L is the top block length of x, and that block's sources reach b^L - 1."""
-    return max(2, base.b ** _max_block_length(x, base) - 1)
+    L is the top block length of x, and that block's sources reach b^L - 1.
+
+    The ceilings of reversed_prime_arrays, which any caller can check
+    before it reads a prime: an x of MAX_SEQUENCE_LEN or more is refused,
+    and so is an x whose sources need a sieve to MAX_SEQUENCE_LEN or more
+    (x > 10^9 in base 10), whose odd mask alone would take a gigabyte."""
+    if x >= MAX_SEQUENCE_LEN:
+        raise ResourceLimitError(
+            f"reversed primes up to {brief(x)} exceed the {MAX_SEQUENCE_LEN} ceiling"
+        )
+    bound = max(2, base.b ** _max_block_length(x, base) - 1)
+    if bound >= MAX_SEQUENCE_LEN:
+        raise ResourceLimitError(
+            f"reversed primes up to {x} need a sieve to {bound}, past the {MAX_SEQUENCE_LEN} ceiling"
+        )
+    return bound
+
+
+def check_block_length(L: int, base: Base) -> None:
+    """Refuse a digit length L whose reversed primes' sources need a sieve
+    to b^L - 1 >= MAX_SEQUENCE_LEN, that is, an L of at least the ceiling's
+    digit count: decided without taking b^L, since L may be huge."""
+    if L >= digit_length(MAX_SEQUENCE_LEN, base):
+        raise ResourceLimitError(
+            f"{brief(L)}-digit reversed primes in base {base.b} need a sieve to "
+            f"b^L - 1, past the {MAX_SEQUENCE_LEN} ceiling"
+        )
 
 
 def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> ReversedPrimeArrays:
@@ -311,10 +336,9 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
 
     n ranges over integers with nonzero last digit whose digital reverse is
     prime; equivalently n = reverse(p) over primes p with nonzero last digit.
-    With require_coprime, keep only gcd(n, b^3 - b) = 1.  An x of
-    MAX_SEQUENCE_LEN or more is refused before any prime is read, and so is
-    an x whose sources need a sieve to b^L - 1 >= MAX_SEQUENCE_LEN
-    (x > 10^9 in base 10), whose odd mask alone would take a gigabyte.
+    With require_coprime, keep only gcd(n, b^3 - b) = 1.  An x past the
+    ceilings of reversed_prime_source_bound is refused before any prime is
+    read.
 
     Each build covers n up to the end X of x's leading-digit group
     (_group_end).  The build of base b is kept in `session.builds[b]`, whose
@@ -323,15 +347,7 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    if x >= MAX_SEQUENCE_LEN:
-        raise ResourceLimitError(
-            f"reversed primes up to {brief(x)} exceed the {MAX_SEQUENCE_LEN} ceiling"
-        )
     bound = reversed_prime_source_bound(x, base)
-    if bound >= MAX_SEQUENCE_LEN:
-        raise ResourceLimitError(
-            f"reversed primes up to {x} need a sieve to {bound}, past the {MAX_SEQUENCE_LEN} ceiling"
-        )
     X = _group_end(x, base)
     full = session.builds.get(base.b)
     if full is None or full.x < X:

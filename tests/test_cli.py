@@ -206,6 +206,20 @@ def test_resource_error_exit_3():
     assert "resource" in res.stderr.lower()
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 22.4 GiB")])
+def test_memory_error_exits_3(exc, monkeypatch, capsys):
+    # an allocation failure anywhere stays inside the exit-code contract
+    from revprime import cli
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "enumerate_reversed_primes", fail)
+    assert cli.main(["enumerate", "--limit", "100"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"resource error: {str(exc) or 'out of memory'}\n"
+
+
 def test_count_ap_modulus_past_int64_exits_2():
     res = run_cli("count-ap", "--x", "100", "--q", "1e19", "--a", "0")
     assert res.returncode == 2
@@ -520,11 +534,11 @@ def test_r0k_batch_builds_its_main_term_once(k, n, monkeypatch, fresh_session, c
     from revprime import cli, representations
 
     calls = _count_calls(
-        monkeypatch, (representations, "coprime_leading_indicator"), (representations, "composition_count")
+        monkeypatch, (representations, "coprime_leading_indicator"), (representations, "_s0k_table")
     )
     assert cli.main(["represent", "--family", "r0k", "--k", str(k), "--n", n]) == 0
     capsys.readouterr()
-    assert calls == {"coprime_leading_indicator": 1, "composition_count": len(cli.int_list(n))}
+    assert calls == {"coprime_leading_indicator": 1, "_s0k_table": 1}
 
 
 # stdout recorded from the implementation that found exceptional evens by an
@@ -598,10 +612,19 @@ def test_cache_dir_serves_every_prime_reading_command(args, tmp_path, monkeypatc
     ("represent", "--family", "r0k", "--k", "3", "--n", "3e9"),
     ("represent", "--family", "rsquare", "--n", "3e9"),
     ("represent", "--family", "r11", "--n", "3e9", "--exceptions"),
+    # in base 50000 the sources of reversed primes up to 3e5 need a sieve to
+    # 50000^2 - 1, past the ceiling
+    ("--base", "50000", "represent", "--family", "r11", "--n", "300000"),
+    ("--base", "50000", "represent", "--family", "r12", "--n", "300000"),
+    ("--base", "50000", "represent", "--family", "r21", "--n", "300000"),
+    ("--base", "50000", "represent", "--family", "r0k", "--k", "3", "--n", "300000"),
+    ("--base", "50000", "represent", "--family", "rsquare", "--n", "300000"),
+    ("--base", "50000", "circle", "--op", "curve", "--N", "300000", "--samples", "2"),
 ])
 def test_cache_dir_past_the_length_ceiling_fails_fast(args, tmp_path, monkeypatch, capsys):
-    # a dense command refuses N >= 2^31 before it reads a prime, so the
-    # ten-digit reversed-prime sources are never sieved or stored
+    # a dense command refuses N >= 2^31, or reversed-prime sources past the
+    # sieve ceiling, before it reads a prime, so those sources are never
+    # sieved or stored
     from revprime import cli, sieve
 
     monkeypatch.setattr(sieve, "sieve_primes", _refuse_to_sieve)
@@ -934,7 +957,7 @@ COUNT_AP_INTS = ["-1", "0", "1", "2", "3", str(2**31), "3e9", "1e400", "1.5e0"]
 # flag -> the values of its cases; each case varies one flag and leaves the
 # others at --x 1000 --q 1 --a 0
 COUNT_AP_FLAGS = {
-    "--x": COUNT_AP_INTS + [str(2**31 - 1), "40..30", "40,40", "30..40,35"],
+    "--x": COUNT_AP_INTS + [str(2**31 - 1), "40..30", "40,40", "30..40,35", "1..3e9"],
     "--q": COUNT_AP_INTS + [str(2**63 - 1), str(2**63), "7..3", "7,7", "1..3,2"],
     "--a": COUNT_AP_INTS + ["9..3", "4,4", "0..2,1"],
 }
@@ -1032,3 +1055,92 @@ def test_partition_contract(case, tmp_path, monkeypatch, capsys):
         assert out == "" and (not cache.exists() or list(cache.iterdir()) == []), outcome
     if code == 0:
         assert len(out.splitlines()) == 2, outcome
+
+
+# ---------------------------------------------------------------------------
+# the schnirelmann, enumerate and verify contracts, case by case
+# ---------------------------------------------------------------------------
+
+def _contract_case(argv, cache, capsys):
+    """Run one case with a fresh --cache-dir and check the rules of every
+    contract sweep: an exit code of the contract with no traceback; after a
+    usage error or a refused ceiling, nothing printed and an empty cache
+    directory; an accepted case is quick.  Returns (code, out, err)."""
+    import time
+
+    from revprime import cli
+
+    start = time.perf_counter()
+    try:
+        code = cli.main([*argv, "--cache-dir", str(cache)])
+    except SystemExit as exc:  # argparse refuses an inexact integer
+        code = exc.code
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    case = (argv, code, err)
+    assert code in (0, 1, 2, 3), case
+    assert "Traceback" not in err, case
+    if code == 2 or (code == 3 and "ceiling" in err):
+        assert out == "" and (not cache.exists() or list(cache.iterdir()) == []), case
+    if code == 0:
+        assert elapsed < 10, case
+    return code, out, err
+
+
+SWEEP_INTS = ["-1", "0", "1", "2", "3", str(2**31 - 1), "3e9", "1e400", "1.5e0"]
+
+# op -> the integer flags it reads; each case varies one of them and leaves
+# the others at their defaults
+SCHNIRELMANN_OPS = {"gap": ("--i", "--digits"), "mink": ("--n", "--kmax"), "scan": ("--lo", "--hi", "--kmax")}
+
+
+@pytest.mark.parametrize("op", sorted(SCHNIRELMANN_OPS))
+def test_schnirelmann_contract(op, tmp_path, monkeypatch, capsys):
+    # a sieve past 10^6 would mean a case reads primes it must not; gap
+    # refuses a digit length past the ceiling before b_i^(L-1) is taken
+    _refuse_to_sieve_past_1e6(monkeypatch)
+    i = 0
+    for flag in SCHNIRELMANN_OPS[op]:
+        for value in SWEEP_INTS:
+            _contract_case(["schnirelmann", "--op", op, f"{flag}={value}"], tmp_path / f"cache{i}", capsys)
+            i += 1
+
+
+@pytest.mark.parametrize("mode", [(), ("--coprime",)])
+def test_enumerate_contract(mode, tmp_path, monkeypatch, capsys):
+    from revprime import cli
+
+    _refuse_to_sieve_past_1e6(monkeypatch)
+    for i, value in enumerate(SWEEP_INTS):
+        code, out, _ = _contract_case(["enumerate", *mode, f"--limit={value}"], tmp_path / f"cache{i}", capsys)
+        if code == 0:
+            want = [rec.n for rec in cli.enumerate_reversed_primes(int(value), cli.Base(10), bool(mode))]
+            assert [int(row.split(",")[0]) for row in out.splitlines()[1:]] == want
+
+
+# (the argv after "verify", the outcome): a usage error, every line SKIP
+# (a budget of 1ms skips every check) or every line PASS
+VERIFY_CASES = [
+    *((("--suite", suite, "--budget", "1ms"), "SKIP")
+      for suite in ("all", "identities", "representations", "obstructions", "asymptotics")),
+    *((("--suite", "identities", f"--budget={budget}"), "usage")
+      for budget in ("-5s", "-1", "0", "0s", "nan", "-inf", "abc", "5x")),
+    *((("--suite", "identities", f"--budget={budget}"), "PASS") for budget in ("", "1e400", "inf")),
+    (("--suite", "nope", "--budget", "1ms"), "usage"),
+    (("--suite", "nope", "--budget", "nan"), "usage"),
+    (("--suite", "asymptotics", "--fixtures", "/no/such/file"), "usage"),
+]
+
+
+@pytest.mark.parametrize("args,outcome", VERIFY_CASES, ids=[" ".join(a) for a, _ in VERIFY_CASES])
+def test_verify_contract(args, outcome, tmp_path, monkeypatch, capsys):
+    # a usage error goes through cli.main's usage path; a budget that is not
+    # positive (or nan) would check nothing and is refused; inf, and 1e400
+    # with it, mean no limit
+    _refuse_to_sieve_past_1e6(monkeypatch)
+    code, out, err = _contract_case(["verify", *args], tmp_path / "cache", capsys)
+    if outcome == "usage":
+        assert code == 2 and err.startswith("usage error: ") and "runtime_ms" not in err, err
+    else:
+        assert code == 0 and out, err
+        assert all(line.startswith(outcome) for line in out.splitlines()), out
