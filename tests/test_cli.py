@@ -206,8 +206,11 @@ def test_resource_error_exit_3():
     assert "resource" in res.stderr.lower()
 
 
-@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 22.4 GiB")])
-def test_memory_error_exits_3(exc, monkeypatch, capsys):
+@pytest.mark.parametrize("exc,message", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 22.4 GiB"), "Unable to allocate 22.4 GiB"),
+])
+def test_memory_error_exits_3(exc, message, monkeypatch, capsys):
     # an allocation failure anywhere stays inside the exit-code contract
     from revprime import cli
 
@@ -217,7 +220,7 @@ def test_memory_error_exits_3(exc, monkeypatch, capsys):
     monkeypatch.setattr(cli, "enumerate_reversed_primes", fail)
     assert cli.main(["enumerate", "--limit", "100"]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err == f"resource error: {str(exc) or 'out of memory'}\n"
+    assert out == "" and err == f"resource error: {message}\n"
 
 
 def test_count_ap_modulus_past_int64_exits_2():
