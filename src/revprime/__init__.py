@@ -30,11 +30,8 @@ from .circle import (
 )
 from .digits import (
     Base,
-    Numeral,
     count_coprime_leading,
-    is_reversal_coprime,
     residue_admissible,
-    rev_coprime_to_base,
     reverse,
     reverse_padded,
 )

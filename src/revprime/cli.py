@@ -3,7 +3,10 @@
 One subcommand per experiment family; every command emits structured rows
 (CSV with a header, or JSON objects one per line) on stdout and a runtime
 note on stderr, so identical invocations with the same seed produce
-byte-identical stdout.
+byte-identical stdout.  Rows are written one at a time as the command makes
+them, and no command holds a list of its rows: every check that can refuse
+a command runs before the first byte of stdout, and only a failure after it
+(an allocation, or a reader that closed stdout) leaves the rows before it.
 
 Exit codes: 0 success, 1 verification failure (a failed check, or two
 independent computations that disagree), 2 usage error, 3 resource or cache
@@ -22,6 +25,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
@@ -30,7 +34,7 @@ import numpy as np
 from . import circle, representations, schnirelmann, sieve, verify
 from .digits import Base
 from .errors import CacheError, CrossCheckError, ResourceLimitError
-from .progressions import weighted_count_window, weighted_counts_up_to
+from .progressions import check_modulus, weighted_count_window, weighted_counts_up_to
 from .sieve import enumerate_reversed_primes
 
 # ---------------------------------------------------------------------------
@@ -111,7 +115,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_rows(cfg: RunConfig, fieldnames: list[str], rows: list[dict], out=None) -> None:
+def emit_rows(cfg: RunConfig, fieldnames: list[str], rows: Iterable[dict], out=None) -> None:
+    """Write rows one at a time as they are drawn; the CSV header is written
+    before the first row is asked for."""
     out = out if out is not None else sys.stdout
     if cfg.format == "json":
         for row in rows:
@@ -128,22 +134,16 @@ def _params_str(params: dict) -> str:
     return ";".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items()))
 
 
-def report_rows(command: str, entries: list[tuple[dict, float, float, str]]) -> list[dict]:
-    """Rows in the standard report schema (observed, predicted, ratio)."""
-    rows = []
-    for params, observed, predicted, provenance in entries:
-        ratio = observed / predicted if predicted > 0 else float("nan")
-        rows.append(
-            {
-                "command": command,
-                "params": _params_str(params),
-                "observed": observed,
-                "predicted": predicted,
-                "ratio": ratio,
-                "provenance": provenance,
-            }
-        )
-    return rows
+def report_row(command: str, params: dict, observed: float, predicted: float, provenance: str) -> dict:
+    """A row in the standard report schema (observed, predicted, ratio)."""
+    return {
+        "command": command,
+        "params": _params_str(params),
+        "observed": observed,
+        "predicted": predicted,
+        "ratio": observed / predicted if predicted > 0 else float("nan"),
+        "provenance": provenance,
+    }
 
 
 REPORT_FIELDS = ["command", "params", "observed", "predicted", "ratio", "provenance"]
@@ -206,61 +206,45 @@ def int_list(text: str) -> list[int]:
 
 def cmd_enumerate(args, cfg: RunConfig) -> int:
     base = Base(cfg.base)
-    rows = [
+    rows = (
         {"n": rec.n, "p": rec.p, "weight": rec.weight, "coprime": int(rec.coprime_flag)}
         for rec in enumerate_reversed_primes(args.limit, base, require_coprime=args.coprime)
-    ]
+    )
     emit_rows(cfg, ["n", "p", "weight", "coprime"], rows)
     return 0
 
 
 def cmd_count_ap(args, cfg: RunConfig) -> int:
     base = Base(cfg.base)
-    # the cutoffs are checked on the ranges' ends, as represent's targets
-    # are: a range past a ceiling is never listed
-    x_ranges = _int_ranges(args.x)
-    qs, residues = int_list(args.q), int_list(args.a)
+    # the cutoffs and moduli are checked on the ranges' ends, as represent's
+    # targets are: a range past a ceiling is never listed, and the residues
+    # never are
+    x_ranges, q_ranges, a_ranges = _int_ranges(args.x), _int_ranges(args.q), _int_ranges(args.a)
     if min(part[0] for part in x_ranges) < 1:
         raise ValueError("x and q must be >= 1")
     sieve.reversed_prime_source_bound(max(part[-1] for part in x_ranges), base)
-    xs = [x for part in x_ranges for x in part]
+    for part in q_ranges:
+        check_modulus(part[0])
+        check_modulus(part[-1])
+    xs, qs = [x for part in x_ranges for x in part], [q for part in q_ranges for q in part]
     counts = weighted_counts_up_to(xs, qs, base)
-    entries = []
-    for x in xs:
-        for q in qs:
-            for a in residues:
-                res = counts[x, q].result(a)
-                entries.append(
-                    (
-                        {"base": cfg.base, "x": x, "a": a, "q": q},
-                        res.observed,
-                        res.main_term,
-                        "exact",
-                    )
-                )
-    emit_rows(cfg, REPORT_FIELDS, report_rows("count-ap", entries))
+    cells = ((x, q, a) for x in xs for q in qs for part in a_ranges for a in part)
+    rows = (
+        report_row("count-ap", {"base": cfg.base, "x": x, "a": a, "q": q},
+                   res.observed, res.main_term, "exact")
+        for x, q, a in cells
+        for res in [counts[x, q].result(a)]
+    )
+    emit_rows(cfg, REPORT_FIELDS, rows)
     return 0
 
 
 def cmd_partition(args, cfg: RunConfig) -> int:
     base = Base(cfg.base)
     res = weighted_count_window(args.digits, args.eta, args.r, args.a, args.q, base)
-    entries = [
-        (
-            {
-                "base": cfg.base,
-                "L": args.digits,
-                "eta": args.eta,
-                "r": args.r,
-                "a": args.a,
-                "q": args.q,
-            },
-            res.observed,
-            res.main_term,
-            "exact",
-        )
-    ]
-    emit_rows(cfg, REPORT_FIELDS, report_rows("partition", entries))
+    params = {"base": cfg.base, "L": args.digits, "eta": args.eta, "r": args.r,
+              "a": args.a, "q": args.q}
+    emit_rows(cfg, REPORT_FIELDS, [report_row("partition", params, res.observed, res.main_term, "exact")])
     return 0
 
 
@@ -271,21 +255,22 @@ def cmd_represent(args, cfg: RunConfig) -> int:
             raise ValueError(f"--exceptions counts r11 exceptions only, not family {args.family!r}")
         x = max(part[-1] for part in _int_ranges(args.n))  # only the largest target counts
         count = representations.count_exceptional_evens(x, base)
-        entries = [({"base": cfg.base, "x": x, "family": "r11"}, float(count), 0.0, "exact")]
-        emit_rows(cfg, REPORT_FIELDS, report_rows("exceptions", entries))
+        params = {"base": cfg.base, "x": x, "family": "r11"}
+        emit_rows(cfg, REPORT_FIELDS, [report_row("exceptions", params, float(count), 0.0, "exact")])
         return 0
     # checked on the ranges' ends: a range past a ceiling is never listed
     ranges = _int_ranges(args.n)
     least, largest = min(part[0] for part in ranges), max(part[-1] for part in ranges)
     representations.check_batch(least, largest, args.family, base, args.k)
-    entries = []
     targets = [N for part in ranges for N in part]
-    for profile in representations.representation_counts(targets, args.family, base, k=args.k):
-        params = {"base": cfg.base, "n": profile.N, "family": args.family}
-        if args.family == "r0k":
-            params["k"] = args.k
-        entries.append((params, profile.exact, profile.predicted, profile.provenance))
-    emit_rows(cfg, REPORT_FIELDS, report_rows("represent", entries))
+    extra = {"k": args.k} if args.family == "r0k" else {}
+    profiles = representations.representation_counts(targets, args.family, base, k=args.k)
+    rows = (
+        report_row("represent", {"base": cfg.base, "n": p.N, "family": args.family, **extra},
+                   p.exact, p.predicted, p.provenance)
+        for p in profiles
+    )
+    emit_rows(cfg, REPORT_FIELDS, rows)
     return 0
 
 
@@ -293,40 +278,37 @@ def cmd_circle(args, cfg: RunConfig) -> int:
     base = Base(cfg.base)
     if args.op == "arcs":
         part = circle.build_arcs(args.N, args.B)
-        rows = [
-            {"a": arc.a, "q": arc.q, "lo": arc.lo, "hi": arc.hi}
-            for arc in part.arcs
-        ]
+        rows = ({"a": arc.a, "q": arc.q, "lo": arc.lo, "hi": arc.hi} for arc in part.arcs)
         emit_rows(cfg, ["a", "q", "lo", "hi"], rows)
         print(f"# total_measure={_fmt(part.total_measure)} Q={_fmt(part.Q)}", file=sys.stderr)
         return 0
     if args.op == "expsum":
         z = circle.exp_sum(args.alpha, args.N, args.kind, base)
-        rows = [{"alpha": args.alpha, "kind": args.kind, "re": z.real, "im": z.imag, "abs": abs(z)}]
-        emit_rows(cfg, ["alpha", "kind", "re", "im", "abs"], rows)
+        row = {"alpha": args.alpha, "kind": args.kind, "re": z.real, "im": z.imag, "abs": abs(z)}
+        emit_rows(cfg, ["alpha", "kind", "re", "im", "abs"], [row])
         return 0
     if args.op == "residual":
         value = circle.major_arc_residual(args.alpha, args.N, base, which=args.which, B=args.B)
-        entries = [({"alpha": args.alpha, "N": args.N, "which": args.which}, value, 0.0, "exact")]
-        emit_rows(cfg, REPORT_FIELDS, report_rows("residual", entries))
+        params = {"alpha": args.alpha, "N": args.N, "which": args.which}
+        emit_rows(cfg, REPORT_FIELDS, [report_row("residual", params, value, 0.0, "exact")])
         return 0
     if args.op == "weyl":
         value = circle.weyl_ratio(args.beta, args.N, base, kind=args.kind)
-        entries = [({"beta": args.beta, "N": args.N, "kind": args.kind}, value, 0.0, "exact")]
-        emit_rows(cfg, REPORT_FIELDS, report_rows("weyl", entries))
+        params = {"beta": args.beta, "N": args.N, "kind": args.kind}
+        emit_rows(cfg, REPORT_FIELDS, [report_row("weyl", params, value, 0.0, "exact")])
         return 0
     if args.op == "parseval":
         res = circle.parseval_check(args.N, base)
-        rows = [{"N": args.N, "lhs": res.lhs, "rhs": res.rhs, "scaled": res.scaled}]
-        emit_rows(cfg, ["N", "lhs", "rhs", "scaled"], rows)
+        row = {"N": args.N, "lhs": res.lhs, "rhs": res.rhs, "scaled": res.scaled}
+        emit_rows(cfg, ["N", "lhs", "rhs", "scaled"], [row])
         return 0
     if args.op == "probe":
         probe = circle.minor_arc_probe(args.N, args.B, base, args.samples, seed=cfg.seed)
-        rows = [
+        rows = (
             {"A": A, "scaled_max": v, "max_abs_prime": probe.max_abs_prime,
              "samples": probe.samples, "seed": probe.seed}
             for A, v in sorted(probe.scaled.items())
-        ]
+        )
         emit_rows(cfg, ["A", "scaled_max", "max_abs_prime", "samples", "seed"], rows)
         return 0
     if args.op == "curve":
@@ -335,17 +317,16 @@ def cmd_circle(args, cfg: RunConfig) -> int:
         sieve.reversed_prime_source_bound(args.N, base)
         prime_s = circle.exp_sum_evaluator(args.N, "prime")
         rev_s = circle.exp_sum_evaluator(args.N, "reversed_prime_coprime", base)
-        rows = []
-        for alpha in xs:
-            s, rs = abs(prime_s(float(alpha))), abs(rev_s(float(alpha)))
-            rows.append({"alpha": float(alpha), "abs_S": s, "abs_revS": rs})
+        rows = (
+            {"alpha": alpha, "abs_S": abs(prime_s(alpha)), "abs_revS": abs(rev_s(alpha))}
+            for alpha in map(float, xs)
+        )
         emit_rows(cfg, ["alpha", "abs_S", "abs_revS"], rows)
         return 0
     if args.op == "gamma":
         seed = circle.congruence_reversal_seed(base, args.h, args.q, args.digits, k=args.k, d=args.d)
         gammas, sigma = circle.gamma_sigma(seed, args.lam)
-        rows = [{"i": i, "gamma": g} for i, g in enumerate(gammas)]
-        rows.append({"i": "sigma", "gamma": sigma})
+        rows = ({"i": i, "gamma": g} for i, g in [*enumerate(gammas), ("sigma", sigma)])
         emit_rows(cfg, ["i", "gamma"], rows)
         return 0
     raise ValueError(f"unknown circle op {args.op!r}")
@@ -355,35 +336,30 @@ def cmd_schnirelmann(args, cfg: RunConfig) -> int:
     base = Base(cfg.base)
     if args.op == "gap":
         report = schnirelmann.verify_gap(args.i, args.digits)
-        rows = [
-            {
-                "base": report.base.b,
-                "L": report.L,
-                "lo": report.lo,
-                "hi": report.hi,
-                "count": report.reversed_prime_count,
-                "forced_k": str(report.forced_k),
-            }
-        ]
-        emit_rows(cfg, ["base", "L", "lo", "hi", "count", "forced_k"], rows)
+        row = {
+            "base": report.base.b,
+            "L": report.L,
+            "lo": report.lo,
+            "hi": report.hi,
+            "count": report.reversed_prime_count,
+            "forced_k": str(report.forced_k),
+        }
+        emit_rows(cfg, ["base", "L", "lo", "hi", "count", "forced_k"], [row])
         return 0
     if args.op == "mink":
         res = schnirelmann.min_k_representation(args.n, base, args.kmax)
-        rows = [
-            {
-                "n": res.N,
-                "k": res.k if res.k is not None else "none",
-                "witness": "+".join(str(w) for w in res.witness),
-                "single": int(res.single),
-            }
-        ]
-        emit_rows(cfg, ["n", "k", "witness", "single"], rows)
+        row = {
+            "n": res.N,
+            "k": res.k if res.k is not None else "none",
+            "witness": "+".join(str(w) for w in res.witness),
+            "single": int(res.single),
+        }
+        emit_rows(cfg, ["n", "k", "witness", "single"], [row])
         return 0
     if args.op == "scan":
         res = schnirelmann.scan_min_k(args.lo, args.hi, base, args.kmax)
-        rows = [{"k": k, "count": c} for k, c in sorted(res.counts.items())]
-        rows.append({"k": "failures", "count": len(res.failures)})
-        emit_rows(cfg, ["k", "count"], rows)
+        counts = [*sorted(res.counts.items()), ("failures", len(res.failures))]
+        emit_rows(cfg, ["k", "count"], ({"k": k, "count": c} for k, c in counts))
         if res.failures:
             print("# failures: " + ",".join(map(str, res.failures)), file=sys.stderr)
         return 0

@@ -30,28 +30,6 @@ class Base:
         object.__setattr__(self, "modulus", self.b**3 - self.b)
 
 
-@dataclass(frozen=True)
-class Numeral:
-    """An integer with its little-endian base-b expansion."""
-
-    value: int
-    digits: tuple[int, ...]
-    base: Base
-
-    @classmethod
-    def from_int(cls, n: int, base: Base) -> "Numeral":
-        if n < 0:
-            raise ValueError("numerals are non-negative")
-        return cls(n, tuple(digits_of(n, base)), base)
-
-    @property
-    def length(self) -> int:
-        return len(self.digits)
-
-    def reversed_value(self) -> int:
-        return reverse(self.value, self.base)
-
-
 def digits_of(n: int, base: Base) -> list[int]:
     """Little-endian digit list of n; [0] for n = 0."""
     if n < 0:
@@ -146,26 +124,10 @@ def reverse_block(values: np.ndarray, length: int, base: Base) -> np.ndarray:
     return rev.copy() if rev is values else rev  # k = 1 and one digit: never the input
 
 
-def is_reversal_coprime(n: int, base: Base) -> bool:
-    """True iff gcd(n, b^3 - b) = 1 (the coprimality filter on reversed
-    numbers that removes all small-modulus obstructions at once)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return math.gcd(n, base.modulus) == 1
-
-
 @lru_cache(maxsize=None)
 def coprime_digits(base: Base) -> tuple[int, ...]:
     """Digits d in [1, b) with gcd(d, b) = 1; there are phi(b) of them."""
     return tuple(d for d in range(1, base.b) if math.gcd(d, base.b) == 1)
-
-
-def rev_coprime_to_base(r: int, base: Base) -> int:
-    """1 iff gcd(reverse(r), b) = 1, i.e. the leading digit of r (the last
-    digit of reverse(r)) is coprime to b; else 0."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    return 1 if math.gcd(reverse(r, base), base.b) == 1 else 0
 
 
 def residue_admissible(a: int, q: int, base: Base) -> int:

@@ -68,8 +68,8 @@ def _check_modulus_guard(q: int, L: int, base: Base) -> None:
         )
 
 
-def _check_modulus(q: int) -> None:
-    # residues n % q are taken in int64
+def check_modulus(q: int) -> None:
+    """Refuse a modulus outside [1, 2^63): residues n % q are taken in int64."""
     if not 1 <= q < 1 << 63:
         raise ValueError(f"q must lie in [1, 2^63), got {brief(q)}")
 
@@ -173,7 +173,7 @@ def weighted_counts_up_to(
     if not (xs and qs) or min(xs) < 1:
         raise ValueError("x and q must be >= 1")
     for q in qs:
-        _check_modulus(q)
+        check_modulus(q)
     for x in xs:
         for q in qs:
             _check_modulus_guard(q, digit_length(x, base), base)
@@ -193,7 +193,7 @@ def weighted_count_by_length(L: int, a: int, q: int, base: Base) -> APResult:
     class a mod q of the span b^(L-1) <= n <= b^L - 1."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    _check_modulus(q)
+    check_modulus(q)
     check_block_length(L, base)
     _check_modulus_guard(q, L, base)
     span = (base.b ** (L - 1), base.b**L - 1)
@@ -216,7 +216,7 @@ def weighted_count_window(
     primes p = reverse(n) with p = reverse(r) mod b^eta; both enumerations
     are run and must agree (raw counts exactly, weights to rounding).
     """
-    _check_modulus(q)
+    check_modulus(q)
     if not 1 <= eta <= L:
         raise ValueError("eta must satisfy 1 <= eta <= L")
     check_block_length(L, base)

@@ -33,15 +33,17 @@ so the result is exact.
 representation_counts is the one engine; a lone representation_count is a
 batch of one.  A batch is checked once (check_batch), so a reversed-prime
 source past the sieve ceiling is refused before any sieve, and builds each
-input once, at its largest target: rsquare's squarefree mask and coprime
-reversed primes, the s0k table, and the factors, whose TransformCache
-hands target N their prefixes over 0..N, bitwise the indicators built at
-N.  Each target runs exactly the chain of a batch of one, so every float a
-batch returns is bitwise the lone call's.  Transforms are keyed by (kind,
-nfft, members <= N): a factor's spectrum is reused while no new member
-enters, and a chain's first stage reuses its inverse transform while both
-keys are unchanged.  Between neighbouring targets a new prime or reversed
-prime is rare, so most targets pay for the accumulator stages alone.
+input once, at its largest target, before it yields the first profile:
+rsquare's squarefree mask and coprime reversed primes, the s0k table, and
+the factors, whose TransformCache hands target N their prefixes over 0..N,
+bitwise the indicators built at N.  It then yields one profile per target,
+in order, and keeps none.  Each target runs exactly the chain of a batch of
+one, so every float a batch yields is bitwise the lone call's.  Transforms
+are keyed by (kind, nfft, members <= N): a factor's spectrum is reused
+while no new member enters, and a chain's first stage reuses its inverse
+transform while both keys are unchanged.  Between neighbouring targets a
+new prime or reversed prime is rare, so most targets pay for the
+accumulator stages alone.
 
 Families (weights are natural logs of the source primes):
 
@@ -60,6 +62,7 @@ a rounded convolution chain (exact integers as a fallback) for comp(0,k).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,21 +388,23 @@ def _predicted(N: int, family: str, base: Base, k: int | None, s0k: np.ndarray |
 
 
 def representation_count(N: int, family: str, base: Base, k: int | None = None) -> RepresentationProfile:
-    """representation_counts([N], ...): a batch of one."""
-    return representation_counts([N], family, base, k=k)[0]
+    """next(representation_counts([N], ...)): a batch of one."""
+    return next(representation_counts([N], family, base, k=k))
 
 
 def representation_counts(
     Ns: list[int], family: str, base: Base, k: int | None = None
-) -> list[RepresentationProfile]:
-    """Weighted count of representations of each N in Ns, in order, with the
-    predicted main term; see the module docstring for the family key.  A
-    chain family requests one prime table, at the largest of the largest
-    target and the reversed primes' sources; the s0k table stays outside
-    the transforms, where it would evict the kept first stage."""
+) -> Iterator[RepresentationProfile]:
+    """Yields the weighted count of representations of each N in Ns, in
+    order, with the predicted main term; see the module docstring for the
+    family key.  The checks and the batch's builds run at the call, before
+    the first profile is drawn.  A chain family requests one prime table, at
+    the largest of the largest target and the reversed primes' sources; the
+    s0k table stays outside the transforms, where it would evict the kept
+    first stage."""
     check_family(family, k)
     if not Ns:
-        return []
+        return iter(())
     top = max(Ns)
     check_batch(min(Ns), top, family, base, k)
     s0k = None
@@ -411,18 +416,20 @@ def representation_counts(
         if family == "r0k":
             s0k = _s0k_table(top, k, base)
         transforms = TransformCache(top, base)
-    profiles = []
-    for N in Ns:
-        if family == "rsquare":
-            # N = n + eta, eta squarefree: n < N, as mu^2(0) = 0
-            cut = int(np.searchsorted(arrays.n, N))
-            exact, provenance = float(arrays.weight[:cut][sqfree[N - arrays.n[:cut]]].sum()), "exact"
-        else:
-            exact, provenance = _chain_count(N, family, k, transforms)
-        predicted = _predicted(N, family, base, k, s0k)
-        ratio = exact / predicted if predicted > 0 else float("nan")
-        profiles.append(RepresentationProfile(N, family, exact, predicted, ratio, provenance))
-    return profiles
+
+    def profiles() -> Iterator[RepresentationProfile]:
+        for N in Ns:
+            if family == "rsquare":
+                # N = n + eta, eta squarefree: n < N, as mu^2(0) = 0
+                cut = int(np.searchsorted(arrays.n, N))
+                exact, provenance = float(arrays.weight[:cut][sqfree[N - arrays.n[:cut]]].sum()), "exact"
+            else:
+                exact, provenance = _chain_count(N, family, k, transforms)
+            predicted = _predicted(N, family, base, k, s0k)
+            ratio = exact / predicted if predicted > 0 else float("nan")
+            yield RepresentationProfile(N, family, exact, predicted, ratio, provenance)
+
+    return profiles()
 
 
 def _s0k_table(top: int, k: int, base: Base) -> np.ndarray:

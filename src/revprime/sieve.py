@@ -360,10 +360,13 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
 def enumerate_reversed_primes(
     x: int, base: Base, require_coprime: bool = False
 ) -> Iterator[ReversedPrimeRecord]:
-    """Stream reversed primes n <= x in increasing n order."""
+    """Stream reversed primes n <= x in increasing n order.  The arrays are
+    built, and x checked, at the call, before the first record is drawn."""
     arrays = reversed_prime_arrays(x, base, require_coprime)
-    for n, p, w, c in zip(arrays.n, arrays.p, arrays.weight, arrays.coprime):
-        yield ReversedPrimeRecord(int(n), int(p), float(w), bool(c))
+    return (
+        ReversedPrimeRecord(int(n), int(p), float(w), bool(c))
+        for n, p, w, c in zip(arrays.n, arrays.p, arrays.weight, arrays.coprime)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +413,10 @@ def _indicator(x: int, kind: str, base: Base | None, dtype) -> np.ndarray:
         raise ResourceLimitError(
             f"indicator of length {brief(x + 1)} exceeds the {MAX_SEQUENCE_LEN} ceiling"
         )
-    w = np.zeros(x + 1, dtype=dtype)
+    # the support first: it refuses sources past the sieve ceiling before
+    # the dense array is allocated
     n, weight = indicator_support(x, kind, base)
+    w = np.zeros(x + 1, dtype=dtype)
     w[n] = weight  # a bool mask stores True for each (positive) log
     return w
 

@@ -298,6 +298,114 @@ def test_closed_stdout_pipe_exits_without_traceback():
     assert "Traceback" not in stderr
 
 
+# ---------------------------------------------------------------------------
+# rows stream: each is written as it is made, and none is held
+# ---------------------------------------------------------------------------
+
+def _cap_address_space():
+    # run in the child before exec: 1.5 GB, as `ulimit -v 1500000`
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1500000 * 1024, 1500000 * 1024))
+
+
+def test_count_ap_streams_a_residue_range_of_billions():
+    # the residues are never listed, so rows arrive under a cap that a list
+    # of 3e9 of them would pass long before its first row
+    proc = subprocess.Popen(
+        CLI + ["count-ap", "--x", "100", "--a", "0..3e9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.stdout.readline() == "command,params,observed,predicted,ratio,provenance\n"
+    rows = [proc.stdout.readline() for _ in range(2)]
+    assert [row.split(",")[1] for row in rows] == ["a=0;base=10;q=1;x=100", "a=1;base=10;q=1;x=100"]
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 3
+    assert "Traceback" not in stderr
+
+
+def test_count_ap_checks_a_modulus_range_on_its_ends():
+    # refused on the range's first end before the moduli are listed; under
+    # the cap a list of 3e9 of them would end in an allocation failure
+    import time
+
+    start = time.perf_counter()
+    res = subprocess.run(
+        CLI + ["count-ap", "--x", "100", "--q", "0..3e9"],
+        capture_output=True, text=True, env=cli_env(), preexec_fn=_cap_address_space,
+    )
+    assert time.perf_counter() - start < 2
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "usage error: q must lie in [1, 2^63), got 0\n"
+
+
+def test_mink_past_the_ceiling_is_refused_under_a_memory_cap():
+    # the reversed primes' ceiling is met before the dense pool is allocated
+    res = subprocess.run(
+        CLI + ["schnirelmann", "--op", "mink", "--n", "2147483647"],
+        capture_output=True, text=True, env=cli_env(), preexec_fn=_cap_address_space,
+    )
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr.startswith("resource error: ") and "ceiling" in res.stderr.splitlines()[0]
+
+
+def test_represent_writes_each_row_as_it_is_made(monkeypatch):
+    # target i is counted after the header and the rows of targets 0..i-1
+    # are written, in csv and in json
+    import io
+
+    from revprime import cli, representations
+
+    predicted = representations._predicted
+    for fmt, header in (("csv", 1), ("json", 0)):
+        out, written = io.StringIO(), []
+
+        def spy(*args, **kwargs):
+            written.append(out.getvalue().count("\n"))
+            return predicted(*args, **kwargs)
+
+        monkeypatch.setattr(representations, "_predicted", spy)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["represent", "--family", "r11", "--n", "100..120", "--format", fmt]) == 0
+        assert written == [header + i for i in range(21)]
+        assert out.getvalue().count("\n") == header + 21
+
+
+# a child's ru_maxrss starts at its parent's resident set when it forks, so
+# each CLI run is started from a small launcher that imports no numpy
+_PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def _child_peak_rss_mb(*args):
+    """The peak resident set of one CLI child, from its rusage."""
+    res = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, *CLI, *args],
+        capture_output=True, text=True, env=cli_env(), check=True,
+    )
+    code, peak_kb = map(int, res.stdout.split())  # KB on Linux
+    assert code == 0, args
+    return peak_kb / 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+@pytest.mark.parametrize("many, one, slack_mb", [
+    (("enumerate", "--limit", "1e6"), ("enumerate", "--limit", "1e4"), 10),
+    (("represent", "--family", "rsquare", "--n", "2..20000"),
+     ("represent", "--family", "rsquare", "--n", "20000"), 5),
+])
+def test_peak_memory_is_flat_in_the_number_of_rows(many, one, slack_mb):
+    assert _child_peak_rss_mb(*many) < _child_peak_rss_mb(*one) + slack_mb
+
+
 def test_window_cross_check_failure_exits_1(monkeypatch, capsys):
     # a disagreement between the two window enumerations is a failed check
     from revprime import cli, progressions
@@ -961,7 +1069,7 @@ COUNT_AP_INTS = ["-1", "0", "1", "2", "3", str(2**31), "3e9", "1e400", "1.5e0"]
 # others at --x 1000 --q 1 --a 0
 COUNT_AP_FLAGS = {
     "--x": COUNT_AP_INTS + [str(2**31 - 1), "40..30", "40,40", "30..40,35", "1..3e9"],
-    "--q": COUNT_AP_INTS + [str(2**63 - 1), str(2**63), "7..3", "7,7", "1..3,2"],
+    "--q": COUNT_AP_INTS + [str(2**63 - 1), str(2**63), "7..3", "7,7", "1..3,2", "0..3e9"],
     "--a": COUNT_AP_INTS + ["9..3", "4,4", "0..2,1"],
 }
 

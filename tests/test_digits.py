@@ -6,13 +6,10 @@ import pytest
 
 from revprime.digits import (
     Base,
-    Numeral,
     coprime_leading_indicator,
     count_coprime_leading,
     digits_of,
-    is_reversal_coprime,
     residue_admissible,
-    rev_coprime_to_base,
     reverse,
     reverse_block,
     reverse_padded,
@@ -39,15 +36,6 @@ def test_reverse_drops_trailing_zeros(b10):
     # 500 reverses to the shorter integer 5; the involution breaks there
     assert reverse(500, b10) == 5
     assert reverse(reverse(500, b10), b10) == 5
-
-
-def test_numeral_roundtrip(b10):
-    n = Numeral.from_int(1867, b10)
-    assert n.digits == (7, 6, 8, 1)
-    assert n.length == 4
-    assert n.reversed_value() == 7681
-    assert sum(d * 10**i for i, d in enumerate(n.digits)) == n.value
-    assert Numeral.from_int(0, b10).digits == (0,)
 
 
 def test_reverse_padded(b10):
@@ -122,12 +110,6 @@ def test_shared_factor_equivalence(b):
         L += 1
 
 
-def test_is_reversal_coprime(b10):
-    assert is_reversal_coprime(7, b10)
-    assert not is_reversal_coprime(33, b10)
-    assert is_reversal_coprime(91, b10)
-
-
 def test_count_coprime_leading_examples(b10):
     assert count_coprime_leading(9, b10) == 4
     assert count_coprime_leading(0, b10) == 0
@@ -155,16 +137,6 @@ def test_coprime_leading_indicator_brute(b10):
     for n in range(1, 501):
         lead = int(str(n)[0])
         assert ind[n] == (1.0 if math.gcd(lead, 10) == 1 else 0.0)
-
-
-def test_rev_coprime_to_base(b10):
-    assert rev_coprime_to_base(1, b10) == 1
-    assert rev_coprime_to_base(2, b10) == 0
-    assert rev_coprime_to_base(12, b10) == 1  # rev 21, gcd(21,10)=1
-    assert rev_coprime_to_base(25, b10) == 0  # rev 52, gcd(52,10)=2
-    # the leading digit decides, not the last nonzero one
-    assert rev_coprime_to_base(21, b10) == 0  # rev 12, gcd(12,10)=2
-    assert rev_coprime_to_base(120, b10) == 1  # rev 21, gcd(21,10)=1
 
 
 def test_residue_admissible(b10):

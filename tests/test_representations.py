@@ -622,7 +622,7 @@ def test_batch_transforms_only_new_inputs(b10, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counting)
-    reps.representation_counts(Ns, "r12", b10)
+    list(reps.representation_counts(Ns, "r12", b10))
     want_rfft, want_irfft = 3 + len(Ns) - 1, len(Ns) + 1  # the first target
     for N in Ns[1:]:
         new_rev, new_prime = N in revs, table.is_prime(N)
@@ -678,7 +678,7 @@ def test_batch_builds_each_factor_kind_once(monkeypatch, b10):
     calls = []
     _spy(monkeypatch, reps, "weighted_indicator", calls)
     Ns = list(range(12001, 12006)) + [12003, 12000]
-    reps.representation_counts(Ns, "r21", b10)
+    list(reps.representation_counts(Ns, "r21", b10))
     assert sorted(calls) == [(12005, "prime"), (12005, "reversed_prime_coprime")]
 
 
@@ -712,7 +712,7 @@ def test_batch_is_checked_before_any_build(monkeypatch, fresh_session, b10):
 
 
 def test_batch_of_no_targets(b10):
-    assert reps.representation_counts([], "r12", b10) == []
+    assert list(reps.representation_counts([], "r12", b10)) == []
 
 
 # ---------------------------------------------------------------------------

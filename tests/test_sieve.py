@@ -189,6 +189,33 @@ def test_enumeration_examples(b10):
     assert (first.n, first.p) == (2, 2)
 
 
+def test_enumeration_checks_its_bound_at_the_call(b10, fresh_session):
+    # refused before a record is drawn, so a caller that writes a header
+    # first has written nothing
+    with pytest.raises(ValueError, match="x must be >= 1"):
+        enumerate_reversed_primes(0, b10)
+    records = enumerate_reversed_primes(40, b10)
+    assert fresh_session.builds  # built at the call
+    assert [rec.n for rec in records][:3] == [2, 3, 5]
+
+
+def test_indicator_refuses_sources_past_the_ceiling_before_allocating(monkeypatch, fresh_session):
+    # x = 200000 is below the lowered ceiling, but its sources reach 999999:
+    # the 200001-byte mask must not be allocated before the refusal
+    import tracemalloc
+
+    monkeypatch.setattr(sieve, "MAX_SEQUENCE_LEN", 500000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="ceiling"):
+            indicator_mask(200000, "reversed_prime", Base(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200000
+    assert fresh_session.table is None
+
+
 def test_enumeration_monotone_and_weights(b10):
     arr = reversed_prime_arrays(10**5, b10)
     assert np.all(np.diff(arr.n) > 0)
