@@ -192,12 +192,9 @@ def _int_ranges(text: str) -> list[range]:
     return out
 
 
-def int_list(text: str) -> list[int]:
-    """Parse '600', '1..30', or '1e4,1e5,1e6' into a list of ints."""
-    out: list[int] = []
-    for part in _int_ranges(text):
-        out.extend(part)
-    return out
+def int_list(ranges: list[range]) -> list[int]:
+    """The ints of _int_ranges' ranges, in order, as one list."""
+    return [n for part in ranges for n in part]
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +223,7 @@ def cmd_count_ap(args, cfg: RunConfig) -> int:
     for part in q_ranges:
         check_modulus(part[0])
         check_modulus(part[-1])
-    xs, qs = [x for part in x_ranges for x in part], [q for part in q_ranges for q in part]
+    xs, qs = int_list(x_ranges), int_list(q_ranges)
     counts = weighted_counts_up_to(xs, qs, base)
     cells = ((x, q, a) for x in xs for q in qs for part in a_ranges for a in part)
     rows = (
@@ -262,7 +259,7 @@ def cmd_represent(args, cfg: RunConfig) -> int:
     ranges = _int_ranges(args.n)
     least, largest = min(part[0] for part in ranges), max(part[-1] for part in ranges)
     representations.check_batch(least, largest, args.family, base, args.k)
-    targets = [N for part in ranges for N in part]
+    targets = int_list(ranges)
     extra = {"k": args.k} if args.family == "r0k" else {}
     profiles = representations.representation_counts(targets, args.family, base, k=args.k)
     rows = (

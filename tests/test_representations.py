@@ -586,7 +586,7 @@ CHAIN_KINDS = {
 @pytest.mark.parametrize("family,k,b,Ns", BATCHES)
 def test_batch_equals_lone_calls(family, k, b, Ns):
     base = Base(b)
-    batch = reps.representation_counts(Ns, family, base, k=k)
+    batch = list(reps.representation_counts(Ns, family, base, k=k))
     assert [p.N for p in batch] == Ns
     kinds = CHAIN_KINDS.get(family, ("reversed_prime_coprime",) * (k or 0))
     for N, got in zip(Ns, batch):
@@ -600,7 +600,8 @@ def test_batch_equals_lone_calls(family, k, b, Ns):
 
 def test_batch_with_an_odd_recount_window_rechecks(b10):
     # the r11 window above holds odd targets whose count is exactly zero
-    batch = reps.representation_counts(list(range(100001, 100013, 2)), "r11", b10)
+    batch = list(reps.representation_counts(list(range(100001, 100013, 2)), "r11", b10))
+    assert len(batch) == 6
     assert any(p.exact == 0.0 and p.provenance == "exact" for p in batch)
     assert any(p.provenance == "fft" for p in batch)
 
