@@ -681,6 +681,90 @@ def test_exceptions_and_curve_stdout_is_pinned(args):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == PINNED_SHA256[args]
 
 
+# stdout of the commands and ops that no other test pins byte for byte,
+# recorded from the implementation that still re-exported the library from
+# the package namespace and built enumerate's rows from records
+STDOUT_SHA256 = {
+    ("enumerate", "--limit", "3000"):
+        "10caefee363398195d51b3798c595e2272e0755a1226db69c575c653d2d61af0",
+    ("enumerate", "--limit", "3000", "--coprime", "--format", "json"):
+        "39d05df8da44255af41fcc5cc8170a9390b4fa138093f352fa6d33cb0ad098cc",
+    ("--base", "7", "enumerate", "--limit", "3000"):
+        "e6b64f0ce6f6b2ec5c78b90e13df3fc98aef916bd1642727984ba03dd795edb5",
+    ("count-ap", "--x", "1e5,2e5", "--q", "1..10", "--a", "0..3"):
+        "ec1ea376816dfad9d688df02742af3e496a0c128a90309df10e62cc81c579299",
+    ("count-ap", "--x", "1e5", "--q", "7", "--a", "0..40"):
+        "f3b89cb389b86c9f48f3fff9cd8745dc2596510be6c8f5bda3c0202fdde5612a",
+    ("--format", "json", "count-ap", "--x", "1e5,2e5", "--q", "1..10", "--a", "0..3"):
+        "512f32dd4c2ff742a9030844be5460b054e14ea7af6c20d29674a8d072e7148b",
+    ("--base", "7", "partition", "--digits", "5", "--eta", "1", "--r", "3", "--q", "4", "--a", "1"):
+        "7cf62111fd99553723d6d287fbe65ef0dda4a5cbf358e2a0bc8d5f01db3c55b1",
+    ("circle", "--op", "arcs", "--N", "100000", "--B", "1"):
+        "15dce199223e28322304b80e23c65ad6253a7fae344cb60982e625d4509fbfec",
+    ("circle", "--op", "expsum", "--alpha", "0.3", "--N", "20000", "--kind", "prime"):
+        "eaf67d5e747c10e4ddb5cb0f1eb1fcda5d5f7ea24b51882d1a7035ec81132f27",
+    ("circle", "--op", "expsum", "--alpha", "0.3", "--N", "20000", "--kind", "reversed_prime_coprime"):
+        "d72b5e15528804999a1fb8176697cb8ef008b21ad4bf148f67fac55978002dfd",
+    ("circle", "--op", "residual", "--alpha", "0.3335", "--N", "20000"):
+        "ca9c236205026c1d004e2488e3a8aa216f3c77cd3a554b1f9937dc6733b12800",
+    ("circle", "--op", "residual", "--alpha", "0.3335", "--N", "20000", "--which", "S"):
+        "8cd9123fe912e9b95bd02601824d6e0b5f315a012cf15ae2d72d3bb62e988622",
+    ("circle", "--op", "weyl", "--beta", "0.25", "--N", "20000"):
+        "053e20cccdafe4aa236810964da9762ab0c1e262ce1ffc357b6444266a444fd3",
+    ("circle", "--op", "parseval", "--N", "20000"):
+        "ce7eb8c5d2f0cecfdb28d1f80810926a8cc8aace5a2dd71dbb1f17b9234214d4",
+    ("circle", "--op", "probe", "--N", "20000", "--samples", "50", "--seed", "7"):
+        "eff06cd7b5f6d1edc7f229830e00c795b8a1734413e9a36d93268cfb8eb36e34",
+    ("--format", "json", "circle", "--op", "gamma", "--q", "7", "--digits", "6", "--lam", "4"):
+        "fae146deb280c5ee6c62be2a2821257516e4734922fa18d78a14cec2443c912f",
+    ("schnirelmann", "--op", "gap", "--i", "2", "--digits", "3"):
+        "134aca055ad7f94e721d5b5fcf5a36a6269fc8cc58e3ba3afcc3af019a34d7a3",
+    ("--base", "2", "schnirelmann", "--op", "mink", "--n", "10001", "--kmax", "4"):
+        "b99998bb41e78571d0688df2a3982fa0a8f1aca86e8985630abca020ad331e4d",
+    ("--base", "30", "schnirelmann", "--op", "scan", "--lo", "100", "--hi", "3000"):
+        "9f1a22589c01f33eedd33cb39a781419e539ce92ca9cd26f81f91085e4cdfac2",
+}
+
+
+@pytest.mark.filterwarnings("ignore::revprime.errors.ModulusRangeWarning")
+@pytest.mark.parametrize("args", sorted(STDOUT_SHA256), ids=" ".join)
+def test_stdout_is_pinned(args, capsys):
+    import hashlib
+
+    from revprime import cli
+
+    assert cli.main(list(args)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[args]
+
+
+def test_importing_cli_binds_every_traced_layer():
+    # the benchmark's traced child imports revprime.cli and then wraps each
+    # LAYERS function by looking its module up in sys.modules: a module that
+    # the import no longer loads would silently drop a layer from the trace
+    import ast
+
+    path = os.path.join(os.path.dirname(SRC), "perfbench", "tracing.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    layers = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]
+    )
+    assert layers
+    probe = (
+        "import sys, revprime.cli\n"
+        "for layer in sys.argv[1:]:\n"
+        "    module, _, name = layer.rpartition('.')\n"
+        "    if not callable(getattr(sys.modules.get('revprime.' + module), name, None)):\n"
+        "        print(layer)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", probe, *layers],
+                         capture_output=True, text=True, env=cli_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == ""
+
+
 def _refuse_to_sieve(limit, *, extend=None):
     raise AssertionError(f"sieved to {limit} with a warm cache")
 
