@@ -16,10 +16,6 @@ from itertools import combinations
 
 from .digits import Base
 
-# Twin prime constant C2 = prod_{p>2} (1 - 1/(p-1)^2), for display and for
-# the classical lower bound on the ternary series at odd arguments.
-TWIN_PRIME_CONSTANT = 0.6601618158468696
-
 # zeta(2) = pi^2/6 in double precision; used once per prediction.
 ZETA2 = math.pi**2 / 6
 

@@ -415,7 +415,8 @@ def gamma_sigma(seed: WeaklyDigitalSeed, lam: int) -> tuple[list[float], float]:
 def congruence_reversal_seed(
     base: Base, h: int, q: int, L: int, k: int = 0, d: int = 1
 ) -> WeaklyDigitalSeed:
-    """Seed whose digit function is (h/q) * reverse_padded(n, L) + (k/d) * n:
+    """Seed whose digit function is (h/q) * rev_L(n) + (k/d) * n, where rev_L
+    is the zero-padded L-digit reversal of `digits.reverse_block`:
 
         alpha_i(m) = (h/q) * m * b^(L-i-1) + (k/d) * m * b^i.
 

@@ -13,8 +13,11 @@ independent computations that disagree), 2 usage error, 3 resource or cache
 error, or stdout closed by its reader before the output was written.
 
 Configuration precedence: command-line flags, then environment
-(REVPRIME_CACHE_DIR, REVPRIME_THREADS), then a key=value config file
-(--config), then defaults.
+(REVPRIME_CACHE_DIR), then a key=value config file (--config), then
+defaults.  The file sets base, cache_dir, format, seed and fixtures; a line
+that is not key=value, any other key, or a format other than csv and json
+is a usage error.  --threads is accepted and checked (>= 0) for existing
+callers, and changes nothing: the sieve runs on one thread.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from . import circle, representations, schnirelmann, sieve, verify
 from .digits import Base
 from .errors import CacheError, CrossCheckError, ResourceLimitError
 from .progressions import check_modulus, weighted_count_window, weighted_counts_up_to
-from .sieve import enumerate_reversed_primes
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -45,21 +47,36 @@ from .sieve import enumerate_reversed_primes
 class RunConfig:
     base: int = 10
     cache_dir: str | None = None
-    threads: int = 0  # checked (>= 0) but unused: the sieve runs on one thread
     format: str = "csv"
     seed: int = 0
     fixtures_path: str | None = None
 
 
+FORMATS = ("csv", "json")
+# the keys of a --config file, and the RunConfig field each one sets
+CONFIG_KEYS = {"base": "base", "cache_dir": "cache_dir", "format": "format",
+               "seed": "seed", "fixtures": "fixtures_path"}
+
+
 def _read_config_file(path: str) -> dict[str, str]:
+    """The key=value lines of a config file; blank lines and # comments are
+    skipped, and anything else that is not a known key set to a valid value
+    is a ValueError."""
     out = {}
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key, eq, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if not eq:
+                raise ValueError(f"--config line {number} is not key=value: {line!r}")
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"unknown --config key {key!r}; known: {', '.join(CONFIG_KEYS)}")
+            out[key] = value
+    if out.get("format", "csv") not in FORMATS:
+        raise ValueError(f"--config format must be csv or json, got {out['format']!r}")
     return out
 
 
@@ -70,28 +87,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             file_vals = _read_config_file(args.config)
         except OSError as exc:
             raise ValueError(f"cannot read --config file: {exc}") from exc
-        if "base" in file_vals:
-            cfg.base = _parse_int(file_vals["base"])
-        if "cache_dir" in file_vals:
-            cfg.cache_dir = file_vals["cache_dir"]
-        if "threads" in file_vals:
-            cfg.threads = _parse_int(file_vals["threads"])
-        if "format" in file_vals:
-            cfg.format = file_vals["format"]
-        if "seed" in file_vals:
-            cfg.seed = _parse_int(file_vals["seed"])
-        if "fixtures" in file_vals:
-            cfg.fixtures_path = file_vals["fixtures"]
+        for key, value in file_vals.items():
+            setattr(cfg, CONFIG_KEYS[key], _parse_int(value) if key in ("base", "seed") else value)
     if os.environ.get("REVPRIME_CACHE_DIR"):
         cfg.cache_dir = os.environ["REVPRIME_CACHE_DIR"]
-    if os.environ.get("REVPRIME_THREADS"):
-        cfg.threads = _parse_int(os.environ["REVPRIME_THREADS"])
     if getattr(args, "base", None) is not None:
         cfg.base = args.base
     if getattr(args, "cache_dir", None):
         cfg.cache_dir = args.cache_dir
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
     if getattr(args, "format", None):
         cfg.format = args.format
     if getattr(args, "seed", None) is not None:
@@ -100,8 +103,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.fixtures_path = args.fixtures
     if cfg.base < 2:
         raise ValueError(f"base must be >= 2, got {cfg.base}")
-    if cfg.threads < 0:
-        raise ValueError(f"threads must be >= 0, got {cfg.threads}")
+    if getattr(args, "threads", 0) < 0:
+        raise ValueError(f"threads must be >= 0, got {args.threads}")
     return cfg
 
 
@@ -202,10 +205,11 @@ def int_list(ranges: list[range]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args, cfg: RunConfig) -> int:
-    base = Base(cfg.base)
+    # built, and the limit checked, before emit_rows writes the header
+    arrays = sieve.reversed_prime_arrays(args.limit, Base(cfg.base), require_coprime=args.coprime)
     rows = (
-        {"n": rec.n, "p": rec.p, "weight": rec.weight, "coprime": int(rec.coprime_flag)}
-        for rec in enumerate_reversed_primes(args.limit, base, require_coprime=args.coprime)
+        {"n": int(n), "p": int(p), "weight": float(w), "coprime": int(c)}
+        for n, p, w, c in zip(arrays.n, arrays.p, arrays.weight, arrays.coprime)
     )
     emit_rows(cfg, ["n", "p", "weight", "coprime"], rows)
     return 0
@@ -413,12 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--base", type=_parse_int, default=argparse.SUPPRESS,
                         help="radix b >= 2 (default 10)")
-    common.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
+    common.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS)
     common.add_argument("--cache-dir", default=argparse.SUPPRESS,
                         help="prime-table cache directory")
     common.add_argument("--threads", type=_parse_int, default=argparse.SUPPRESS,
-                        help="accepted and checked (>= 0) for compatibility; "
-                        "the sieve runs on one thread")
+                        help="accepted and checked (>= 0) for existing callers; "
+                        "changes nothing, the sieve runs on one thread")
     common.add_argument("--seed", type=_parse_int, default=argparse.SUPPRESS,
                         help="seed for sampled probes")
     common.add_argument("--config", default=argparse.SUPPRESS, help="key=value config file")

@@ -65,21 +65,6 @@ def reverse(n: int, base: Base) -> int:
     return rev
 
 
-def reverse_padded(n: int, length: int, base: Base) -> int:
-    """Reverse of n zero-padded to `length` digits: sum(d_i * b^(length-1-i)).
-
-    Agrees with reverse() on integers with exactly `length` digits.
-    """
-    if n < 0 or n >= base.b**length:
-        raise ValueError("n must have at most `length` digits")
-    b = base.b
-    rev = 0
-    for _ in range(length):
-        n, d = divmod(n, b)
-        rev = rev * b + d
-    return rev
-
-
 def reverse_block(values: np.ndarray, length: int, base: Base) -> np.ndarray:
     """Vectorized digital reverse for an int64 array of integers with at
     most `length` base-b digits (zero-padded reversal, so the same value as

@@ -252,24 +252,3 @@ def _prime_side_window(L: int, eta: int, r: int, a: int, q: int, base: Base) -> 
     keep &= rev % q == a
     return float(np.log(block[keep].astype(np.float64)).sum()), int(keep.sum())
 
-
-def window_partition_check(
-    L: int, a: int, q: int, base: Base, etas: tuple[int, ...] = (1, 2)
-) -> bool:
-    """The windows over all r with eta leading digits partition the L-digit
-    block: their observed counts must sum to the full-length count."""
-    whole = weighted_count_by_length(L, a, q, base)
-    b = base.b
-    for eta in etas:
-        if eta > L:
-            continue
-        total, raw = 0.0, 0
-        for r in range(b ** (eta - 1), b**eta):
-            part = weighted_count_window(L, eta, r, a, q, base)
-            total += part.observed
-            raw += part.raw_count
-        if raw != whole.raw_count:
-            return False
-        if abs(total - whole.observed) > 1e-9 * max(1.0, whole.observed):
-            return False
-    return True

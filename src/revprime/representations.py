@@ -86,7 +86,6 @@ MAX_CONV_LEN = 1 << 30
 MAX_PURE_K = 6
 
 FAMILIES = ("r11", "r12", "r21", "r0k", "rsquare")
-COMP_FAMILIES = ("s12", "s21", "s0k")
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -446,37 +445,30 @@ def _s0k_table(top: int, k: int, base: Base) -> np.ndarray:
     return counts
 
 
-def composition_count(N: int, family: str, base: Base, k: int | None = None) -> int:
-    """Compositions of N into positive parts with leading-digit constraints:
+def composition_count(N: int, family: str, base: Base) -> int:
+    """Compositions of N into three positive parts with leading-digit
+    constraints:
 
     s12: n1 + n2 + n3 = N, leading digits of n2 and n3 coprime to b
     s21: n1 + n2 + n3 = N, leading digit of n3 coprime to b
-    s0k: n1 + ... + nk = N, all leading digits coprime to b
 
-    With B the integers whose leading digit is coprime to b, the ternary
-    counts are exact int64 sums over B:
+    With B the integers whose leading digit is coprime to b, both are exact
+    int64 sums over B:
 
         s12(N) = sum_{n in B, n <= N-2} #B(N-1-n)
         s21(N) = sum_{n in B, n <= N-2} (N-1-n)
 
     exact while N^2/2 < 2^63, which the MAX_SEQUENCE_LEN ceiling on N
-    ensures.  s0k reads the table B^{*k} built at N (_s0k_table).
+    ensures.  The k-part count s0k is the table B^{*k} (_s0k_table).
     """
-    if family not in COMP_FAMILIES:
+    if family not in ("s12", "s21"):
         raise ValueError(f"unknown composition family {family!r}")
-    if family in ("s12", "s21") and N < 3:
+    if N < 3:
         raise ValueError("ternary compositions need N >= 3")
-    if family == "s0k":
-        if k is None or not 2 <= k <= MAX_PURE_K:
-            raise ValueError(f"s0k requires 2 <= k <= {MAX_PURE_K}")
-        if N < k:
-            raise ValueError("need N >= k")
     if N >= MAX_SEQUENCE_LEN:
         raise ResourceLimitError(
             f"composition count at N = {brief(N)} exceeds the {MAX_SEQUENCE_LEN} ceiling"
         )
-    if family == "s0k":
-        return int(_s0k_table(N, k, base)[N])
     in_b = coprime_leading_indicator(N - 2, base) > 0
     members = np.flatnonzero(in_b)  # n in B, n <= N - 2
     if family == "s21":

@@ -48,7 +48,6 @@ import math
 import os
 import tempfile
 import zlib
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,16 +168,6 @@ def sieve_primes(limit: int, *, extend: PrimeTable | None = None) -> PrimeTable:
 # ---------------------------------------------------------------------------
 # Reversed primes
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReversedPrimeRecord:
-    """One reversed prime n = reverse(p), with its source prime and weight."""
-
-    n: int
-    p: int
-    weight: float  # natural log of p
-    coprime_flag: bool  # gcd(n, b^3 - b) == 1
-
 
 @dataclass
 class ReversedPrimeArrays:
@@ -355,18 +344,6 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
         session.builds[base.b] = full
     out = full.restrict(x)
     return out.coprime_only() if require_coprime else out
-
-
-def enumerate_reversed_primes(
-    x: int, base: Base, require_coprime: bool = False
-) -> Iterator[ReversedPrimeRecord]:
-    """Stream reversed primes n <= x in increasing n order.  The arrays are
-    built, and x checked, at the call, before the first record is drawn."""
-    arrays = reversed_prime_arrays(x, base, require_coprime)
-    return (
-        ReversedPrimeRecord(int(n), int(p), float(w), bool(c))
-        for n, p, w, c in zip(arrays.n, arrays.p, arrays.weight, arrays.coprime)
-    )
 
 
 # ---------------------------------------------------------------------------

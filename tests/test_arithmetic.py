@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from revprime.arithmetic import (
-    TWIN_PRIME_CONSTANT,
     admissible_exp_sum,
     distinct_primes,
     factorize,
@@ -121,7 +120,6 @@ def test_ternary_above_twin_prime_constant(b10):
     bound = Fraction(66016, 100000)
     for N in range(1, 10**4, 2):
         assert singular_series_ternary(N, b10) > bound
-    assert math.isclose(TWIN_PRIME_CONSTANT, 0.66016, rel_tol=1e-4)
 
 
 def test_squarefree_series_never_zero(b10):

@@ -212,12 +212,12 @@ def test_resource_error_exit_3():
 ])
 def test_memory_error_exits_3(exc, message, monkeypatch, capsys):
     # an allocation failure anywhere stays inside the exit-code contract
-    from revprime import cli
+    from revprime import cli, sieve
 
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "enumerate_reversed_primes", fail)
+    monkeypatch.setattr(sieve, "reversed_prime_arrays", fail)
     assert cli.main(["enumerate", "--limit", "100"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"resource error: {message}\n"
@@ -906,22 +906,41 @@ def test_main_restores_the_callers_session(tmp_path, fresh_session):
     assert sieve.session is fresh_session
 
 
-@pytest.mark.parametrize("how", ["flag", "env", "config"])
-def test_negative_thread_count_exits_2(how, tmp_path):
-    args, env = ["enumerate", "--limit", "10"], None
-    if how == "flag":
-        args += ["--threads", "-4"]
-    elif how == "env":
-        env = {"REVPRIME_THREADS": "-2"}
-    else:
-        conf = tmp_path / "conf.txt"
-        conf.write_text("threads=-1\n")
-        args += ["--config", str(conf)]
-    res = run_cli(*args, env=env)
+@pytest.mark.parametrize("args", [
+    ["enumerate", "--limit", "10", "--threads", "-4"],
+    ["--threads", "-4", "enumerate", "--limit", "10"],
+], ids=["flag", "flag-before-command"])
+def test_negative_thread_count_exits_2(args):
+    # --threads changes nothing, but is still checked
+    res = run_cli(*args)
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("usage error: threads must be >= 0")
     assert len(res.stderr.splitlines()) == 1
+
+
+# a config line that is not a known key set to a valid value, and what the
+# usage error names
+BAD_CONFIG_LINES = {
+    "format=xml": "'xml'",
+    "base 7": "'base 7'",
+    "bogus=1": "'bogus'",
+    "threads=2": "'threads'",  # --threads is a flag only
+}
+
+
+@pytest.mark.parametrize("line", sorted(BAD_CONFIG_LINES))
+def test_config_file_refuses_bad_input(line, tmp_path, capsys):
+    from revprime import cli
+
+    conf = tmp_path / "conf.txt"
+    conf.write_text(f"# a comment\n\nseed = 3\n{line}\n")
+    cache = tmp_path / "cache"
+    assert cli.main(["enumerate", "--limit", "10", "--config", str(conf), "--cache-dir", str(cache)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not cache.exists()
+    assert err.startswith("usage error: ") and BAD_CONFIG_LINES[line] in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("plain, enotation", [
@@ -1311,7 +1330,7 @@ def test_enumerate_contract(mode, tmp_path, monkeypatch, capsys):
     for i, value in enumerate(SWEEP_INTS):
         code, out, _ = _contract_case(["enumerate", *mode, f"--limit={value}"], tmp_path / f"cache{i}", capsys)
         if code == 0:
-            want = [rec.n for rec in cli.enumerate_reversed_primes(int(value), cli.Base(10), bool(mode))]
+            want = cli.sieve.reversed_prime_arrays(int(value), cli.Base(10), bool(mode)).n.tolist()
             assert [int(row.split(",")[0]) for row in out.splitlines()[1:]] == want
 
 

@@ -12,7 +12,6 @@ from revprime.digits import (
     residue_admissible,
     reverse,
     reverse_block,
-    reverse_padded,
 )
 
 
@@ -36,13 +35,6 @@ def test_reverse_drops_trailing_zeros(b10):
     # 500 reverses to the shorter integer 5; the involution breaks there
     assert reverse(500, b10) == 5
     assert reverse(reverse(500, b10), b10) == 5
-
-
-def test_reverse_padded(b10):
-    assert reverse_padded(23, 4, b10) == 3200
-    assert reverse_padded(23, 2, b10) == 32
-    with pytest.raises(ValueError):
-        reverse_padded(100, 2, b10)
 
 
 @pytest.mark.parametrize("b", [2, 3, 6, 10, 16])

@@ -14,7 +14,6 @@ from revprime.progressions import (
     weighted_count_up_to,
     weighted_count_window,
     weighted_counts_up_to,
-    window_partition_check,
 )
 from revprime.sieve import get_prime_table, reversed_prime_arrays
 
@@ -141,12 +140,32 @@ def test_window_domain_errors(b10):
         weighted_count_window(3, 4, 1000, 0, 1, b10)  # eta > L
 
 
+def _windows_partition_the_block(L, a, q, base, etas=(1, 2)):
+    """The windows over all r with eta leading digits partition the L-digit
+    block: their observed counts must sum to the full-length count."""
+    whole = weighted_count_by_length(L, a, q, base)
+    b = base.b
+    for eta in etas:
+        if eta > L:
+            continue
+        total, raw = 0.0, 0
+        for r in range(b ** (eta - 1), b**eta):
+            part = weighted_count_window(L, eta, r, a, q, base)
+            total += part.observed
+            raw += part.raw_count
+        if raw != whole.raw_count:
+            return False
+        if abs(total - whole.observed) > 1e-9 * max(1.0, whole.observed):
+            return False
+    return True
+
+
 def test_window_partition(b10, small_bases):
-    assert window_partition_check(3, 0, 1, b10)
-    assert window_partition_check(4, 2, 5, b10)
+    assert _windows_partition_the_block(3, 0, 1, b10)
+    assert _windows_partition_the_block(4, 2, 5, b10)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModulusRangeWarning)
-        assert window_partition_check(3, 1, 4, Base(6))
+        assert _windows_partition_the_block(3, 1, 4, Base(6))
 
 
 def test_equidistribution_trend_with_floor(b10, fixtures):

@@ -107,7 +107,7 @@ def test_s0k_exact_fallback_in_prime_bases(monkeypatch, b, k, N):
     # be trusted (a value past 2^53, or an FFT bound past 1/4)
     calls = []
     _spy(monkeypatch, reps, "exact_int_convolve", calls)
-    assert composition_count(N, "s0k", Base(b), k=k) == math.comb(N - 1, k - 1)
+    assert int(reps._s0k_table(N, k, Base(b))[N]) == math.comb(N - 1, k - 1)
     assert len(calls) == k - 1
 
 
@@ -174,8 +174,8 @@ def test_r12_even_suppressed(b10):
 def test_composition_counts(b10):
     assert composition_count(6, "s21", b10) == 6
     # constraint is vacuous in a prime base: compositions into k parts
-    assert composition_count(20, "s0k", Base(3), k=3) == math.comb(19, 2)
-    assert composition_count(50, "s0k", Base(7), k=2) == 49
+    assert int(reps._s0k_table(20, 3, Base(3))[20]) == math.comb(19, 2)
+    assert int(reps._s0k_table(50, 2, Base(7))[50]) == 49
 
 
 def brute_s12(N, base):
@@ -692,7 +692,7 @@ def test_over_long_chain_is_refused_before_any_build(monkeypatch, fresh_session,
         lambda: representation_count(40000, "r12", b10),
         lambda: representation_count(40000, "r0k", b10, k=3),
         lambda: reps.representation_counts([100, 40000], "r11", b10),
-        lambda: composition_count(40000, "s0k", b10, k=3),
+        lambda: reps._s0k_table(40000, 3, b10),
     ]
     for call in calls:
         with pytest.raises(ResourceLimitError, match="convolution length 80001 exceeds 65536"):
@@ -818,8 +818,8 @@ def test_ternary_compositions_pinned(b):
         assert composition_count(N, "s21", base) == s21, (b, N)
 
 
-@pytest.mark.parametrize("family,k", [("s12", None), ("s21", None), ("s0k", 3)])
-def test_composition_count_length_ceiling(b10, monkeypatch, family, k):
+@pytest.mark.parametrize("family", ["s12", "s21"], ids=["s12-None", "s21-None"])
+def test_composition_count_length_ceiling(b10, monkeypatch, family):
     # refused before the leading-digit indicator is allocated
     def no_allocation(*args, **kwargs):
         raise AssertionError("indicator allocated")
@@ -827,8 +827,8 @@ def test_composition_count_length_ceiling(b10, monkeypatch, family, k):
     with monkeypatch.context() as m:
         m.setattr(reps, "coprime_leading_indicator", no_allocation)
         with pytest.raises(ResourceLimitError):
-            composition_count(sieve.MAX_SEQUENCE_LEN, family, b10, k=k)
+            composition_count(sieve.MAX_SEQUENCE_LEN, family, b10)
     monkeypatch.setattr(reps, "MAX_SEQUENCE_LEN", 1000)
-    assert composition_count(999, family, b10, k=k) > 0
+    assert composition_count(999, family, b10) > 0
     with pytest.raises(ResourceLimitError):
-        composition_count(1000, family, b10, k=k)
+        composition_count(1000, family, b10)

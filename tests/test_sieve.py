@@ -18,7 +18,6 @@ from revprime.sieve import (
     CACHE_MAGIC,
     cache_load,
     cache_store,
-    enumerate_reversed_primes,
     indicator_mask,
     reversed_prime_arrays,
     sieve_primes,
@@ -152,7 +151,8 @@ def test_enumeration_matches_oracle(b):
         p = rev_int(n, b)
         if table.is_prime(p):
             expected.append((n, p))
-    got = [(rec.n, rec.p) for rec in enumerate_reversed_primes(x, base)]
+    arrays = reversed_prime_arrays(x, base)
+    got = list(zip(arrays.n.tolist(), arrays.p.tolist()))
     assert got == expected
 
 
@@ -182,21 +182,23 @@ def test_enumeration_matches_nside_oracle_1e5(b):
 
 
 def test_enumeration_examples(b10):
-    recs = {rec.n: rec for rec in enumerate_reversed_primes(40, b10)}
-    assert recs[32].p == 23 and not recs[32].coprime_flag
-    assert list(enumerate_reversed_primes(1, b10)) == []
-    first = next(enumerate_reversed_primes(2, b10))
-    assert (first.n, first.p) == (2, 2)
+    arrays = reversed_prime_arrays(40, b10)
+    i = arrays.n.tolist().index(32)
+    assert arrays.p[i] == 23 and not arrays.coprime[i]
+    assert reversed_prime_arrays(1, b10).n.tolist() == []
+    first = reversed_prime_arrays(2, b10)
+    assert (first.n[0], first.p[0]) == (2, 2)
 
 
-def test_enumeration_checks_its_bound_at_the_call(b10, fresh_session):
-    # refused before a record is drawn, so a caller that writes a header
-    # first has written nothing
+def test_enumeration_checks_its_bound_at_the_call(b10, fresh_session, capsys):
+    # enumerate builds its arrays before it writes the header, so a refused
+    # bound has written nothing
     with pytest.raises(ValueError, match="x must be >= 1"):
-        enumerate_reversed_primes(0, b10)
-    records = enumerate_reversed_primes(40, b10)
-    assert fresh_session.builds  # built at the call
-    assert [rec.n for rec in records][:3] == [2, 3, 5]
+        reversed_prime_arrays(0, b10)
+    assert cli.main(["enumerate", "--limit", "0"]) == 2
+    assert capsys.readouterr().out == ""
+    assert cli.main(["enumerate", "--limit", "40"]) == 0
+    assert [row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:4]] == ["2", "3", "5"]
 
 
 def test_indicator_refuses_sources_past_the_ceiling_before_allocating(monkeypatch, fresh_session):
