@@ -49,13 +49,12 @@ class RunConfig:
     cache_dir: str | None = None
     format: str = "csv"
     seed: int = 0
-    fixtures_path: str | None = None
+    fixtures: str | None = None
 
 
 FORMATS = ("csv", "json")
-# the keys of a --config file, and the RunConfig field each one sets
-CONFIG_KEYS = {"base": "base", "cache_dir": "cache_dir", "format": "format",
-               "seed": "seed", "fixtures": "fixtures_path"}
+# the RunConfig fields that a --config file may set, by name
+CONFIG_KEYS = ("base", "cache_dir", "format", "seed", "fixtures")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -88,7 +87,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         except OSError as exc:
             raise ValueError(f"cannot read --config file: {exc}") from exc
         for key, value in file_vals.items():
-            setattr(cfg, CONFIG_KEYS[key], _parse_int(value) if key in ("base", "seed") else value)
+            setattr(cfg, key, _parse_int(value) if key in ("base", "seed") else value)
     if os.environ.get("REVPRIME_CACHE_DIR"):
         cfg.cache_dir = os.environ["REVPRIME_CACHE_DIR"]
     if getattr(args, "base", None) is not None:
@@ -100,7 +99,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if getattr(args, "fixtures", None):
-        cfg.fixtures_path = args.fixtures
+        cfg.fixtures = args.fixtures
     if cfg.base < 2:
         raise ValueError(f"base must be >= 2, got {cfg.base}")
     if getattr(args, "threads", 0) < 0:
@@ -387,7 +386,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         raise ValueError(f"budget must be positive, not {args.budget!r}: it would check nothing")
     fixtures = None
     if verify.suite_needs_fixtures(args.suite):
-        path = cfg.fixtures_path or verify.default_fixtures_path()
+        path = cfg.fixtures or verify.default_fixtures_path()
         if not os.path.exists(path):
             raise ValueError(
                 f"suite {args.suite!r} needs the oracle fixtures file, not found at {path}; "
