@@ -10,8 +10,9 @@ The exponential sums are evaluated directly over their coefficient arrays:
     v(beta)       = sum_{n <= x} e(n beta)                     kind "all"
     revv(beta)    = sum_{n <= x, lead digit coprime} e(n beta) kind "B_set"
 
-with e(t) = exp(2 pi i t).  exp_sum_evaluator builds a sum's support once
-and evaluates it at any number of alpha; exp_sum is one such evaluation.
+with e(t) = exp(2 pi i t), over the indicator kinds of sieve.indicator_support.
+exp_sum_evaluator builds a sum's support once and evaluates it at any
+number of alpha; exp_sum is one such evaluation.
 The phase t = n * (alpha mod 1) >= 0 is reduced mod 1 as t - floor(t), which
 is exactly fmod(t, 1), the value t % 1.0 gives (the subtraction is exact by
 Sterbenz's lemma), at a fraction of np.remainder's cost.
@@ -39,12 +40,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arithmetic import mobius, totient
-from .digits import Base, coprime_leading_indicator
-from .errors import ResourceLimitError, brief
+from .digits import Base
+from .errors import ResourceLimitError
 from .sieve import indicator_support, weighted_indicator
 
-EXP_SUM_KINDS = ("prime", "reversed_prime_coprime", "all", "B_set")
-MAX_SUM_LEN = 1 << 31
+EXP_SUM_KINDS = ("prime", "reversed_prime_coprime", "all", "B_set")  # kinds of indicator_support
 MAX_ARC_GRID = 1 << 20  # ceiling on floor(Q)^2; build_arcs makes ~0.3 floor(Q)^2 arcs
 
 
@@ -91,23 +91,11 @@ class ExpSumEvaluator:
 
 
 def exp_sum_evaluator(x: int, kind: str, base: Base | None = None) -> ExpSumEvaluator:
-    """The evaluator of the exponential sum of the given kind over n <= x."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    if x >= MAX_SUM_LEN:
-        raise ResourceLimitError(f"sum over {brief(x)} terms exceeds the {MAX_SUM_LEN} ceiling")
-    if kind in ("prime", "reversed_prime_coprime"):
-        n, w = indicator_support(x, kind, base)
-    elif kind == "all":
-        n, w = np.arange(1, x + 1, dtype=np.int64), np.ones(x, dtype=np.float64)
-    elif kind == "B_set":
-        if base is None:
-            raise ValueError("base required for B-set sums")
-        n = np.flatnonzero(coprime_leading_indicator(x, base))
-        w = np.ones(len(n), dtype=np.float64)
-    else:
+    """The exponential sum over n <= x of a kind of EXP_SUM_KINDS, on that
+    indicator kind's support and weights, as an evaluator."""
+    if kind not in EXP_SUM_KINDS:
         raise ValueError(f"unknown exponential sum kind {kind!r}")
-    return ExpSumEvaluator(n, w)
+    return ExpSumEvaluator(*indicator_support(x, kind, base))
 
 
 def exp_sum(alpha: float, x: int, kind: str, base: Base | None = None) -> complex:

@@ -29,7 +29,7 @@ import os
 import sys
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
@@ -53,8 +53,8 @@ class RunConfig:
 
 
 FORMATS = ("csv", "json")
-# the RunConfig fields that a --config file may set, by name
-CONFIG_KEYS = ("base", "cache_dir", "format", "seed", "fixtures")
+# the RunConfig fields, which a --config file and the flags of those names set
+CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -90,16 +90,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, _parse_int(value) if key in ("base", "seed") else value)
     if os.environ.get("REVPRIME_CACHE_DIR"):
         cfg.cache_dir = os.environ["REVPRIME_CACHE_DIR"]
-    if getattr(args, "base", None) is not None:
-        cfg.base = args.base
-    if getattr(args, "cache_dir", None):
-        cfg.cache_dir = args.cache_dir
-    if getattr(args, "format", None):
-        cfg.format = args.format
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "fixtures", None):
-        cfg.fixtures = args.fixtures
+    for key in CONFIG_KEYS:  # an empty --cache-dir or --fixtures sets nothing; --seed 0 does
+        if getattr(args, key, None) not in (None, ""):
+            setattr(cfg, key, getattr(args, key))
     if cfg.base < 2:
         raise ValueError(f"base must be >= 2, got {cfg.base}")
     if getattr(args, "threads", 0) < 0:
@@ -387,12 +380,13 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     fixtures = None
     if verify.suite_needs_fixtures(args.suite):
         path = cfg.fixtures or verify.default_fixtures_path()
-        if not os.path.exists(path):
+        try:
+            fixtures = verify.load_fixtures(path)
+        except OSError as exc:  # missing, a directory, unreadable
             raise ValueError(
-                f"suite {args.suite!r} needs the oracle fixtures file, not found at {path}; "
-                "regenerate it with scripts/build_fixtures.py"
-            )
-        fixtures = verify.load_fixtures(path)
+                f"suite {args.suite!r} needs the oracle fixtures file, which cannot be read "
+                f"({exc}); regenerate it with scripts/build_fixtures.py"
+            ) from exc
     results = verify.run_suite(args.suite, fixtures=fixtures, budget_seconds=budget)
     failed = 0
     for res in results:

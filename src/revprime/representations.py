@@ -67,13 +67,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sieve
 from .arithmetic import ZETA2, singular_series_k, singular_series_squarefree
 from .digits import Base, coprime_leading_indicator, count_coprime_leading
 from .errors import ResourceLimitError, brief
 from .sieve import (
-    MAX_SEQUENCE_LEN,
     WeightedSequence,
+    check_length,
     get_prime_table,
     reversed_prime_arrays,
     reversed_prime_source_bound,
@@ -336,17 +335,11 @@ def check_batch(least: int, largest: int, family: str, base: Base, k: int | None
         raise ValueError("ternary compositions need N >= 3")
     if family == "r0k" and least < k:
         raise ValueError("need N >= k")
-    if family == "rsquare":
-        _check_sequence_len(largest, "squarefree mask")
-    else:  # the first factor's indicator, then its chain's length
-        _check_sequence_len(largest, "indicator")
+    # rsquare's squarefree mask or the first factor's indicator, then a chain's length
+    check_length(largest, "squarefree mask" if family == "rsquare" else "indicator")
+    if family != "rsquare":
         _check_conv_len(2 * largest + 1)
     reversed_prime_source_bound(largest, base)
-
-
-def _check_sequence_len(x: int, what: str) -> None:
-    if x >= MAX_SEQUENCE_LEN:
-        raise ResourceLimitError(f"{what} of length {brief(x + 1)} exceeds the {MAX_SEQUENCE_LEN} ceiling")
 
 
 def _chain(family: str, k: int | None) -> tuple[str, ...]:
@@ -458,17 +451,14 @@ def composition_count(N: int, family: str, base: Base) -> int:
         s12(N) = sum_{n in B, n <= N-2} #B(N-1-n)
         s21(N) = sum_{n in B, n <= N-2} (N-1-n)
 
-    exact while N^2/2 < 2^63, which the MAX_SEQUENCE_LEN ceiling on N
+    exact while N^2/2 < 2^63, which the length ceiling on N (check_length)
     ensures.  The k-part count s0k is the table B^{*k} (_s0k_table).
     """
     if family not in ("s12", "s21"):
         raise ValueError(f"unknown composition family {family!r}")
     if N < 3:
         raise ValueError("ternary compositions need N >= 3")
-    if N >= MAX_SEQUENCE_LEN:
-        raise ResourceLimitError(
-            f"composition count at N = {brief(N)} exceeds the {MAX_SEQUENCE_LEN} ceiling"
-        )
+    check_length(N, "composition count")
     in_b = coprime_leading_indicator(N - 2, base) > 0
     members = np.flatnonzero(in_b)  # n in B, n <= N - 2
     if family == "s21":
@@ -479,7 +469,7 @@ def composition_count(N: int, family: str, base: Base) -> int:
 
 def squarefree_mask(x: int) -> np.ndarray:
     """Boolean array m[0..x]: m[n] iff n is squarefree (m[0] = False)."""
-    _check_sequence_len(x, "squarefree mask")
+    check_length(x, "squarefree mask")
     m = np.ones(x + 1, dtype=bool)
     m[0] = False
     for q in range(2, math.isqrt(x) + 1):
@@ -502,11 +492,10 @@ def exceptional_evens(x: int, base: Base) -> np.ndarray:
     a gather (gather phase); a negative m - s is clipped to 0, and podd[0]
     (the integer 1) is False.  A target is dropped only with a witness in
     hand, and a survivor has been checked against every n, so the survivors
-    are exactly the exceptions."""
+    are exactly the exceptions.  The reversed primes' build refuses an x
+    past the length ceiling before any prime is read."""
     if x < 4:
         raise ValueError("x must be >= 4")
-    if x >= sieve.MAX_SEQUENCE_LEN:  # read at call time, as the indicators read it
-        raise ResourceLimitError(f"exceptions up to {brief(x)} exceed the {sieve.MAX_SEQUENCE_LEN} ceiling")
     # the build's sources reach b^L - 1 >= x, so the table then covers x
     steps = reversed_prime_arrays(x, base, require_coprime=True).n // 2
     podd = get_prime_table(x).odd_mask[: (x + 1) // 2]  # the session's: read only

@@ -8,6 +8,10 @@ which would otherwise make almost half of all the strided writes; only the
 base primes past the wheel then cross it off.  A shared table is grown by
 sieving only the segments past its limit.
 
+indicator_support is the one registry of the dense sequences over 0..x,
+and MAX_SEQUENCE_LEN = 2^31 the one ceiling on their length and on every
+sieve, which check_length tests at each call.
+
 The table, one reversed-prime build per base and the directory of the disk
 cache are held by one Session, `session`, which the library reads at each
 call.  With a cache directory, the session's first table miss loads
@@ -53,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arithmetic import factorize
-from .digits import Base, digit_length, reverse_block
+from .digits import Base, coprime_leading_indicator, digit_length, reverse_block
 from .errors import (
     CacheChecksumError,
     CacheError,
@@ -65,8 +69,7 @@ from .errors import (
 
 CACHE_MAGIC = b"REVPRIME-SIEVE\x00\x00"
 CACHE_VERSION = 2
-MAX_SIEVE_LIMIT = 1 << 38
-MAX_SEQUENCE_LEN = 1 << 31  # dense weight arrays live in one allocation
+MAX_SEQUENCE_LEN = 1 << 31  # every dense sequence over 0..x, and every sieve, is one allocation
 SEGMENT_ODDS = 1 << 20  # odd numbers per sieving segment: 1 MB of bool, inside L2
 WHEEL = (3, 5, 7, 11, 13, 17)  # presieved into every segment
 
@@ -102,6 +105,12 @@ class PrimeTable:
         return 1 + int(np.count_nonzero(self.odd_mask[: (limit + 1) // 2]))
 
 
+def check_length(x: int, what: str) -> None:
+    """Refuse a dense sequence over 0..x past the one length ceiling."""
+    if x >= MAX_SEQUENCE_LEN:
+        raise ResourceLimitError(f"{what}, of length {brief(x + 1)}, exceeds the {MAX_SEQUENCE_LEN} ceiling")
+
+
 def _sieve_bytes(limit: int) -> int:
     return (limit + 1) // 2
 
@@ -124,9 +133,9 @@ def sieve_primes(limit: int, *, extend: PrimeTable | None = None) -> PrimeTable:
     the wheel, up to the first whose square lies beyond it.  With `extend`,
     a table of a lower limit, its mask is copied as the prefix and only the
     odd numbers above its limit are sieved."""
-    if not 2 <= limit <= MAX_SIEVE_LIMIT:
+    if not 2 <= limit < MAX_SEQUENCE_LEN:
         raise ResourceLimitError(
-            f"sieve limit {brief(limit)} outside [2, {MAX_SIEVE_LIMIT}] "
+            f"sieve limit {brief(limit)} outside [2, {MAX_SEQUENCE_LEN}), the length ceiling "
             f"(mask would need {brief(_sieve_bytes(max(limit, 2)))} bytes)"
         )
     size = _sieve_bytes(limit)
@@ -294,18 +303,12 @@ def reversed_prime_source_bound(x: int, base: Base) -> int:
     L is the top block length of x, and that block's sources reach b^L - 1.
 
     The ceilings of reversed_prime_arrays, which any caller can check
-    before it reads a prime: an x of MAX_SEQUENCE_LEN or more is refused,
-    and so is an x whose sources need a sieve to MAX_SEQUENCE_LEN or more
-    (x > 10^9 in base 10), whose odd mask alone would take a gigabyte."""
-    if x >= MAX_SEQUENCE_LEN:
-        raise ResourceLimitError(
-            f"reversed primes up to {brief(x)} exceed the {MAX_SEQUENCE_LEN} ceiling"
-        )
+    before it reads a prime: check_length refuses an x past the length
+    ceiling, and so a sieve past it too (x > 10^9 in base 10), whose odd
+    mask alone would take a gigabyte."""
+    check_length(x, "reversed-prime sequence")
     bound = max(2, base.b ** _max_block_length(x, base) - 1)
-    if bound >= MAX_SEQUENCE_LEN:
-        raise ResourceLimitError(
-            f"reversed primes up to {x} need a sieve to {bound}, past the {MAX_SEQUENCE_LEN} ceiling"
-        )
+    check_length(bound, f"the sieve to {brief(bound)} for reversed primes up to {x}")
     return bound
 
 
@@ -363,43 +366,50 @@ class WeightedSequence:
 
 
 def indicator_support(x: int, kind: str, base: Base | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(n, w): the members n <= x of a set, increasing, and their log weights.
+    """(n, w): the members n <= x of a set, increasing, and their weights.
 
     kind = "prime":                   primes n, w = log n
     kind = "reversed_prime_coprime":  reversed primes n with gcd(n, b^3 - b)
                                       = 1, w = log(reverse(n)) (the log of
                                       the source prime, not of n itself)
     kind = "reversed_prime":          the same without the gcd filter
-    """
+    kind = "all":                     every n >= 1, w = 1
+    kind = "B_set":                   the n whose leading digit is coprime
+                                      to b, w = 1
+
+    Every kind refuses x < 1 and x past the length ceiling before it reads
+    a prime or allocates."""
+    if x < 1:
+        raise ValueError("x must be >= 1")
+    check_length(x, "indicator")
     if kind == "prime":
         ps = get_prime_table(max(x, 2)).primes(x)
         return ps, np.log(ps.astype(np.float64))
-    if kind in ("reversed_prime", "reversed_prime_coprime"):
-        if base is None:
-            raise ValueError("base is required for reversed-prime indicators")
-        coprime = kind == "reversed_prime_coprime"
-        arrays = reversed_prime_arrays(x, base, require_coprime=coprime)
-        return arrays.n, arrays.weight
-    raise ValueError(f"unknown indicator kind {kind!r}")
+    if kind == "all":
+        return np.arange(1, x + 1, dtype=np.int64), np.ones(x, dtype=np.float64)
+    if kind not in ("reversed_prime", "reversed_prime_coprime", "B_set"):
+        raise ValueError(f"unknown indicator kind {kind!r}")
+    if base is None:
+        raise ValueError(f"base is required for {kind} indicators")
+    if kind == "B_set":
+        n = np.flatnonzero(coprime_leading_indicator(x, base))
+        return n, np.ones(len(n), dtype=np.float64)
+    arrays = reversed_prime_arrays(x, base, require_coprime=kind == "reversed_prime_coprime")
+    return arrays.n, arrays.weight
 
 
 def _indicator(x: int, kind: str, base: Base | None, dtype) -> np.ndarray:
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    if x >= MAX_SEQUENCE_LEN:
-        raise ResourceLimitError(
-            f"indicator of length {brief(x + 1)} exceeds the {MAX_SEQUENCE_LEN} ceiling"
-        )
-    # the support first: it refuses sources past the sieve ceiling before
+    # the support first: it refuses x and sources past the ceiling before
     # the dense array is allocated
     n, weight = indicator_support(x, kind, base)
     w = np.zeros(x + 1, dtype=dtype)
-    w[n] = weight  # a bool mask stores True for each (positive) log
+    w[n] = weight  # a bool mask stores True for each (positive) weight
     return w
 
 
 def weighted_indicator(x: int, kind: str, base: Base | None = None) -> WeightedSequence:
-    """Log-weighted indicator array w[0..x] of a kind of indicator_support."""
+    """Weighted indicator array w[0..x] of a kind of indicator_support: its
+    weights at its members, 0 elsewhere."""
     return WeightedSequence(kind, _indicator(x, kind, base, np.float64))
 
 

@@ -45,14 +45,22 @@ def default_fixtures_path() -> str:
 
 
 def load_fixtures(path: str) -> dict[str, float]:
+    """The key = value lines of a fixtures file, past blank lines and # comments;
+    any other line, or a value that is not a finite float (nan passes every check), is a ValueError."""
     out: dict[str, float] = {}
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = float(value.strip())
+            key, eq, value = (part.strip() for part in line.partition("="))
+            try:
+                value = float(value)
+            except ValueError:
+                value = math.nan
+            if not (key and eq and math.isfinite(value)):
+                raise ValueError(f"fixtures {path} line {number} is not key = finite float: {line!r}")
+            out[key] = value
     return out
 
 

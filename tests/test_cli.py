@@ -285,6 +285,28 @@ def test_verify_failure_exits_1(tmp_path, capsys):
     assert "FAIL 7-progression-convergence" in out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc", "", None], ids=repr)
+def test_verify_refuses_a_bad_fixtures_line(value, tmp_path, capsys):
+    # a nan tolerance would pass every check it bounds, and a line that is
+    # not key = value (value None) or holds no finite float is named by its
+    # number; both are usage errors before any check runs
+    from revprime import cli, verify
+
+    with open(verify.default_fixtures_path()) as fh:
+        lines = fh.read().splitlines()
+    number = next(i for i, line in enumerate(lines, 1) if line.startswith("theta_ratio_tol"))
+    key = lines[number - 1].partition("=")[0]
+    lines[number - 1] = key if value is None else f"{key}= {value}"
+    doctored = tmp_path / "fixtures.txt"
+    doctored.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=f"line {number} "):
+        verify.load_fixtures(str(doctored))
+    code = cli.main(["verify", "--suite", "asymptotics", "--fixtures", str(doctored)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("usage error: ") and f"line {number} " in err
+    assert "runtime_ms" not in err
+
+
 def test_closed_stdout_pipe_exits_without_traceback():
     # a reader that stops early, like `enumerate --limit 1000000 | head -1`
     proc = subprocess.Popen(
@@ -1345,6 +1367,7 @@ VERIFY_CASES = [
     (("--suite", "nope", "--budget", "1ms"), "usage"),
     (("--suite", "nope", "--budget", "nan"), "usage"),
     (("--suite", "asymptotics", "--fixtures", "/no/such/file"), "usage"),
+    (("--suite", "asymptotics", "--fixtures", "/"), "usage"),  # a directory: unreadable
 ]
 
 

@@ -828,7 +828,7 @@ def test_composition_count_length_ceiling(b10, monkeypatch, family):
         m.setattr(reps, "coprime_leading_indicator", no_allocation)
         with pytest.raises(ResourceLimitError):
             composition_count(sieve.MAX_SEQUENCE_LEN, family, b10)
-    monkeypatch.setattr(reps, "MAX_SEQUENCE_LEN", 1000)
+    monkeypatch.setattr(sieve, "MAX_SEQUENCE_LEN", 1000)
     assert composition_count(999, family, b10) > 0
     with pytest.raises(ResourceLimitError):
         composition_count(1000, family, b10)

@@ -1,11 +1,12 @@
 import math
 import os
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from revprime import cli
+from revprime import circle, cli, representations
 from revprime.digits import Base, reverse
 from revprime.errors import (
     CacheChecksumError,
@@ -423,6 +424,45 @@ def test_indicator_mask_length_ceiling(monkeypatch):
     assert indicator_mask(999, "prime").sum() == 168
     with pytest.raises(ResourceLimitError):
         indicator_mask(1000, "prime")
+
+
+INDICATOR_KINDS = ("prime", "reversed_prime", "reversed_prime_coprime", "all", "B_set")
+# every builder of a dense sequence over 0..x, called at x
+LENGTH_BUILDERS = {
+    "sieve_primes": lambda x, base: sieve_primes(x),
+    "reversed_prime_arrays": lambda x, base: reversed_prime_arrays(x, base),
+    **{f"weighted_indicator-{kind}": (lambda x, base, kind=kind: weighted_indicator(x, kind, base))
+       for kind in INDICATOR_KINDS},
+    **{f"indicator_mask-{kind}": (lambda x, base, kind=kind: indicator_mask(x, kind, base))
+       for kind in INDICATOR_KINDS},
+    "squarefree_mask": lambda x, base: representations.squarefree_mask(x),
+    **{f"composition_count-{family}": (lambda x, base, family=family:
+                                      representations.composition_count(x, family, base))
+       for family in ("s12", "s21")},
+    "exceptional_evens": lambda x, base: representations.exceptional_evens(x, base),
+    **{f"representation_counts-{family}": (lambda x, base, family=family:
+                                          representations.representation_counts([x], family, base, k=2))
+       for family in representations.FAMILIES},
+    **{f"exp_sum_evaluator-{kind}": (lambda x, base, kind=kind: circle.exp_sum_evaluator(x, kind, base))
+       for kind in circle.EXP_SUM_KINDS},
+}
+
+
+@pytest.mark.parametrize("name", LENGTH_BUILDERS)
+def test_one_patch_point_moves_every_length_ceiling(name, b10, monkeypatch, fresh_session):
+    # sieve.MAX_SEQUENCE_LEN alone bounds every dense sequence and every
+    # sieve: lowered, it refuses x at the ceiling before a prime is read and
+    # before anything near the sequence's size is allocated
+    ceiling = 1 << 20
+    monkeypatch.setattr(sieve, "MAX_SEQUENCE_LEN", ceiling)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="ceiling"):
+            LENGTH_BUILDERS[name](ceiling, b10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ceiling // 8 and fresh_session.table is None, peak
 
 
 def test_cache_roundtrip(tmp_path):
