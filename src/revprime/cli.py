@@ -58,22 +58,13 @@ CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    """The key=value lines of a config file; blank lines and # comments are
-    skipped, and anything else that is not a known key set to a valid value
-    is a ValueError."""
+    """The key=value lines of a config file (verify.key_value_lines); a key
+    that is not a RunConfig field, or a bad format, is a ValueError."""
     out = {}
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not eq:
-                raise ValueError(f"--config line {number} is not key=value: {line!r}")
-            if key not in CONFIG_KEYS:
-                raise ValueError(f"unknown --config key {key!r}; known: {', '.join(CONFIG_KEYS)}")
-            out[key] = value
+    for _, key, value in verify.key_value_lines(path, "--config"):
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown --config key {key!r}; known: {', '.join(CONFIG_KEYS)}")
+        out[key] = value
     if out.get("format", "csv") not in FORMATS:
         raise ValueError(f"--config format must be csv or json, got {out['format']!r}")
     return out

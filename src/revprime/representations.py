@@ -34,8 +34,9 @@ representation_counts is the one engine; a lone representation_count is a
 batch of one.  A batch is checked once (check_batch), so a reversed-prime
 source past the sieve ceiling is refused before any sieve, and builds each
 input once, at its largest target, before it yields the first profile:
-rsquare's squarefree mask and coprime reversed primes, the s0k table, and
-the factors, whose TransformCache hands target N their prefixes over 0..N,
+rsquare's squarefree mask and coprime reversed primes; the composition
+table, read for every target's main term and then dropped; and the
+factors, whose TransformCache hands target N their prefixes over 0..N,
 bitwise the indicators built at N.  It then yields one profile per target,
 in order, and keeps none.  Each target runs exactly the chain of a batch of
 one, so every float a batch yields is bitwise the lone call's.  Transforms
@@ -54,9 +55,8 @@ Families (weights are natural logs of the source primes):
     rsquare: N = n + squarefree  predicted  #B(N)/zeta(2) * S_sq(N)
 
 where the n_i range over reversed primes coprime to b^3 - b and comp(...)
-are the unweighted composition counts with leading-digit constraints: exact
-int64 sums over the leading-digit indicator B for comp(1,2) and comp(2,1),
-a rounded convolution chain (exact integers as a fallback) for comp(0,k).
+are the unweighted composition counts with leading-digit constraints, read
+from one exact table per batch (_composition_table, by exact_int_convolve).
 """
 
 from __future__ import annotations
@@ -85,6 +85,8 @@ MAX_CONV_LEN = 1 << 30
 MAX_PURE_K = 6
 
 FAMILIES = ("r11", "r12", "r21", "r0k", "rsquare")
+# the parts of each ternary composition count, in _composition_table's letters
+COMPOSITION_PARTS = {"s12": "BBA", "s21": "BAA"}
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -254,22 +256,33 @@ def convolve_chain(
     return acc
 
 
-def exact_int_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact convolution of non-negative integer sequences via big-integer
-    packing (Kronecker substitution) into little-endian byte fields wide
-    enough for any output entry, each a pass over one buffer; object dtype."""
-    ai, bi = ([int(x) for x in xs] for xs in (a, b))
-    if not ai or not bi:
-        return np.empty(0, dtype=object)
-    # bounds every output entry, and every input entry (so a field holds it) too
-    maxval = max(max(ai), 1) * max(max(bi), 1) * min(len(ai), len(bi))
-    width = maxval.bit_length() // 8 + 1
-    fields = (b"".join(x.to_bytes(width, "little") for x in xs) for xs in (ai, bi))
-    pa, pb = (int.from_bytes(f, "little") for f in fields)
-    n = len(ai) + len(bi) - 1
-    raw = (pa * pb).to_bytes(n * width, "little")
-    out = np.empty(n, dtype=object)
-    out[:] = [int.from_bytes(raw[i : i + width], "little") for i in range(0, n * width, width)]
+def exact_int_convolve(counts: np.ndarray, mask: np.ndarray, n: int) -> np.ndarray:
+    """The first n entries of counts * mask, exactly: the counts are
+    non-negative integers (int64, or object once they pass 2^63), the mask
+    is 0/1.  The counts are cut into limbs of s bits, s the most that keeps
+    one limb's FFT error bound, (2^s - 1) * 4 log2(nfft) eps
+    sqrt(#counts * #mask), below 1/2, so each limb's product rounds to its
+    exact value: direct below DIRECT_OPS_CAP, else _fft_product at the
+    weighted chains' power-of-two length.  The result is int64 while the
+    bits of the counts and of len(mask) add up to at most 63, else object."""
+    full = len(counts) + len(mask) - 1
+    n = min(n, full)
+    nfft = 1 << (full - 1).bit_length()
+    scale = 4.0 * math.log2(nfft) * _EPS * math.sqrt(np.count_nonzero(counts) * np.count_nonzero(mask))
+    bits = int(counts.max()).bit_length()
+    s = min(max(bits, 1), 52)  # a limb is exact in float64
+    while s and ((1 << s) - 1) * scale >= 0.5:
+        s -= 1
+    if s == 0:
+        raise ResourceLimitError(f"exact convolution error bound {scale} leaves no rounding margin")
+    ones = np.asarray(mask, dtype=np.float64)
+    direct = len(counts) * len(mask) <= DIRECT_OPS_CAP
+    dtype = object if bits + len(mask).bit_length() > 63 else np.int64
+    out = 0
+    for shift in range(0, max(bits, 1), s):
+        limb = (counts if bits <= s else (counts >> shift) & ((1 << s) - 1)).astype(np.float64)
+        w = np.convolve(limb, ones)[:n] if direct else _fft_product(limb, ones, nfft, n)
+        out = out + (np.rint(w).astype(np.int64).astype(dtype, copy=False) << shift)
     return out
 
 
@@ -365,17 +378,13 @@ def _chain_count(N: int, family: str, k: int | None, transforms: TransformCache)
     return exact, "fft"
 
 
-def _predicted(N: int, family: str, base: Base, k: int | None, s0k: np.ndarray | None) -> float:
-    """S_k(N) for the chain's k summands times their composition count (for
-    r0k, from the batch's s0k table)."""
+def _predicted(N: int, family: str, base: Base, k: int | None, comp: int | None) -> float:
+    """S_k(N) for the chain's k summands times their composition count comp
+    (for r11, #B(N))."""
     if family == "rsquare":
         return count_coprime_leading(N, base) / ZETA2 * float(singular_series_squarefree(N, base))
-    if family == "r11":
+    if comp is None:  # r11
         comp = count_coprime_leading(N, base)
-    elif family == "r0k":
-        comp = int(s0k[N])
-    else:  # s12 or s21
-        comp = composition_count(N, "s" + family[1:], base)
     return float(singular_series_k(N, len(_chain(family, k)), base)) * comp
 
 
@@ -391,80 +400,76 @@ def representation_counts(
     order, with the predicted main term; see the module docstring for the
     family key.  The checks and the batch's builds run at the call, before
     the first profile is drawn.  A chain family requests one prime table, at
-    the largest of the largest target and the reversed primes' sources; the
-    s0k table stays outside the transforms, where it would evict the kept
-    first stage."""
+    the largest of the largest target and the reversed primes' sources.
+    r12, r21 and r0k then build their composition table once, at the
+    largest target, read every target's count from it and drop it before
+    the first chain starts."""
     check_family(family, k)
     if not Ns:
         return iter(())
     top = max(Ns)
     check_batch(min(Ns), top, family, base, k)
-    s0k = None
+    comps = None
     if family == "rsquare":
         sqfree = squarefree_mask(top)
         arrays = reversed_prime_arrays(top, base, require_coprime=True)
     else:
         get_prime_table(max(top, reversed_prime_source_bound(top, base)))
-        if family == "r0k":
-            s0k = _s0k_table(top, k, base)
+        if family != "r11":
+            parts = "B" * k if family == "r0k" else COMPOSITION_PARTS["s" + family[1:]]
+            comps = _composition_table(top, parts, base)[Ns]
         transforms = TransformCache(top, base)
 
     def profiles() -> Iterator[RepresentationProfile]:
-        for N in Ns:
+        for i, N in enumerate(Ns):
             if family == "rsquare":
                 # N = n + eta, eta squarefree: n < N, as mu^2(0) = 0
                 cut = int(np.searchsorted(arrays.n, N))
                 exact, provenance = float(arrays.weight[:cut][sqfree[N - arrays.n[:cut]]].sum()), "exact"
             else:
                 exact, provenance = _chain_count(N, family, k, transforms)
-            predicted = _predicted(N, family, base, k, s0k)
+            predicted = _predicted(N, family, base, k, None if comps is None else int(comps[i]))
             ratio = exact / predicted if predicted > 0 else float("nan")
             yield RepresentationProfile(N, family, exact, predicted, ratio, provenance)
 
     return profiles()
 
 
-def _s0k_table(top: int, k: int, base: Base) -> np.ndarray:
-    """s0k(n) for every n <= top, from B^{*k}: rounded while that is
-    provably exact everywhere, else redone in exact integers."""
+def _composition_table(top: int, parts: str, base: Base) -> np.ndarray:
+    """c(n) for every n <= top: the ordered sums n = n_1 + ... + n_j with n_i
+    in parts[i - 1], where B is the integers whose leading digit is coprime
+    to b and A is every n >= 1.  The table starts from B; a further B is one
+    exact_int_convolve, and a further A a prefix sum, as
+    (A * c)(n) = c(0) + ... + c(n - 1)."""
     _check_conv_len(2 * top + 1)
-    in_b = WeightedSequence("B_set", coprime_leading_indicator(top, base))
-    conv = convolve_chain([in_b] * k, out_len=top + 1)
-    counts = np.rint(conv.weights)  # integers, exact in float64 below 2^53
-    if conv.error_bound >= 0.25 or counts.max() >= 2.0**53:
-        counts = ones = in_b.weights.astype(np.int64)
-        for _ in range(k - 1):
-            counts = exact_int_convolve(counts, ones)[: top + 1]
+    check_length(top, "composition table")
+    in_b = coprime_leading_indicator(top, base) > 0
+    counts = in_b.astype(np.int64)
+    for part in parts[1:]:
+        if part == "B":
+            counts = exact_int_convolve(counts, in_b, top + 1)
+        else:
+            counts = np.concatenate(([0], np.cumsum(counts[:-1])))
     return counts
 
 
-def composition_count(N: int, family: str, base: Base) -> int:
-    """Compositions of N into three positive parts with leading-digit
-    constraints:
-
-    s12: n1 + n2 + n3 = N, leading digits of n2 and n3 coprime to b
-    s21: n1 + n2 + n3 = N, leading digit of n3 coprime to b
-
-    With B the integers whose leading digit is coprime to b, both are exact
-    int64 sums over B:
-
-        s12(N) = sum_{n in B, n <= N-2} #B(N-1-n)
-        s21(N) = sum_{n in B, n <= N-2} (N-1-n)
-
-    exact while N^2/2 < 2^63, which the length ceiling on N (check_length)
-    ensures.  The k-part count s0k is the table B^{*k} (_s0k_table).
-    """
-    if family not in ("s12", "s21"):
+def composition_counts(Ns: list[int], family: str, base: Base) -> list[int]:
+    """The compositions n1 + n2 + n3 = N of each N in Ns, read from one
+    table at the largest N: for s12 the leading digits of n2 and n3 are
+    coprime to b (the table BBA of _composition_table), for s21 that of n3
+    (BAA).  As in a represent batch, a table whose product would pass
+    MAX_CONV_LEN is refused."""
+    if family not in COMPOSITION_PARTS:
         raise ValueError(f"unknown composition family {family!r}")
-    if N < 3:
+    if min(Ns) < 3:
         raise ValueError("ternary compositions need N >= 3")
-    check_length(N, "composition count")
-    in_b = coprime_leading_indicator(N - 2, base) > 0
-    members = np.flatnonzero(in_b)  # n in B, n <= N - 2
-    if family == "s21":
-        return int((N - 1 - members).sum())
-    below = np.cumsum(in_b, dtype=np.int64)  # below[m] = #B(m)
-    return int(below[N - 1 - members].sum())
+    table = _composition_table(max(Ns), COMPOSITION_PARTS[family], base)
+    return [int(table[N]) for N in Ns]
+
+
+def composition_count(N: int, family: str, base: Base) -> int:
+    """composition_counts([N], ...)[0]: a batch of one."""
+    return composition_counts([N], family, base)[0]
 
 
 def squarefree_mask(x: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -44,23 +45,33 @@ def default_fixtures_path() -> str:
     return str(resources.files("revprime").joinpath("data/fixtures.txt"))
 
 
-def load_fixtures(path: str) -> dict[str, float]:
-    """The key = value lines of a fixtures file, past blank lines and # comments;
-    any other line, or a value that is not a finite float (nan passes every check), is a ValueError."""
-    out: dict[str, float] = {}
+def key_value_lines(path: str, what: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) for each key = value line of a file, past
+    blank lines and # comments; any other line is a ValueError that names
+    `what` and the line's number.  Each caller checks its own keys and values."""
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, eq, value = (part.strip() for part in line.partition("="))
-            try:
-                value = float(value)
-            except ValueError:
-                value = math.nan
-            if not (key and eq and math.isfinite(value)):
-                raise ValueError(f"fixtures {path} line {number} is not key = finite float: {line!r}")
-            out[key] = value
+            if not (key and eq):
+                raise ValueError(f"{what} line {number} is not key = value: {line!r}")
+            yield number, key, value
+
+
+def load_fixtures(path: str) -> dict[str, float]:
+    """The key = value lines of a fixtures file (key_value_lines); a value
+    that is not a finite float (nan passes every check) is a ValueError."""
+    out: dict[str, float] = {}
+    for number, key, text in key_value_lines(path, f"fixtures {path}"):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"fixtures {path} line {number} is not key = finite float: {key} = {text!r}")
+        out[key] = value
     return out
 
 
@@ -206,12 +217,12 @@ def check_representation_oracle(n_max: int = 2000, bases: tuple[int, ...] = (2, 
             worst = max(worst, rel)
             if rel > rel_tol:
                 return False, f"{name} b={b}: relative error {rel:.2e}"
-        # public per-N op must agree with the batch arrays
-        for N in list(range(7, n_max + 1, 97)) + [n_max]:
-            got = representations.representation_count(N, "r12", base).exact
+        # the represent batch must agree with the oracle at every target
+        Ns = list(range(7, n_max + 1, 97)) + [n_max]
+        for N, profile in zip(Ns, representations.representation_counts(Ns, "r12", base)):
             want = _enumeration_oracle(plans["r12"], N + 1)[N]
-            if abs(got - want) > rel_tol * max(1.0, want):
-                return False, f"r12({N}) b={b}: {got} vs oracle {want}"
+            if abs(profile.exact - want) > rel_tol * max(1.0, want):
+                return False, f"r12({N}) b={b}: {profile.exact} vs oracle {want}"
         # squarefree shifts: direct per-N enumeration with trial-division mu^2
         sq = np.array([_is_squarefree_slow(t) for t in range(n_max + 1)])
         arrays = reversed_prime_arrays(n_max, base, require_coprime=True)
@@ -260,9 +271,9 @@ def check_exact_obstructions():
 def check_composition_bounds(bases: tuple[int, ...] = (2, 3, 6, 10)):
     for b in bases:
         base = Base(b)
-        for N in (10**3, 10**4, 10**5):
-            s12 = representations.composition_count(N, "s12", base)
-            s21 = representations.composition_count(N, "s21", base)
+        Ns = (10**3, 10**4, 10**5)
+        s12s, s21s = (representations.composition_counts(Ns, family, base) for family in ("s12", "s21"))
+        for N, s12, s21 in zip(Ns, s12s, s21s):
             if not N * N / (16 * b * b) <= s12 <= N * N / 2:
                 return False, f"s12({N}) b={b} = {s12} out of bounds"
             if not N * N / (8 * b) <= s21 <= N * N / 2:

@@ -669,11 +669,35 @@ def test_r0k_batch_builds_its_main_term_once(k, n, monkeypatch, fresh_session, c
     from revprime import cli, representations
 
     calls = _count_calls(
-        monkeypatch, (representations, "coprime_leading_indicator"), (representations, "_s0k_table")
+        monkeypatch, (representations, "coprime_leading_indicator"), (representations, "_composition_table")
     )
     assert cli.main(["represent", "--family", "r0k", "--k", str(k), "--n", n]) == 0
     capsys.readouterr()
-    assert calls == {"coprime_leading_indicator": 1, "_s0k_table": 1}
+    assert calls == {"coprime_leading_indicator": 1, "_composition_table": 1}
+
+
+@pytest.mark.parametrize("family,n,tables", [
+    ("r12", "3..300", 1), ("r21", "100001..100010", 1), ("r12", "5000,4990,5000", 1), ("r11", "2..300", 0),
+])
+def test_ternary_batch_builds_its_main_term_once(family, n, tables, monkeypatch, fresh_session, capsys):
+    # r12 and r21 read every target's composition count from one table,
+    # built at the largest target from one leading-digit indicator, and make
+    # no per-target composition count; r11 counts #B(N) and builds no table
+    from revprime import cli, representations
+
+    calls = _count_calls(
+        monkeypatch,
+        (representations, "coprime_leading_indicator"),
+        (representations, "_composition_table"),
+        (representations, "composition_count"),
+        (representations, "composition_counts"),
+    )
+    assert cli.main(["represent", "--family", family, "--n", n]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(cli.int_list(cli._int_ranges(n)))
+    assert calls == {
+        "coprime_leading_indicator": tables, "_composition_table": tables,
+        "composition_count": 0, "composition_counts": 0,
+    }
 
 
 # stdout recorded from the implementation that found exceptional evens by an
@@ -745,6 +769,12 @@ STDOUT_SHA256 = {
         "b99998bb41e78571d0688df2a3982fa0a8f1aca86e8985630abca020ad331e4d",
     ("--base", "30", "schnirelmann", "--op", "scan", "--lo", "100", "--hi", "3000"):
         "9f1a22589c01f33eedd33cb39a781419e539ce92ca9cd26f81f91085e4cdfac2",
+    # recorded from the implementation whose s0k table was a rounded chain,
+    # redone in Python big ints where its bound could not be trusted
+    ("represent", "--family", "r0k", "--k", "4", "--n", "300000"):
+        "8b3f7930916f103e93c56568a7045d587027895ff091df15bfa42575fde16ab1",
+    ("represent", "--family", "r0k", "--k", "6", "--n", "20000..20003"):
+        "1ca8fc6d5bb21a8e094fe438aefc9fb1ddfabca4e22a042571c77d0cdb546c7f",
 }
 
 
@@ -1383,3 +1413,18 @@ def test_verify_contract(args, outcome, tmp_path, monkeypatch, capsys):
     else:
         assert code == 0 and out, err
         assert all(line.startswith(outcome) for line in out.splitlines()), out
+
+
+def test_config_and_fixtures_files_share_one_reader(tmp_path):
+    # (line number, key, value) past blank lines and comments, values kept
+    # as text with any further "="; a line that is not key = value is named
+    # by its number
+    from revprime import verify
+
+    path = tmp_path / "kv.txt"
+    path.write_text("# a comment\n\n a = 1 \nb= x=y\nc =\n")
+    assert list(verify.key_value_lines(str(path), "probe")) == [(3, "a", "1"), (4, "b", "x=y"), (5, "c", "")]
+    for bad in ("a = 1\n\n= 2\n", "a = 1\n\nb 2\n"):
+        path.write_text(bad)
+        with pytest.raises(ValueError, match="^probe line 3 is not key = value"):
+            list(verify.key_value_lines(str(path), "probe"))

@@ -55,14 +55,15 @@ def test_fft_matches_direct_within_bound():
 
 
 def test_exact_int_convolve():
-    a = np.array([0, 1, 2, 3])
-    b = np.array([5, 0, 7])
-    expected = np.convolve(a, b)
-    got = exact_int_convolve(a, b)
-    assert [int(x) for x in got] == expected.tolist()
-    big = np.array([2**40, 2**41])
-    gotbig = exact_int_convolve(big, big)
-    assert gotbig[1] == 2 * 2**81
+    counts = np.array([0, 1, 2, 3])
+    mask = np.array([1, 0, 1])
+    expected = np.convolve(counts, mask)
+    got = exact_int_convolve(counts, mask, len(expected))
+    assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+    assert exact_int_convolve(counts, mask, 3).tolist() == expected[:3].tolist()
+    big = np.array([2**80, 2**81], dtype=object)
+    gotbig = exact_int_convolve(big, np.array([1, 1]), 3)
+    assert gotbig.dtype == object and gotbig[1] == 2**80 + 2**81
 
 
 def _double_loop_convolve(a, b):
@@ -74,41 +75,68 @@ def _double_loop_convolve(a, b):
 
 
 @pytest.mark.parametrize("a,b", [
-    ([0, 0, 0], [0, 0]),  # all zeros: one-byte fields
-    ([0, 3, 0, 0, 5, 0], [0, 0, 7, 0]),  # zeros inside and at both ends
-    ([9], [4]),
-    ([0], [1, 2, 3]),
-    ([6], [1, 0, 2**70]),
-    ([2**64, 0, 2**64 + 1], [2**65 - 1, 3]),  # entries past 2^64
-    ([255, 256, 65535], [255, 1, 65536]),  # byte boundaries
+    ([0, 0, 0], [0, 0]),  # all zeros: one one-bit limb
+    ([0, 3, 0, 0, 5, 0], [0, 0, 1, 0]),  # zeros inside and at both ends
+    ([9], [1]),
+    ([0], [1, 1, 1]),
+    ([6, 1, 0, 2**70], [1, 0, 1]),
+    ([2**64, 0, 2**64 + 1, 2**65 - 1, 3], [1, 1]),  # entries past 2^64
+    ([255, 256, 65535, 2**63 - 1, 2**63], [1, 1, 0, 1]),  # limb and int64 boundaries
 ])
 def test_exact_int_convolve_vs_double_loop(a, b):
-    # object arrays, as a chain's later stages pass them
-    got = exact_int_convolve(np.array(a, dtype=object), np.array(b, dtype=object))
-    assert got.dtype == object
-    assert [int(x) for x in got] == _double_loop_convolve(a, b)
-    assert [int(x) for x in exact_int_convolve(np.array(b, dtype=object), np.array(a, dtype=object))] == (
-        _double_loop_convolve(b, a)
-    )
+    # object counts, as a table's later stages pass them, times a 0/1 mask;
+    # int64 out while the counts' bits and those of len(mask) add up to 63
+    wide = max(a).bit_length() + len(b).bit_length() > 63
+    for n in (1, len(a), len(a) + len(b) - 1, len(a) + len(b) + 5):
+        got = exact_int_convolve(np.array(a, dtype=object), np.array(b), n)
+        assert got.dtype == (object if wide else np.int64)
+        assert [int(x) for x in got] == _double_loop_convolve(a, b)[:n]
 
 
 def test_exact_int_convolve_on_random_int64_arrays():
     rng = np.random.default_rng(5)
     for la, lb in ((1, 1), (1, 40), (37, 1), (60, 45)):
         a = rng.integers(0, 2**62, la) * (rng.random(la) < 0.7)
-        b = rng.integers(0, 2**62, lb) * (rng.random(lb) < 0.7)
-        assert [int(x) for x in exact_int_convolve(a, b)] == _double_loop_convolve(a, b)
+        b = (rng.random(lb) < 0.7).astype(np.int64)
+        assert [int(x) for x in exact_int_convolve(a, b, la + lb - 1)] == _double_loop_convolve(a, b)
 
 
-@pytest.mark.parametrize("b,k,N", [(2, 6, 5000), (3, 6, 5000), (2, 4, 30000), (3, 5, 11590)])
+# each s0k table and the path that exact_int_convolve takes for it
+S0K_PATHS = {
+    (2, 6, 5000): "direct",  # several limbs at the last stage
+    (3, 6, 5000): "direct",
+    (2, 4, 30000): "fft, one limb",
+    (3, 5, 11590): "fft, int64 limbs",  # the last stage's input has 38 bits
+    (3, 6, 20000): "fft, object",  # the last stage's output passes 2^63
+}
+
+
+@pytest.mark.parametrize("b,k,N", sorted(S0K_PATHS))
 def test_s0k_exact_fallback_in_prime_bases(monkeypatch, b, k, N):
-    # every leading digit is coprime to a prime base, so s0k(N) is the number
-    # of compositions of N into k parts; at these N the rounded chain cannot
-    # be trusted (a value past 2^53, or an FFT bound past 1/4)
-    calls = []
+    # every leading digit is coprime to a prime base, so s0k(n) is the number
+    # of compositions of n into k parts, C(n - 1, k - 1), at every n <= N
+    calls, products = [], []
     _spy(monkeypatch, reps, "exact_int_convolve", calls)
-    assert int(reps._s0k_table(N, k, Base(b))[N]) == math.comb(N - 1, k - 1)
+    _spy(monkeypatch, reps, "_fft_product", products)
+    table = reps._composition_table(N, "B" * k, Base(b))
     assert len(calls) == k - 1
+    assert int(table[0]) == 0
+    assert [int(x) for x in table[1:]] == [math.comb(n - 1, k - 1) for n in range(1, N + 1)]
+    path = S0K_PATHS[b, k, N]
+    assert (table.dtype == object) == (path == "fft, object")
+    if path == "direct":
+        assert products == []
+    elif path == "fft, one limb":
+        assert len(products) == k - 1
+    else:
+        assert len(products) > k - 1
+
+
+def test_exact_int_convolve_refuses_a_bound_past_its_margin(monkeypatch):
+    # even one-bit limbs would not round exactly
+    monkeypatch.setattr(reps, "_EPS", 0.25)
+    with pytest.raises(ResourceLimitError, match="rounding margin"):
+        exact_int_convolve(np.ones(4, dtype=np.int64), np.ones(4, dtype=bool), 7)
 
 
 def brute_family(N, seqs):
@@ -174,8 +202,8 @@ def test_r12_even_suppressed(b10):
 def test_composition_counts(b10):
     assert composition_count(6, "s21", b10) == 6
     # constraint is vacuous in a prime base: compositions into k parts
-    assert int(reps._s0k_table(20, 3, Base(3))[20]) == math.comb(19, 2)
-    assert int(reps._s0k_table(50, 2, Base(7))[50]) == 49
+    assert int(reps._composition_table(20, "BBB", Base(3))[20]) == math.comb(19, 2)
+    assert int(reps._composition_table(50, "BB", Base(7))[50]) == 49
 
 
 def brute_s12(N, base):
@@ -624,7 +652,8 @@ def test_batch_transforms_only_new_inputs(b10, monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counting)
     list(reps.representation_counts(Ns, "r12", b10))
-    want_rfft, want_irfft = 3 + len(Ns) - 1, len(Ns) + 1  # the first target
+    # the batch's one composition product (B * B), then the first target
+    want_rfft, want_irfft = 2 + 3 + len(Ns) - 1, 1 + len(Ns) + 1
     for N in Ns[1:]:
         new_rev, new_prime = N in revs, table.is_prime(N)
         want_rfft += int(new_rev or new_prime) + int(new_rev)
@@ -692,7 +721,7 @@ def test_over_long_chain_is_refused_before_any_build(monkeypatch, fresh_session,
         lambda: representation_count(40000, "r12", b10),
         lambda: representation_count(40000, "r0k", b10, k=3),
         lambda: reps.representation_counts([100, 40000], "r11", b10),
-        lambda: reps._s0k_table(40000, 3, b10),
+        lambda: reps._composition_table(40000, "BBB", b10),
     ]
     for call in calls:
         with pytest.raises(ResourceLimitError, match="convolution length 80001 exceeds 65536"):
@@ -832,3 +861,30 @@ def test_composition_count_length_ceiling(b10, monkeypatch, family):
     assert composition_count(999, family, b10) > 0
     with pytest.raises(ResourceLimitError):
         composition_count(1000, family, b10)
+
+
+def test_composition_counts_read_one_table(monkeypatch, b10):
+    # a batch builds one table, at its largest target, and each of its counts
+    # is the lone call's
+    Ns = [1001, 57, 100000, 57, 3]
+    for family in ("s12", "s21"):
+        lone = [composition_count(N, family, b10) for N in Ns]
+        tables = []
+        _spy(monkeypatch, reps, "_composition_table", tables)
+        assert reps.composition_counts(Ns, family, b10) == lone
+        assert tables == [(100000, reps.COMPOSITION_PARTS[family], b10)]
+        monkeypatch.undo()
+    with pytest.raises(ValueError, match="ternary compositions need N >= 3"):
+        reps.composition_counts([100, 2], "s12", b10)
+
+
+@pytest.mark.parametrize("family", ["s12", "s21"])
+def test_composition_count_refuses_an_over_long_table(monkeypatch, b10, family):
+    # as in a represent batch, before the leading-digit indicator is built
+    monkeypatch.setattr(reps, "MAX_CONV_LEN", 1 << 16)
+    built = []
+    _spy(monkeypatch, reps, "coprime_leading_indicator", built)
+    assert composition_count(32767, family, b10) > 0
+    with pytest.raises(ResourceLimitError, match="convolution length 65537 exceeds 65536"):
+        composition_count(32768, family, b10)
+    assert len(built) == 1
