@@ -18,8 +18,9 @@ where the first factor accounts for the classes mod gcd(q, b^3 - b) being
 either empty or over-weighted relative to uniform.
 
 The asymptotics hold for q up to exp(c sqrt(L)) with an ineffective c, which
-cannot be checked; as a practical stand-in, queries with q > b^(L/4) emit a
-ModulusRangeWarning (results are computed regardless).
+cannot be checked; as a practical stand-in, a call with cells q > b^(L/4)
+emits one ModulusRangeWarning, however many such cells a batch holds
+(results are computed regardless).
 """
 
 from __future__ import annotations
@@ -58,14 +59,20 @@ class APResult:
     raw_count: int
 
 
-def _check_modulus_guard(q: int, L: int, base: Base) -> None:
-    if q**4 > base.b**L:
-        warnings.warn(
-            f"q={q} exceeds the practical guard b^(L/4)={(base.b**L) ** 0.25:.1f} "
-            f"for L={L}; the main term may be unreliable",
-            ModulusRangeWarning,
-            stacklevel=3,
-        )
+def _check_modulus_guard(cells: Iterable[tuple[int, int]], base: Base) -> None:
+    """One ModulusRangeWarning for the (q, L) cells with q > b^(L/4): the
+    cell itself if it is alone, else their number and largest q."""
+    past = [(q, L) for q, L in cells if q**4 > base.b**L]
+    if len(past) == 1:
+        (q, L), = past
+        message = (f"q={q} exceeds the practical guard b^(L/4)={(base.b**L) ** 0.25:.1f} "
+                   f"for L={L}; the main term may be unreliable")
+    elif past:
+        message = (f"{len(past)} (x, q) cells have q past the practical guard b^(L/4), "
+                   f"up to q={max(q for q, _ in past)}; their main terms may be unreliable")
+    else:
+        return
+    warnings.warn(message, ModulusRangeWarning, stacklevel=3)
 
 
 def check_modulus(q: int) -> None:
@@ -174,9 +181,8 @@ def weighted_counts_up_to(
         raise ValueError("x and q must be >= 1")
     for q in qs:
         check_modulus(q)
-    for x in xs:
-        for q in qs:
-            _check_modulus_guard(q, digit_length(x, base), base)
+    lengths = [digit_length(x, base) for x in xs]
+    _check_modulus_guard(((q, L) for L in lengths for q in qs), base)
     counts = _class_counts([(1, x) for x in xs], qs, base)
     return {(x, q): cell for ((_, x), q), cell in counts.items()}
 
@@ -195,7 +201,7 @@ def weighted_count_by_length(L: int, a: int, q: int, base: Base) -> APResult:
         raise ValueError("L must be >= 1")
     check_modulus(q)
     check_block_length(L, base)
-    _check_modulus_guard(q, L, base)
+    _check_modulus_guard([(q, L)], base)
     span = (base.b ** (L - 1), base.b**L - 1)
     return _class_counts([span], [q], base)[span, q].result(a)
 
@@ -222,8 +228,9 @@ def weighted_count_window(
     check_block_length(L, base)
     if not base.b ** (eta - 1) <= r < base.b**eta:
         raise ValueError(f"r={brief(r)} outside [{base.b**(eta-1)}, {base.b**eta})")
-    _check_modulus_guard(q, L, base)
+    _check_modulus_guard([(q, L)], base)
     a %= q
+    get_prime_table(base.b**L - 1)  # both sides read this one table
     unit = base.b ** (L - eta)
     span = (r * unit, (r + 1) * unit - 1)
     res = _class_counts([span], [q], base)[span, q].result(a)

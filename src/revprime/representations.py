@@ -497,13 +497,14 @@ def exceptional_evens(x: int, base: Base) -> np.ndarray:
     a gather (gather phase); a negative m - s is clipped to 0, and podd[0]
     (the integer 1) is False.  A target is dropped only with a witness in
     hand, and a survivor has been checked against every n, so the survivors
-    are exactly the exceptions.  The reversed primes' build refuses an x
+    are exactly the exceptions.  reversed_prime_source_bound refuses an x
     past the length ceiling before any prime is read."""
     if x < 4:
         raise ValueError("x must be >= 4")
-    # the build's sources reach b^L - 1 >= x, so the table then covers x
+    # one table covers x and the build's sources, as in a represent batch
+    table = get_prime_table(max(x, reversed_prime_source_bound(x, base)))
     steps = reversed_prime_arrays(x, base, require_coprime=True).n // 2
-    podd = get_prime_table(x).odd_mask[: (x + 1) // 2]  # the session's: read only
+    podd = table.odd_mask[: (x + 1) // 2]  # the session's: read only
     h = x // 2
     alive = np.ones(h, dtype=bool)
     not_prime = ~podd[:h]

@@ -1,12 +1,14 @@
 """Prime generation and reversed-prime enumeration.
 
-A PrimeTable is an odd-number primality mask built by a segmented sieve of
-Eratosthenes on one thread.  Each segment holds SEGMENT_ODDS odd numbers
-(1 MB of bool, small enough to stay in L2 while every base prime crosses it)
-and starts as a slice of one presieved pattern of the WHEEL primes 3..17,
-which would otherwise make almost half of all the strided writes; only the
-base primes past the wheel then cross it off.  A shared table is grown by
-sieving only the segments past its limit.
+sieve_progression is the one segmented sieve of Eratosthenes, on one
+thread, over a progression start + step i.  Each segment holds SEGMENT_ODDS
+entries (1 MB of bool, small enough to stay in L2 while every base prime
+crosses it) and starts as a slice of one presieved pattern of the WHEEL
+primes 3..17 that do not divide step, which would otherwise make almost
+half of all the strided writes; only the base primes past the wheel then
+cross it off.  A PrimeTable is the odd-number primality mask of the
+progression 1 + 2i, and a shared table is grown by sieving only the
+segments past its limit.
 
 indicator_support is the one registry of the dense sequences over 0..x,
 and MAX_SEQUENCE_LEN = 2^31 the one ceiling on their length and on every
@@ -14,23 +16,27 @@ sieve, which check_length tests at each call.
 
 The table, one reversed-prime build per base and the directory of the disk
 cache are held by one Session, `session`, which the library reads at each
-call.  With a cache directory, the session's first table miss loads
+call.  With a cache directory, the session's first table read loads
 `prime_table.bin` from it (a smaller table there is grown, not re-sieved),
-and every sieve is stored back, so the file holds the largest table built
-so far; a computation that reads no prime never touches it.
+and every sieve of the table is stored back, so the file holds the largest
+table built so far; a computation that reads no prime never touches it.
 
 Reversed primes are enumerated prime-side, one digit length L at a time
-(primes are much sparser than integers, and a table to b^L is needed for
-the primality tests anyway).  The reverse of a prime leads with
+(primes are much sparser than integers).  The reverse of a prime leads with
 the prime's last digit d, so the sources of the n with leading digit d are
-read straight from the odd mask, one entry in b/2 (b even) or in b (b odd),
-and the top block of a cutoff x is read only for the d up to x's leading
-digit: that gives every reversed prime up to the end of x's leading-digit
-group and none past it.  Each strided view is read once, as a contiguous
-copy, for its hits.  Each block is reversed and sorted in place in its slot
-of the output columns; reversal preserves digit length, so the blocks in
-order are globally increasing.  The coprime column is one lookup by n mod
-the product of the small primes dividing b^3 - b.
+one class mod b, and the top block of a cutoff x is read only for the d up
+to x's leading digit: that gives every reversed prime up to the end of x's
+leading-digit group and none past it.  A class is read straight from the
+odd mask, one entry in b/2 (b even) or in b (b odd), when the table reaches
+b^L - 1; each strided view is read once, as a contiguous copy, for its
+hits.  When it does not, the top block sieves its classes itself, one
+progression each, keeping only their hits, if that takes fewer segment
+passes than growing the table to b^L - 1; the table is then taken only to
+b^(L-1) - 1, and the classes sieved are not stored.  Each block is reversed
+and sorted in place in its slot of the output columns; reversal preserves
+digit length, so the blocks in order are globally increasing.  The coprime
+column is one lookup by n mod the product of the small primes dividing
+b^3 - b.
 
 The disk cache layout is:
 
@@ -115,24 +121,84 @@ def _sieve_bytes(limit: int) -> int:
     return (limit + 1) // 2
 
 
-def _wheel_pattern(length: int) -> np.ndarray:
-    """Odd-mask entries 0..length-1 with the odd multiples of the WHEEL
-    primes (the primes themselves included) cleared; periodic in the index
-    with period prod(WHEEL) = 255255."""
+def _wheel_pattern(start: int, step: int, length: int) -> np.ndarray:
+    """Entries 0..length-1 of the progression start + step i with the
+    multiples of the WHEEL primes w not dividing step (w itself included)
+    cleared: w divides start + step i at one i mod w.  Periodic in i, with
+    period the product of those w (prod(WHEEL) = 255255 for the odd
+    numbers, start 1 and step 2)."""
     pattern = np.ones(length, dtype=bool)
-    for p in WHEEL:
-        pattern[p >> 1 :: p] = False  # index i holds 2i + 1 = p (2m + 1)
+    for w in WHEEL:
+        if step % w:
+            pattern[-start * pow(step, -1, w) % w :: w] = False
     return pattern
 
 
-def sieve_primes(limit: int, *, extend: PrimeTable | None = None) -> PrimeTable:
-    """Segmented odd-only sieve of Eratosthenes up to `limit` inclusive.
+def _sievers(root: int) -> np.ndarray:
+    """The primes past the wheel up to root, increasing (int64)."""
+    odd = _wheel_pattern(1, 2, (root + 1) // 2)
+    for p in range(WHEEL[-1] + 2, root + 1, 2):
+        if odd[p >> 1]:
+            odd[(p * p) >> 1 :: p] = False
+    return 2 * np.flatnonzero(odd[WHEEL[-1] // 2 + 1 :]) + WHEEL[-1] + 2
 
-    Each segment of SEGMENT_ODDS odd numbers starts as a copy of the
-    presieved wheel pattern and is then crossed off by the base primes past
-    the wheel, up to the first whose square lies beyond it.  With `extend`,
-    a table of a lower limit, its mask is copied as the prefix and only the
-    odd numbers above its limit are sieved."""
+
+def sieve_progression(
+    start: int, step: int, count: int, *, first: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Segmented sieve of Eratosthenes over the progression start + step i,
+    first <= i < count, with start >= 1 and gcd(start, step) = 1.
+
+    Each segment of SEGMENT_ODDS entries starts as a slice of the presieved
+    wheel pattern of the progression and is then crossed off by the primes
+    past the wheel that do not divide step, up to the first whose square
+    lies beyond it; each crosses off its multiples from the first entry at
+    least its square.  With `out`, an array of count entries, entry i is
+    set to the primality of start + step i and out is returned.  Without,
+    the segments pass through one scratch buffer and only the increasing
+    indices i of the primes are kept and returned (int64)."""
+    top = start + step * max(count - 1, 0)
+    sievers = _sievers(math.isqrt(top))
+    sievers = sievers[step % sievers != 0]  # they divide no entry
+    squares = sievers * sievers  # increasing
+    # entry i is a multiple of p iff i = roots mod p; low is the first entry >= p^2
+    roots = np.array([-start * pow(step, -1, p) % p for p in sievers.tolist()], dtype=np.int64)
+    low = np.maximum(-((start - squares) // step), 0)
+    steps = sievers.tolist()
+    # the wheel pattern clears the wheel primes themselves, and 1 is not prime
+    fixes = [((w - start) // step, True) for w in WHEEL if w >= start and (w - start) % step == 0]
+    fixes += [(0, False)] if start == 1 else []
+
+    period = math.prod(w for w in WHEEL if step % w)
+    # segment lo needs lo % period + (hi - lo) entries, at most either bound
+    pattern = _wheel_pattern(start, step, min(period + SEGMENT_ODDS, first % period + count - first))
+    buffer = out if out is not None else np.empty(min(SEGMENT_ODDS, max(count - first, 0)), dtype=bool)
+    hits = []
+    for lo in range(first, count, SEGMENT_ODDS):
+        hi = min(lo + SEGMENT_ODDS, count)
+        segment = out[lo:hi] if out is not None else buffer[: hi - lo]
+        off = lo % period
+        segment[:] = pattern[off : off + hi - lo]
+        n = int(np.searchsorted(squares, start + step * (hi - 1), side="right"))  # p^2 inside
+        at = np.maximum(low[:n], lo)
+        firsts = at + (roots[:n] - at) % sievers[:n] - lo
+        for p, i in zip(steps, firsts.tolist()):
+            segment[i::p] = False
+        for i, prime in fixes:
+            if lo <= i < hi:
+                segment[i - lo] = prime
+        if out is None:
+            hits.append(np.flatnonzero(segment) + lo)
+    if out is not None:
+        return out
+    return np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
+
+
+def sieve_primes(limit: int, *, extend: PrimeTable | None = None) -> PrimeTable:
+    """Segmented odd-only sieve of Eratosthenes up to `limit` inclusive: the
+    progression 1 + 2i of sieve_progression.  With `extend`, a table of a
+    lower limit, its mask is copied as the prefix and only the odd numbers
+    above its limit are sieved."""
     if not 2 <= limit < MAX_SEQUENCE_LEN:
         raise ResourceLimitError(
             f"sieve limit {brief(limit)} outside [2, {MAX_SEQUENCE_LEN}), the length ceiling "
@@ -144,34 +210,7 @@ def sieve_primes(limit: int, *, extend: PrimeTable | None = None) -> PrimeTable:
     if extend is not None:
         start = min(len(extend.odd_mask), size)
         odd[:start] = extend.odd_mask[:start]
-
-    root = math.isqrt(limit)
-    base = _wheel_pattern((root + 1) // 2)
-    for p in range(WHEEL[-1] + 2, root + 1, 2):
-        if base[p >> 1]:
-            base[(p * p) >> 1 :: p] = False
-    sievers = 2 * np.flatnonzero(base[WHEEL[-1] // 2 + 1 :]) + WHEEL[-1] + 2
-    squares = sievers * sievers >> 1  # the index of p^2, increasing
-    steps = sievers.tolist()
-
-    period = math.prod(WHEEL)
-    # segment lo needs lo % period + (hi - lo) entries, at most either bound
-    pattern = _wheel_pattern(min(period + SEGMENT_ODDS, start % period + size - start))
-    for lo in range(start, size, SEGMENT_ODDS):
-        hi = min(lo + SEGMENT_ODDS, size)
-        off = lo % period
-        odd[lo:hi] = pattern[off : off + hi - lo]
-        n = int(np.searchsorted(squares, hi))  # the sievers with p^2 inside
-        # the first i >= lo with p | 2i + 1 is lo + (p // 2 - lo) mod p; the
-        # index of p^2 is also p // 2 mod p, so p starts at the larger one
-        firsts = np.maximum(squares[:n], lo + (sievers[:n] // 2 - lo) % sievers[:n])
-        for p, i in zip(steps, firsts.tolist()):
-            odd[i:hi:p] = False
-    for p in WHEEL:
-        if p <= limit:
-            odd[p >> 1] = True
-    odd[0] = False  # 1 is not prime
-    return PrimeTable(limit, odd)
+    return PrimeTable(limit, sieve_progression(1, 2, size, first=start, out=odd))
 
 
 # ---------------------------------------------------------------------------
@@ -232,35 +271,49 @@ def _group_end(x: int, base: Base) -> int:
     return (min(x // unit, base.b - 1) + 1) * unit - 1
 
 
+def _block_classes(L: int, top: int, base: Base) -> list[tuple[int, int]]:
+    """The sources of the L-digit block (L >= 2) for the leading digits up
+    to top, one (p0, count) per d in 1..top with gcd(d, b) = 1: the odd
+    p = d mod b in [b^(L-1), b^L) are p0 + lcm(2, b) j for 0 <= j < count.
+    An L-digit prime shares no factor with b, and p = b ends in 0."""
+    b, step = base.b, math.lcm(2, base.b)
+    lo = b ** (L - 1)
+    classes = []
+    for d in range(1, top + 1):
+        if math.gcd(d, b) == 1:
+            p0 = lo + d if (lo + d) % 2 else lo + d + b  # the least odd p = d mod b
+            classes.append((p0, -((p0 - b**L) // step)))
+    return classes
+
+
 def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
     """Every reversed prime n <= X, for X a group end (see _group_end).
 
     Block L holds the n with L digits, in increasing order, after the blocks
     below it.  The 1-digit block is the primes p <= min(X, b - 1), n = p.
     For L >= 2, n leads with the last digit d of its source p, so block L is
-    read from the odd mask only at the p ending in d, one strided view per
-    d in 1..top with gcd(d, b) = 1 (top = b - 1, or X's leading digit in the
-    top block): an L-digit prime shares no factor with b, and p = b ends
-    in 0.  A block's p are reversed into n, n is sorted in place, and p is
-    taken back as reverse(n), which is exact because n's last digit is p's
-    leading digit.  Each view is read once, as a contiguous copy (numpy
-    finds the nonzero entries of a strided view several times slower), and
-    its hits are kept until every block is counted, so n and p are filled
-    in place, with no per-block parts to join."""
+    read class by class (_block_classes), for d in 1..top (top = b - 1, or
+    X's leading digit in the top block).  A block the table covers is read
+    from the odd mask, one strided view per class, each read once, as a
+    contiguous copy (numpy finds the nonzero entries of a strided view
+    several times slower); a block past the table's limit, the top block
+    only, sieves each class on its own (sieve_progression).  A block's p
+    are reversed into n, n is sorted in place, and p is taken back as
+    reverse(n), which is exact because n's last digit is p's leading
+    digit.  Each class's hits are kept until every block is counted, so n
+    and p are filled in place, with no per-block parts to join."""
     b = base.b
     L_max = _max_block_length(X + 1, base)  # the digit length of X (0 for X = 0)
-    stride = b // 2 if b % 2 == 0 else b  # index step between odd p = d mod b
+    step = math.lcm(2, b)  # between odd p = d mod b
     small = table.primes(min(X, b - 1))
-    blocks = []  # (L, [(view hits, first p)]) for L >= 2
+    blocks = []  # (L, [(class hits, first p)]) for L >= 2
     for L in range(2, L_max + 1):
-        lo = b ** (L - 1)
-        top = X // lo if L == L_max else b - 1
-        views = []
-        for d in range(1, top + 1):
-            if math.gcd(d, b) == 1:
-                p0 = lo + d if (lo + d) % 2 else lo + d + b  # the least odd p = d mod b
-                view = table.odd_mask[p0 // 2 : b**L // 2 : stride]
-                views.append((np.flatnonzero(view.copy()), p0))
+        classes = _block_classes(L, X // b ** (L - 1) if L == L_max else b - 1, base)
+        if b**L - 1 <= table.limit:
+            views = [(np.flatnonzero(table.odd_mask[p0 // 2 : b**L // 2 : step // 2].copy()), p0)
+                     for p0, _ in classes]
+        else:
+            views = [(sieve_progression(p0, step, count), p0) for p0, count in classes]
         blocks.append((L, views))
     total = len(small) + sum(len(hits) for _, views in blocks for hits, _ in views)
     n = np.empty(total, dtype=np.int64)
@@ -272,7 +325,7 @@ def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
         while views:  # a view's hits are dropped once they are in p
             hits, p0 = views.pop()
             count = len(hits)
-            np.multiply(hits, 2 * stride, out=p[pos : pos + count])
+            np.multiply(hits, step, out=p[pos : pos + count])
             p[pos : pos + count] += p0
             pos += count
         del hits  # every block has the view d = 1
@@ -296,6 +349,29 @@ def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
             break
         coprime &= n // q * q != n
     return ReversedPrimeArrays(base, X, n, p, weight, coprime)
+
+
+def _source_table(X: int, bound: int, base: Base) -> PrimeTable:
+    """The session's table for a build up to the group end X, whose top
+    block has digit length L and sources up to bound = b^L - 1 (at least 2).
+
+    A table that covers bound serves every block.  Otherwise the top block
+    sieves its own classes and the table is requested to b^(L-1) - 1 only,
+    when that takes fewer segment passes (each one Python loop over the
+    sievers, the cost at these sizes) than growing the table from its limit,
+    or from b^(L-1) - 1, to bound; else the table grows to bound in one
+    request.  The cache file is loaded before either is counted."""
+    table = _session_table()
+    if table is not None and table.limit >= bound:
+        return table
+    L = _max_block_length(X + 1, base)
+    if L < 2:
+        return get_prime_table(bound)
+    below = base.b ** (L - 1) - 1
+    have = below if table is None else max(below, table.limit)
+    grow = -(-(_sieve_bytes(bound) - _sieve_bytes(have)) // SEGMENT_ODDS)
+    classes = sum(-(-count // SEGMENT_ODDS) for _, count in _block_classes(L, X // (below + 1), base))
+    return get_prime_table(max(below, 2) if classes < grow else bound)
 
 
 def reversed_prime_source_bound(x: int, base: Base) -> int:
@@ -343,7 +419,7 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
     X = _group_end(x, base)
     full = session.builds.get(base.b)
     if full is None or full.x < X:
-        full = _build_blocks(X, base, get_prime_table(bound))
+        full = _build_blocks(X, base, _source_table(X, bound, base))
         session.builds[base.b] = full
     out = full.restrict(x)
     return out.coprime_only() if require_coprime else out
@@ -502,30 +578,38 @@ class Session:
 session = Session()  # the one the library reads; the CLI gives each command its own
 
 
-def get_prime_table(limit: int) -> PrimeTable:
-    """Return a table covering `limit` from the session, growing it by
-    sieving only past its limit.
-
-    With a cache directory, the first miss creates the directory and loads
-    its `prime_table.bin` (a file of another format version counts as no
-    file; other cache errors propagate), and every sieve is stored there.
-    An OSError becomes a CacheError."""
+def _session_table() -> PrimeTable | None:
+    """The session's table.  With a cache directory and no table yet, the
+    directory is created and its `prime_table.bin` loaded (a file of
+    another format version counts as no file; other cache errors
+    propagate).  An OSError becomes a CacheError."""
     s = session
-    if s.table is not None and s.table.limit >= limit:
-        return s.table
-    path = os.path.join(s.cache_dir, "prime_table.bin") if s.cache_dir else None
-    try:
-        if s.table is None and path:
+    if s.table is None and s.cache_dir:
+        path = os.path.join(s.cache_dir, "prime_table.bin")
+        try:
             os.makedirs(s.cache_dir, exist_ok=True)
             if os.path.exists(path):
                 try:
                     s.table = cache_load(path)
                 except CacheVersionError:
                     pass
-        if s.table is None or s.table.limit < limit:
-            s.table = sieve_primes(limit, extend=s.table)
-            if path:
-                cache_store(path, s.table)
-    except OSError as exc:
-        raise CacheError(f"cache directory {s.cache_dir}: {exc}") from exc
+        except OSError as exc:
+            raise CacheError(f"cache directory {s.cache_dir}: {exc}") from exc
+    return s.table
+
+
+def get_prime_table(limit: int) -> PrimeTable:
+    """Return a table covering `limit` from the session (_session_table),
+    growing it by sieving only past its limit; with a cache directory,
+    every sieve is stored there.  An OSError becomes a CacheError."""
+    s = session
+    table = _session_table()
+    if table is not None and table.limit >= limit:
+        return table
+    s.table = sieve_primes(limit, extend=table)
+    if s.cache_dir:
+        try:
+            cache_store(os.path.join(s.cache_dir, "prime_table.bin"), s.table)
+        except OSError as exc:
+            raise CacheError(f"cache directory {s.cache_dir}: {exc}") from exc
     return s.table

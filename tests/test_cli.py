@@ -621,8 +621,8 @@ def test_represent_batch_sieves_and_stores_once(family, n, tmp_path, monkeypatch
 
 @pytest.mark.parametrize("n", ["2e5", "7000000"])
 def test_exceptions_sieve_and_store_once(n, tmp_path, monkeypatch, fresh_session, capsys):
-    # the sweep requests the reversed-prime build first: its sources reach
-    # b^L - 1 >= x, so the table it sieves already covers x
+    # the sweep requests one table at the larger of x and the reversed
+    # primes' sources (b^L - 1 >= x) before their build, which reads it
     from revprime import cli, sieve
 
     calls = _count_calls(monkeypatch, (sieve, "sieve_primes"), (sieve, "cache_store"))
@@ -788,6 +788,73 @@ def test_stdout_is_pinned(args, capsys):
     assert cli.main(list(args)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[args]
+
+
+def test_modulus_sweep_warns_once():
+    # 3944 of the 4000 (x, q) cells pass the guard q <= b^(L/4): one warning
+    # names them all, and stdout is the one each cell's own warning came with
+    import hashlib
+
+    res = run_cli("count-ap", "--x", "1e6", "--q", "1..4000")
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+        "bf72c48f7e741ce2261b4fe17d09ab6427c8731ac60822c005216546f45f4df8"
+    )
+    warning = [line for line in res.stderr.splitlines() if not line.startswith("# runtime_ms")]
+    assert len(warning) <= 2
+    assert "ModulusRangeWarning: 3944 (x, q) cells" in warning[0] and "q=4000" in warning[0]
+
+
+# every sieve_primes call, (limit, limit of the table it extends), of a
+# command with a fresh cache directory; each sieve is stored once
+SIEVE_CALLS = {
+    ("circle", "--op", "curve", "--N", "7006387", "--samples", "1"): [(7006387, None), (9999999, 7006387)],
+    ("represent", "--family", "r11", "--n", "7006387", "--exceptions"): [(9999999, None)],
+    ("partition", "--digits", "7", "--eta", "1", "--r", "3"): [(9999999, None)],
+    ("enumerate", "--limit", "1e5"): [(99999, None)],
+    ("--base", "30", "schnirelmann", "--op", "scan", "--lo", "2", "--hi", "4000", "--kmax", "4"): [(26999, None)],
+    ("represent", "--family", "r11", "--n", "117698"): [(999999, None)],
+    # the 8-digit primes ending in 1 are sieved as one class, not by a
+    # table to 10^8 - 1
+    ("count-ap", "--x", "18329389", "--q", "1", "--a", "0"): [(9999999, None)],
+}
+
+
+@pytest.mark.parametrize("args", list(SIEVE_CALLS), ids=" ".join)
+def test_sieve_calls_are_pinned(args, tmp_path, monkeypatch, fresh_session, capsys):
+    from revprime import cli, sieve
+
+    real, calls = sieve.sieve_primes, []
+
+    def spy(limit, *, extend=None):
+        calls.append((limit, None if extend is None else extend.limit))
+        return real(limit, extend=extend)
+
+    monkeypatch.setattr(sieve, "sieve_primes", spy)
+    stores = _count_calls(monkeypatch, (sieve, "cache_store"))
+    assert cli.main([*args, "--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert calls == SIEVE_CALLS[args]
+    assert stores == {"cache_store": len(calls)}
+
+
+def test_top_block_classes_leave_the_table_below_them(tmp_path, fresh_session, capsys):
+    # count-ap at 1.83e7 reads the 8-digit primes ending in 1: the cache
+    # holds the table to 10^7 - 1, and no 10^8 odd mask (47.7 MB) is built
+    import tracemalloc
+
+    from revprime import cli, sieve
+
+    tracemalloc.start()
+    try:
+        assert cli.main(["count-ap", "--x", "18329389", "--q", "1", "--a", "0",
+                         "--cache-dir", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert sieve.cache_load(tmp_path / "prime_table.bin").limit == 9999999
+    assert peak < 100 * 2**20, peak
 
 
 def test_importing_cli_binds_every_traced_layer():

@@ -11,6 +11,7 @@ from revprime.digits import Base
 from revprime.errors import ResourceLimitError
 from revprime.representations import (
     composition_count,
+    composition_counts,
     convolve,
     count_exceptional_evens,
     exact_int_convolve,
@@ -768,9 +769,10 @@ def test_ternary_compositions_vs_brute_force(b):
     ones[0] = 0
     s12 = np.convolve(np.convolve(ones, in_b), in_b)
     s21 = np.convolve(np.convolve(ones, ones), in_b)
-    for N in list(range(3, M + 1)) + _ternary_targets(b, M):
-        assert composition_count(N, "s12", base) == s12[N], (b, N)
-        assert composition_count(N, "s21", base) == s21[N], (b, N)
+    Ns = list(range(3, M + 1)) + _ternary_targets(b, M)
+    for family, want in (("s12", s12), ("s21", s21)):
+        for N, got in zip(Ns, composition_counts(Ns, family, base), strict=True):
+            assert got == want[N], (b, family, N)
 
 
 # the convolution-chain values of the previous implementation; in the prime
@@ -834,17 +836,19 @@ def test_ternary_compositions_pinned(b):
     import hashlib
 
     base = Base(b)
-    for family, want in zip(("s12", "s21"), PINNED_RANGE_SHA256[b]):
-        values = ",".join(str(composition_count(N, family, base)) for N in range(3, 401))
-        assert hashlib.sha256(values.encode()).hexdigest() == want, (b, family)
     if b in (2, 3):
         pinned = {N: (math.comb(N - 1, 2),) * 2 for N in _ternary_targets(b, 2**20) if N > 400}
     else:
         pinned = PINNED_POWERS[b]
         assert sorted(pinned) == [N for N in _ternary_targets(b, 2**20) if N > 400]
-    for N, (s12, s21) in pinned.items():
-        assert composition_count(N, "s12", base) == s12, (b, N)
-        assert composition_count(N, "s21", base) == s21, (b, N)
+    # one table per family serves the range and the pinned powers
+    Ns = list(range(3, 401)) + list(pinned)
+    for i, (family, want) in enumerate(zip(("s12", "s21"), PINNED_RANGE_SHA256[b])):
+        counts = composition_counts(Ns, family, base)
+        values = ",".join(str(c) for c in counts[:398])
+        assert hashlib.sha256(values.encode()).hexdigest() == want, (b, family)
+        for N, got in zip(pinned, counts[398:], strict=True):
+            assert got == pinned[N][i], (b, family, N)
 
 
 @pytest.mark.parametrize("family", ["s12", "s21"], ids=["s12-None", "s21-None"])

@@ -108,6 +108,39 @@ def test_grown_table_equals_a_fresh_sieve(old, new):
     assert np.array_equal(grown.odd_mask, eratosthenes_odd_mask(new))
 
 
+# (b, L_top): every class of every L-digit block, 2 <= L <= L_top, with
+# b^L_top <= 10^7 and some classes longer than the wheel period of their
+# progression (255255 / the product of the wheel primes dividing lcm(2, b));
+# in base 38 the sieving prime 19 divides every step and is skipped
+CLASS_SIEVE_BASES = [(2, 20), (3, 14), (5, 10), (6, 8), (7, 8), (10, 7), (30, 4), (210, 3), (38, 4)]
+
+
+@pytest.mark.parametrize("b, L_top", CLASS_SIEVE_BASES)
+def test_class_sieve_equals_the_strided_view_of_a_table(b, L_top, monkeypatch):
+    # the sources p = d mod b of an L-digit block, sieved as the progression
+    # p0 + lcm(2, b) j, against the unsegmented reference sieve's view
+    reference = eratosthenes_odd_mask(b**L_top - 1)
+    monkeypatch.setattr(sieve, "SEGMENT_ODDS", 12289)
+    step = math.lcm(2, b)
+    for L in range(2, L_top + 1):
+        for d in range(1, b):
+            if math.gcd(d, b) > 1:
+                continue
+            p0 = next(p for p in range(b ** (L - 1) + d, b**L, b) if p % 2)
+            want = np.flatnonzero(reference[p0 // 2 : b**L // 2 : step // 2])
+            got = sieve.sieve_progression(p0, step, -((p0 - b**L) // step))
+            assert got.dtype == np.int64 and np.array_equal(got, want), (b, L, d)
+
+
+def test_class_sieve_is_the_same_at_every_segment_length(monkeypatch):
+    # the 7-digit primes ending in 3: 900000 entries, wheel period 51051
+    want = sieve.sieve_progression(10**6 + 3, 10, 900000)
+    assert len(want) == 146565
+    for segment in (4099, 51050, 51051, 51052, 899999, 900000, 900001):
+        monkeypatch.setattr(sieve, "SEGMENT_ODDS", segment)
+        assert np.array_equal(sieve.sieve_progression(10**6 + 3, 10, 900000), want), segment
+
+
 def test_get_prime_table_grows_the_shared_table(monkeypatch, fresh_session):
     real, calls = sieve.sieve_primes, []
 
@@ -291,6 +324,33 @@ def test_bounded_build_matches_full_block_oracle(b, L_top, fresh_session):
             assert got.x == x
             for name, want in zip(("n", "p", "weight", "coprime"), oracle):
                 assert np.array_equal(getattr(got, name), want[:cut]), (b, x, name)
+
+
+@pytest.mark.parametrize("b, L_top", [(2, 15), (3, 11), (5, 7), (6, 6), (7, 6), (10, 5), (30, 3), (210, 2)])
+def test_top_block_class_sieve_matches_full_block_oracle(b, L_top, monkeypatch, fresh_session):
+    # with short segments a top block sieves its own classes whenever that
+    # takes fewer passes than growing the table: at group ends, at b^L - 1,
+    # b^L and b^L + 1 and at random x, from a fresh session and from one
+    # whose table and build grow, every column equals the oracle's cut at x
+    import random
+
+    base = Base(b)
+    oracle = _full_block_oracle(sieve_primes(b**L_top - 1), base)
+    monkeypatch.setattr(sieve, "SEGMENT_ODDS", 1000)
+    sieved, real = [], sieve.sieve_progression
+    monkeypatch.setattr(sieve, "sieve_progression",
+                        lambda *a, **k: sieved.append(a) or real(*a, **k))
+    rng = random.Random(b)
+    xs = _group_cutoffs(b, L_top) + sorted(rng.randint(2, b**L_top) for _ in range(6))
+    for fresh in (True, False):
+        for x in xs:
+            if fresh:
+                fresh_session.table, fresh_session.builds = None, {}
+            cut = int(np.searchsorted(oracle[0], x, side="right"))
+            got = reversed_prime_arrays(x, base)
+            for name, want in zip(("n", "p", "weight", "coprime"), oracle):
+                assert np.array_equal(getattr(got, name), want[:cut]), (b, x, fresh, name)
+    assert sieved, "no top block sieved its classes"
 
 
 @pytest.mark.parametrize("b", range(2, 65))
