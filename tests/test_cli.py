@@ -792,7 +792,7 @@ def test_stdout_is_pinned(args, capsys):
 
 def test_modulus_sweep_warns_once():
     # 3944 of the 4000 (x, q) cells pass the guard q <= b^(L/4): one warning
-    # names them all, and stdout is the one each cell's own warning came with
+    # names them all; the stdout sha256 was recorded with a warning per cell
     import hashlib
 
     res = run_cli("count-ap", "--x", "1e6", "--q", "1..4000")

@@ -338,8 +338,13 @@ def test_top_block_class_sieve_matches_full_block_oracle(b, L_top, monkeypatch, 
     oracle = _full_block_oracle(sieve_primes(b**L_top - 1), base)
     monkeypatch.setattr(sieve, "SEGMENT_ODDS", 1000)
     sieved, real = [], sieve.sieve_progression
-    monkeypatch.setattr(sieve, "sieve_progression",
-                        lambda *a, **k: sieved.append(a) or real(*a, **k))
+
+    def spy(*args, **kwargs):
+        if "out" not in kwargs:  # a class, not a table
+            sieved.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sieve, "sieve_progression", spy)
     rng = random.Random(b)
     xs = _group_cutoffs(b, L_top) + sorted(rng.randint(2, b**L_top) for _ in range(6))
     for fresh in (True, False):
@@ -350,7 +355,9 @@ def test_top_block_class_sieve_matches_full_block_oracle(b, L_top, monkeypatch, 
             got = reversed_prime_arrays(x, base)
             for name, want in zip(("n", "p", "weight", "coprime"), oracle):
                 assert np.array_equal(getattr(got, name), want[:cut]), (b, x, fresh, name)
-    assert sieved, "no top block sieved its classes"
+    # in base 2 a block's one class is all its odd numbers: growing the
+    # table never takes more passes
+    assert bool(sieved) == (b > 2), sieved
 
 
 @pytest.mark.parametrize("b", range(2, 65))
