@@ -775,6 +775,22 @@ STDOUT_SHA256 = {
         "8b3f7930916f103e93c56568a7045d587027895ff091df15bfa42575fde16ab1",
     ("represent", "--family", "r0k", "--k", "6", "--n", "20000..20003"):
         "1ca8fc6d5bb21a8e094fe438aefc9fb1ddfabca4e22a042571c77d0cdb546c7f",
+    # recorded from the implementation whose composition tables took each
+    # further B by a limb-split FFT convolution with a dense leading-digit mask
+    ("represent", "--family", "r12", "--n", "100000..100009"):
+        "b442073e609e805e4f86eb9709a768ac9af1f1499b196e3d81439a477ae888b4",
+    ("--base", "6", "represent", "--family", "r12", "--n", "5000..5009"):
+        "206d601b96c33760b58c71f1f6687e87ac4397ba4257260243ae4f51d35115cd",
+    ("represent", "--family", "r21", "--n", "20001..20005"):
+        "9bcffc2bc68f9a94b5dc50bcf625f1c47cef9727cbfe41ee062d7fd148e91039",
+    ("represent", "--family", "r11", "--n", "117659..117668"):
+        "e051f31285fa64c68edc7bac62d3b08af3b6e3681192f5b2967fe83bd800500c",
+    ("represent", "--family", "rsquare", "--n", "2..300"):
+        "e76593fdab2d9bfb114b361c3407a4f886a41ec8e7c8c4d2654eb42dd9344d96",
+    ("circle", "--op", "expsum", "--alpha", "0.3", "--N", "20000", "--kind", "B_set"):
+        "2626914349f353329e46143ab46ceb1bf17eb2fa21a9cd05018f6417a054295d",
+    ("circle", "--op", "weyl", "--beta", "0.25", "--N", "20000", "--kind", "B_set"):
+        "953b743e13e44571401093f2f95e42b16246539007b52d401022234b284db75f",
 }
 
 
