@@ -1,15 +1,21 @@
-"""Base-b numeral machinery: digit expansions, digital reversal, and the
-coprime-leading-digit counting function.
+"""Base-b numeral machinery: digit expansions, digital reversal, and B, the
+integers whose leading digit is coprime to b.
 
 Digits are stored little-endian throughout, so index i holds the coefficient
 of b^i and reversal is an index flip.  The digital reverse of n with L digits
 is sum(digit[i] * b^(L-1-i)); when n ends in zero digits the reverse is a
 shorter integer (leading zeros drop), so reversal is an involution exactly on
 integers whose last digit is nonzero.
+
+B is a list of digit intervals [d b^(l-1), (d+1) b^(l-1) - 1], one for each
+length l and digit d coprime to b.  coprime_leading_intervals merges them and
+is the one definition of membership in B; a convolution with B is then two
+slice operations per interval on a prefix sum.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -126,46 +132,44 @@ def residue_admissible(a: int, q: int, base: Base) -> int:
     return 1 if math.gcd(a, q, base.modulus) == 1 else 0
 
 
-def count_coprime_leading(x: int, base: Base) -> int:
-    """#{1 <= n <= x : leading base-b digit of n coprime to b}.
+@lru_cache(maxsize=None)
+def _coprime_leading_runs(base: Base, length: int) -> tuple[tuple[int, int], ...]:
+    """B's merged intervals among the integers of at most `length` digits."""
+    out: list[tuple[int, int]] = []
+    for block in (base.b**ell for ell in range(length)):
+        for d in coprime_digits(base):
+            lo, hi = d * block, (d + 1) * block - 1
+            if out and out[-1][1] + 1 == lo:  # touching: merge
+                lo = out.pop()[0]
+            out.append((lo, hi))
+    return tuple(out)
 
-    Equivalently the count of n <= x with gcd(reverse(n), b) = 1.  Computed
-    in O(log x) from per-digit-length blocks: a full block of length l
-    contributes phi(b) * b^(l-1); the partial top block counts leading
-    digits up to the actual one.
-    """
+
+def coprime_leading_intervals(x: int, base: Base) -> list[tuple[int, int]]:
+    """B up to x as merged intervals [lo, hi], increasing, no two touching;
+    the runs of each digit length are kept per base."""
     if x < 0:
         raise ValueError("x must be non-negative")
     if x == 0:
-        return 0
-    b = base.b
-    cop = coprime_digits(base)
-    length = digit_length(x, base)
-    total = 0
-    for ell in range(1, length):
-        total += len(cop) * b ** (ell - 1)
-    block = b ** (length - 1)
-    lead = x // block
-    total += sum(block for d in cop if d < lead)
-    if math.gcd(lead, b) == 1:
-        total += x - lead * block + 1
-    return total
+        return []
+    runs = _coprime_leading_runs(base, digit_length(x, base))
+    out = list(runs[: bisect.bisect_left(runs, (x + 1,))])  # the runs with lo <= x
+    out[-1] = (out[-1][0], min(out[-1][1], x))  # 1 is in B, so out is not empty
+    return out
+
+
+def count_coprime_leading(x: int, base: Base) -> int:
+    """#{1 <= n <= x : leading base-b digit of n coprime to b}, equivalently
+    gcd(reverse(n), b) = 1: the summed lengths of B's intervals up to x."""
+    return sum(hi - lo + 1 for lo, hi in coprime_leading_intervals(x, base))
 
 
 def coprime_leading_indicator(x: int, base: Base) -> np.ndarray:
     """0/1 float array w[0..x] with w[n] = 1 iff the leading digit of n is
-    coprime to b (w[0] = 0)."""
+    coprime to b (w[0] = 0), filled from B's intervals."""
     if x < 0:
         raise ValueError("x must be non-negative")
-    b = base.b
-    lookup = np.zeros(b, dtype=np.float64)
-    lookup[list(coprime_digits(base))] = 1.0
     w = np.zeros(x + 1, dtype=np.float64)
-    block = 1
-    while block <= x:
-        lo = block
-        hi = min(block * b - 1, x)
-        n = np.arange(lo, hi + 1, dtype=np.int64)
-        w[lo : hi + 1] = lookup[n // block]
-        block *= b
+    for lo, hi in coprime_leading_intervals(x, base):
+        w[lo : hi + 1] = 1.0
     return w

@@ -56,7 +56,9 @@ Families (weights are natural logs of the source primes):
 
 where the n_i range over reversed primes coprime to b^3 - b and comp(...)
 are the unweighted composition counts with leading-digit constraints, read
-from one exact table per batch (_composition_table, by exact_int_convolve).
+from one exact integer table per batch (_composition_table).  B is a list of
+digit intervals (digits.coprime_leading_intervals), so a B step of the table
+is two slice operations per interval on a prefix sum: no FFT, no rounding.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import ZETA2, singular_series_k, singular_series_squarefree
-from .digits import Base, coprime_leading_indicator, count_coprime_leading
+from .digits import Base, coprime_leading_intervals, count_coprime_leading
 from .errors import ResourceLimitError, brief
 from .sieve import (
     WeightedSequence,
@@ -256,36 +258,6 @@ def convolve_chain(
     return acc
 
 
-def exact_int_convolve(counts: np.ndarray, mask: np.ndarray, n: int) -> np.ndarray:
-    """The first n entries of counts * mask, exactly: the counts are
-    non-negative integers (int64, or object once they pass 2^63), the mask
-    is 0/1.  The counts are cut into limbs of s bits, s the most that keeps
-    one limb's FFT error bound, (2^s - 1) * 4 log2(nfft) eps
-    sqrt(#counts * #mask), below 1/2, so each limb's product rounds to its
-    exact value: direct below DIRECT_OPS_CAP, else _fft_product at the
-    weighted chains' power-of-two length.  The result is int64 while the
-    bits of the counts and of len(mask) add up to at most 63, else object."""
-    full = len(counts) + len(mask) - 1
-    n = min(n, full)
-    nfft = 1 << (full - 1).bit_length()
-    scale = 4.0 * math.log2(nfft) * _EPS * math.sqrt(np.count_nonzero(counts) * np.count_nonzero(mask))
-    bits = int(counts.max()).bit_length()
-    s = min(max(bits, 1), 52)  # a limb is exact in float64
-    while s and ((1 << s) - 1) * scale >= 0.5:
-        s -= 1
-    if s == 0:
-        raise ResourceLimitError(f"exact convolution error bound {scale} leaves no rounding margin")
-    ones = np.asarray(mask, dtype=np.float64)
-    direct = len(counts) * len(mask) <= DIRECT_OPS_CAP
-    dtype = object if bits + len(mask).bit_length() > 63 else np.int64
-    out = 0
-    for shift in range(0, max(bits, 1), s):
-        limb = (counts if bits <= s else (counts >> shift) & ((1 << s) - 1)).astype(np.float64)
-        w = np.convolve(limb, ones)[:n] if direct else _fft_product(limb, ones, nfft, n)
-        out = out + (np.rint(w).astype(np.int64).astype(dtype, copy=False) << shift)
-    return out
-
-
 def reach_step(reach: np.ndarray, addend: np.ndarray, out_len: int | None = None) -> np.ndarray:
     """The sumset R + A as a boolean mask: index n is set iff n = r + a with
     reach[r] and addend[a], by one FFT product at every size.  The 0/1
@@ -438,19 +410,35 @@ def representation_counts(
 def _composition_table(top: int, parts: str, base: Base) -> np.ndarray:
     """c(n) for every n <= top: the ordered sums n = n_1 + ... + n_j with n_i
     in parts[i - 1], where B is the integers whose leading digit is coprime
-    to b and A is every n >= 1.  The table starts from B; a further B is one
-    exact_int_convolve, and a further A a prefix sum, as
-    (A * c)(n) = c(0) + ... + c(n - 1)."""
+    to b and A is every n >= 1.  Both are lists of intervals, B its digit
+    intervals, so the table starts from the empty sum and takes each part by
+    one _interval_step."""
     _check_conv_len(2 * top + 1)
     check_length(top, "composition table")
-    in_b = coprime_leading_indicator(top, base) > 0
-    counts = in_b.astype(np.int64)
-    for part in parts[1:]:
-        if part == "B":
-            counts = exact_int_convolve(counts, in_b, top + 1)
-        else:
-            counts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    runs = {"A": [(1, top)], "B": coprime_leading_intervals(top, base)}
+    counts = np.zeros(top + 1, dtype=np.int64)
+    counts[0] = 1  # the empty sum
+    for part in parts:
+        counts = _interval_step(counts, runs[part])
     return counts
+
+
+def _interval_step(counts: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
+    """counts * 1_S over 0..len(counts) - 1, exactly, for non-negative integer
+    counts and S the disjoint intervals [lo, hi] of runs inside that range.
+    With C[m] = counts[0] + ... + counts[m - 1], [lo, hi] adds
+    C[n - lo + 1] - C[n - min(hi, n)] at each n >= lo.  No partial sum passes
+    2 max(counts) len(counts), so int64 holds below 2^63, else object: sized
+    from max(counts), as an int64 prefix sum may already have wrapped."""
+    top = len(counts) - 1
+    dtype = np.int64 if 2 * int(counts.max()) * (top + 1) < 1 << 63 else object
+    sums = np.zeros(top + 2, dtype=dtype)
+    np.cumsum(counts.astype(dtype, copy=False), out=sums[1:])
+    out = np.zeros(top + 1, dtype=dtype)
+    for lo, hi in runs:
+        out[lo:] += sums[1 : top - lo + 2]
+        out[hi + 1 :] -= sums[1 : top - hi + 1]
+    return out
 
 
 def composition_counts(Ns: list[int], family: str, base: Base) -> list[int]:

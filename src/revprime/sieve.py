@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arithmetic import factorize
-from .digits import Base, coprime_leading_indicator, digit_length, reverse_block
+from .digits import Base, coprime_leading_intervals, digit_length, reverse_block
 from .errors import (
     CacheChecksumError,
     CacheError,
@@ -468,7 +468,8 @@ def indicator_support(x: int, kind: str, base: Base | None = None) -> tuple[np.n
     if base is None:
         raise ValueError(f"base is required for {kind} indicators")
     if kind == "B_set":
-        n = np.flatnonzero(coprime_leading_indicator(x, base))
+        runs = coprime_leading_intervals(x, base)
+        n = np.concatenate([np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in runs])
         return n, np.ones(len(n), dtype=np.float64)
     arrays = reversed_prime_arrays(x, base, require_coprime=kind == "reversed_prime_coprime")
     return arrays.n, arrays.weight

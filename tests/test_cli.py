@@ -664,16 +664,16 @@ def test_rsquare_batch_builds_its_inputs_once(base, n, tmp_path, monkeypatch, fr
 
 @pytest.mark.parametrize("k,n", [(2, "2..1000"), (4, "3000..3009"), (6, "5000,4990,5000")])
 def test_r0k_batch_builds_its_main_term_once(k, n, monkeypatch, fresh_session, capsys):
-    # the s0k table is built once, at the largest target, from one
-    # leading-digit indicator
+    # the s0k table is built once, at the largest target, from one list of
+    # B's intervals
     from revprime import cli, representations
 
     calls = _count_calls(
-        monkeypatch, (representations, "coprime_leading_indicator"), (representations, "_composition_table")
+        monkeypatch, (representations, "coprime_leading_intervals"), (representations, "_composition_table")
     )
     assert cli.main(["represent", "--family", "r0k", "--k", str(k), "--n", n]) == 0
     capsys.readouterr()
-    assert calls == {"coprime_leading_indicator": 1, "_composition_table": 1}
+    assert calls == {"coprime_leading_intervals": 1, "_composition_table": 1}
 
 
 @pytest.mark.parametrize("family,n,tables", [
@@ -681,13 +681,13 @@ def test_r0k_batch_builds_its_main_term_once(k, n, monkeypatch, fresh_session, c
 ])
 def test_ternary_batch_builds_its_main_term_once(family, n, tables, monkeypatch, fresh_session, capsys):
     # r12 and r21 read every target's composition count from one table,
-    # built at the largest target from one leading-digit indicator, and make
+    # built at the largest target from one list of B's intervals, and make
     # no per-target composition count; r11 counts #B(N) and builds no table
     from revprime import cli, representations
 
     calls = _count_calls(
         monkeypatch,
-        (representations, "coprime_leading_indicator"),
+        (representations, "coprime_leading_intervals"),
         (representations, "_composition_table"),
         (representations, "composition_count"),
         (representations, "composition_counts"),
@@ -695,7 +695,7 @@ def test_ternary_batch_builds_its_main_term_once(family, n, tables, monkeypatch,
     assert cli.main(["represent", "--family", family, "--n", n]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + len(cli.int_list(cli._int_ranges(n)))
     assert calls == {
-        "coprime_leading_indicator": tables, "_composition_table": tables,
+        "coprime_leading_intervals": tables, "_composition_table": tables,
         "composition_count": 0, "composition_counts": 0,
     }
 

@@ -7,6 +7,7 @@ import pytest
 from revprime.digits import (
     Base,
     coprime_leading_indicator,
+    coprime_leading_intervals,
     count_coprime_leading,
     digits_of,
     residue_admissible,
@@ -111,17 +112,29 @@ def test_count_coprime_leading_examples(b10):
         assert full == 4 * 10 ** (L - 1)
 
 
-@pytest.mark.parametrize("b", [2, 3, 6, 10, 16])
+@pytest.mark.parametrize("b", list(range(2, 13)) + [16, 30, 210])
 def test_count_coprime_leading_vs_enumeration(b):
     base = Base(b)
     limit = 10**5
     # independent oracle: leading digit by repeated division, cumulative count
-    ind = coprime_leading_indicator(limit, base).astype(np.int64)
-    cumulative = np.cumsum(ind)
-    for x in range(1, 300):
-        assert count_coprime_leading(x, base) == cumulative[x]
-    for x in list(range(300, limit + 1, 997)) + [limit]:
-        assert count_coprime_leading(x, base) == cumulative[x]
+    lead = np.arange(limit + 1, dtype=np.int64)
+    while (lead >= b).any():
+        lead = np.where(lead >= b, lead // b, lead)
+    in_b = (lead > 0) & (np.gcd(lead, b) == 1)
+    cumulative = np.cumsum(in_b)
+    powers = [p + d for L in range(1, 18) if (p := b**L) < limit for d in (-1, 0, 1)]
+    for x in list(range(0, 300)) + list(range(300, limit + 1, 997)) + powers + [limit]:
+        assert count_coprime_leading(x, base) == cumulative[x], x
+        runs = coprime_leading_intervals(x, base)
+        # sorted, disjoint and merged: each run ends at least two before the next starts
+        assert all(lo <= hi for lo, hi in runs)
+        assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(runs, runs[1:]))
+        assert not runs or (runs[0][0] >= 1 and runs[-1][1] <= x)
+    mask = np.zeros(limit + 1, dtype=bool)
+    for lo, hi in coprime_leading_intervals(limit, base):
+        mask[lo : hi + 1] = True
+    assert np.array_equal(mask, in_b)
+    assert np.array_equal(coprime_leading_indicator(limit, base), in_b.astype(np.float64))
 
 
 def test_coprime_leading_indicator_brute(b10):

@@ -14,7 +14,6 @@ from revprime.representations import (
     composition_counts,
     convolve,
     count_exceptional_evens,
-    exact_int_convolve,
     exceptional_evens,
     representation_count,
     squarefree_mask,
@@ -55,15 +54,44 @@ def test_fft_matches_direct_within_bound():
         assert float(np.abs(fft.weights - direct).max()) <= fft.error_bound
 
 
+def _runs_of_ones(mask):
+    """The maximal runs of ones of a 0/1 mask, as intervals [lo, hi]."""
+    runs = []
+    for i, m in enumerate(mask):
+        if not m:
+            continue
+        if runs and runs[-1][1] == i - 1:
+            runs[-1] = (runs[-1][0], i)
+        else:
+            runs.append((i, i))
+    return runs
+
+
+def _interval_convolve(a, mask):
+    """The full convolution of counts a and a 0/1 mask by the interval step:
+    a padded with zeros to the full length, the mask passed as its runs."""
+    full = len(a) + len(mask) - 1
+    padded = np.zeros(full, dtype=object)
+    padded[: len(a)] = [int(x) for x in a]
+    return reps._interval_step(padded, _runs_of_ones(mask))
+
+
+def _step_is_wide(a, mask):
+    # the interval step's int64/object switch, sized from max(counts)
+    return 2 * max(int(x) for x in a) * (len(a) + len(mask) - 1) >= 2**63
+
+
+# the exact_int_convolve tests below keep their names and oracle cases; the
+# interval step replaced that limb-split FFT convolution
 def test_exact_int_convolve():
     counts = np.array([0, 1, 2, 3])
     mask = np.array([1, 0, 1])
     expected = np.convolve(counts, mask)
-    got = exact_int_convolve(counts, mask, len(expected))
+    got = _interval_convolve(counts, mask)
     assert got.dtype == np.int64 and got.tolist() == expected.tolist()
-    assert exact_int_convolve(counts, mask, 3).tolist() == expected[:3].tolist()
+    assert reps._interval_step(counts, [(0, 0), (2, 2)]).tolist() == expected[:4].tolist()
     big = np.array([2**80, 2**81], dtype=object)
-    gotbig = exact_int_convolve(big, np.array([1, 1]), 3)
+    gotbig = _interval_convolve(big, np.array([1, 1]))
     assert gotbig.dtype == object and gotbig[1] == 2**80 + 2**81
 
 
@@ -76,22 +104,22 @@ def _double_loop_convolve(a, b):
 
 
 @pytest.mark.parametrize("a,b", [
-    ([0, 0, 0], [0, 0]),  # all zeros: one one-bit limb
+    ([0, 0, 0], [0, 0]),  # all zeros: a mask with no runs
     ([0, 3, 0, 0, 5, 0], [0, 0, 1, 0]),  # zeros inside and at both ends
     ([9], [1]),
     ([0], [1, 1, 1]),
     ([6, 1, 0, 2**70], [1, 0, 1]),
     ([2**64, 0, 2**64 + 1, 2**65 - 1, 3], [1, 1]),  # entries past 2^64
-    ([255, 256, 65535, 2**63 - 1, 2**63], [1, 1, 0, 1]),  # limb and int64 boundaries
+    ([255, 256, 65535, 2**63 - 1, 2**63], [1, 1, 0, 1]),  # int64 boundaries
 ])
 def test_exact_int_convolve_vs_double_loop(a, b):
-    # object counts, as a table's later stages pass them, times a 0/1 mask;
-    # int64 out while the counts' bits and those of len(mask) add up to 63
-    wide = max(a).bit_length() + len(b).bit_length() > 63
+    # object counts, as a table's later stages pass them, times the runs of a
+    # 0/1 mask; int64 out while 2 max(counts) len(counts) < 2^63
+    got = _interval_convolve(a, b)
+    assert got.dtype == (object if _step_is_wide(a, b) else np.int64)
+    want = _double_loop_convolve(a, b)
     for n in (1, len(a), len(a) + len(b) - 1, len(a) + len(b) + 5):
-        got = exact_int_convolve(np.array(a, dtype=object), np.array(b), n)
-        assert got.dtype == (object if wide else np.int64)
-        assert [int(x) for x in got] == _double_loop_convolve(a, b)[:n]
+        assert [int(x) for x in got[:n]] == want[:n]
 
 
 def test_exact_int_convolve_on_random_int64_arrays():
@@ -99,45 +127,38 @@ def test_exact_int_convolve_on_random_int64_arrays():
     for la, lb in ((1, 1), (1, 40), (37, 1), (60, 45)):
         a = rng.integers(0, 2**62, la) * (rng.random(la) < 0.7)
         b = (rng.random(lb) < 0.7).astype(np.int64)
-        assert [int(x) for x in exact_int_convolve(a, b, la + lb - 1)] == _double_loop_convolve(a, b)
+        got = _interval_convolve(a, b)
+        assert got.dtype == (object if _step_is_wide(a, b) else np.int64)
+        assert [int(x) for x in got] == _double_loop_convolve(a, b)
 
 
-# each s0k table and the path that exact_int_convolve takes for it
-S0K_PATHS = {
-    (2, 6, 5000): "direct",  # several limbs at the last stage
-    (3, 6, 5000): "direct",
-    (2, 4, 30000): "fft, one limb",
-    (3, 5, 11590): "fft, int64 limbs",  # the last stage's input has 38 bits
-    (3, 6, 20000): "fft, object",  # the last stage's output passes 2^63
-}
+# each s0k table, the last of whose k interval steps switches to object
+# dtype iff 2 max(c) (N + 1) >= 2^63, c = C(n - 1, k - 2) its input
+S0K_CASES = [
+    (2, 6, 5000),
+    (3, 6, 5000),
+    (2, 4, 30000),
+    (3, 5, 11590),
+    (3, 6, 20000),  # the last stage's output passes 2^63
+    (2, 6, 10206),  # the last int64 N for k = 6
+    (2, 6, 10207),  # the first object N for k = 6
+]
 
 
-@pytest.mark.parametrize("b,k,N", sorted(S0K_PATHS))
+@pytest.mark.parametrize("b,k,N", sorted(S0K_CASES))
 def test_s0k_exact_fallback_in_prime_bases(monkeypatch, b, k, N):
     # every leading digit is coprime to a prime base, so s0k(n) is the number
     # of compositions of n into k parts, C(n - 1, k - 1), at every n <= N
-    calls, products = [], []
-    _spy(monkeypatch, reps, "exact_int_convolve", calls)
+    steps, products, convolutions = [], [], []
+    _spy(monkeypatch, reps, "_interval_step", steps)
     _spy(monkeypatch, reps, "_fft_product", products)
+    _spy(monkeypatch, reps.np, "convolve", convolutions)
     table = reps._composition_table(N, "B" * k, Base(b))
-    assert len(calls) == k - 1
+    assert len(steps) == k and products == [] and convolutions == []
     assert int(table[0]) == 0
     assert [int(x) for x in table[1:]] == [math.comb(n - 1, k - 1) for n in range(1, N + 1)]
-    path = S0K_PATHS[b, k, N]
-    assert (table.dtype == object) == (path == "fft, object")
-    if path == "direct":
-        assert products == []
-    elif path == "fft, one limb":
-        assert len(products) == k - 1
-    else:
-        assert len(products) > k - 1
-
-
-def test_exact_int_convolve_refuses_a_bound_past_its_margin(monkeypatch):
-    # even one-bit limbs would not round exactly
-    monkeypatch.setattr(reps, "_EPS", 0.25)
-    with pytest.raises(ResourceLimitError, match="rounding margin"):
-        exact_int_convolve(np.ones(4, dtype=np.int64), np.ones(4, dtype=bool), 7)
+    wide = 2 * math.comb(N - 1, k - 2) * (N + 1) >= 2**63
+    assert table.dtype == (object if wide else np.int64)
 
 
 def brute_family(N, seqs):
@@ -653,8 +674,8 @@ def test_batch_transforms_only_new_inputs(b10, monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counting)
     list(reps.representation_counts(Ns, "r12", b10))
-    # the batch's one composition product (B * B), then the first target
-    want_rfft, want_irfft = 2 + 3 + len(Ns) - 1, 1 + len(Ns) + 1
+    # the first target; the composition table (interval steps) makes no FFT
+    want_rfft, want_irfft = 3 + len(Ns) - 1, len(Ns) + 1
     for N in Ns[1:]:
         new_rev, new_prime = N in revs, table.is_prime(N)
         want_rfft += int(new_rev or new_prime) + int(new_rev)
@@ -717,7 +738,7 @@ def test_over_long_chain_is_refused_before_any_build(monkeypatch, fresh_session,
     monkeypatch.setattr(reps, "MAX_CONV_LEN", 1 << 16)
     built = []
     _spy(monkeypatch, reps, "weighted_indicator", built)
-    _spy(monkeypatch, reps, "coprime_leading_indicator", built)
+    _spy(monkeypatch, reps, "coprime_leading_intervals", built)
     calls = [
         lambda: representation_count(40000, "r12", b10),
         lambda: representation_count(40000, "r0k", b10, k=3),
@@ -853,12 +874,12 @@ def test_ternary_compositions_pinned(b):
 
 @pytest.mark.parametrize("family", ["s12", "s21"], ids=["s12-None", "s21-None"])
 def test_composition_count_length_ceiling(b10, monkeypatch, family):
-    # refused before the leading-digit indicator is allocated
+    # refused before B's intervals are built
     def no_allocation(*args, **kwargs):
-        raise AssertionError("indicator allocated")
+        raise AssertionError("intervals built")
 
     with monkeypatch.context() as m:
-        m.setattr(reps, "coprime_leading_indicator", no_allocation)
+        m.setattr(reps, "coprime_leading_intervals", no_allocation)
         with pytest.raises(ResourceLimitError):
             composition_count(sieve.MAX_SEQUENCE_LEN, family, b10)
     monkeypatch.setattr(sieve, "MAX_SEQUENCE_LEN", 1000)
@@ -884,10 +905,10 @@ def test_composition_counts_read_one_table(monkeypatch, b10):
 
 @pytest.mark.parametrize("family", ["s12", "s21"])
 def test_composition_count_refuses_an_over_long_table(monkeypatch, b10, family):
-    # as in a represent batch, before the leading-digit indicator is built
+    # as in a represent batch, before B's intervals are built
     monkeypatch.setattr(reps, "MAX_CONV_LEN", 1 << 16)
     built = []
-    _spy(monkeypatch, reps, "coprime_leading_indicator", built)
+    _spy(monkeypatch, reps, "coprime_leading_intervals", built)
     assert composition_count(32767, family, b10) > 0
     with pytest.raises(ResourceLimitError, match="convolution length 65537 exceeds 65536"):
         composition_count(32768, family, b10)
