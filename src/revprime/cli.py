@@ -297,8 +297,9 @@ def cmd_circle(args, cfg: RunConfig) -> int:
         return 0
     if args.op == "curve":
         xs = np.linspace(0.0, 1.0, args.samples, endpoint=False)
-        # the reversed primes' ceilings are checked before the prime sum sieves
-        sieve.reversed_prime_source_bound(args.N, base)
+        # one table for both sums, at the larger of N and the reversed
+        # primes' sources, requested after their checks
+        sieve.get_prime_table(max(args.N, sieve.reversed_prime_source_bound(args.N, base)))
         prime_s = circle.exp_sum_evaluator(args.N, "prime")
         rev_s = circle.exp_sum_evaluator(args.N, "reversed_prime_coprime", base)
         rows = (
@@ -489,13 +490,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
-    previous = sieve.session
     try:
         cfg = resolve_config(args)
         # a fresh session per command: a rejected command reads no prime and
-        # leaves the cache alone, and the caller's tables stay its own
-        sieve.session = sieve.Session(cfg.cache_dir)
-        code = args.func(args, cfg)
+        # leaves the cache alone, and the caller's session is bound again after it
+        with sieve.Session(cfg.cache_dir):
+            code = args.func(args, cfg)
         sys.stdout.flush()
     except BrokenPipeError:
         # reader gone (`| head`): stop quietly; devnull absorbs the final flush
@@ -511,8 +511,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        sieve.session = previous
     print(f"# runtime_ms={int(1000 * (time.perf_counter() - start))}", file=sys.stderr)
     return code
 

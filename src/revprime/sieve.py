@@ -15,11 +15,12 @@ and MAX_SEQUENCE_LEN = 2^31 the one ceiling on their length and on every
 sieve, which check_length tests at each call.
 
 The table, one reversed-prime build per base and the directory of the disk
-cache are held by one Session, `session`, which the library reads at each
-call.  With a cache directory, the session's first table read loads
-`prime_table.bin` from it (a smaller table there is grown, not re-sieved),
-and every sieve of the table is stored back, so the file holds the largest
-table built so far; a computation that reads no prime never touches it.
+cache are held by the Session bound by `with Session(...)` (the CLI binds
+one per command); a prime read outside any raises LookupError.  With a
+cache directory, the session's first table read loads `prime_table.bin`
+from it (a smaller table there is grown, not re-sieved), and every sieve
+of the table is stored back, so the file holds the largest table sieved so
+far; a computation that reads no prime, or sieves none, writes nothing.
 
 Reversed primes are enumerated prime-side, one digit length L at a time
 (primes are much sparser than integers).  The reverse of a prime leads with
@@ -58,6 +59,7 @@ import math
 import os
 import tempfile
 import zlib
+from contextvars import ContextVar, Token
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,15 +88,6 @@ class PrimeTable:
 
     limit: int
     odd_mask: np.ndarray  # bool; odd_mask[i] is the primality of 2i + 1
-
-    def is_prime(self, n: int) -> bool:
-        if n > self.limit:
-            raise ValueError(f"{n} exceeds table limit {self.limit}")
-        if n < 2:
-            return False
-        if n % 2 == 0:
-            return n == 2
-        return bool(self.odd_mask[n >> 1])
 
     def primes(self, limit: int | None = None) -> np.ndarray:
         """All primes <= limit (default: the full table), increasing."""
@@ -381,7 +374,9 @@ def reversed_prime_source_bound(x: int, base: Base) -> int:
     The ceilings of reversed_prime_arrays, which any caller can check
     before it reads a prime: check_length refuses an x past the length
     ceiling, and so a sieve past it too (x > 10^9 in base 10), whose odd
-    mask alone would take a gigabyte."""
+    mask alone would take a gigabyte.  An x below 1 is refused first."""
+    if x < 1:
+        raise ValueError("x must be >= 1")
     check_length(x, "reversed-prime sequence")
     bound = max(2, base.b ** _max_block_length(x, base) - 1)
     check_length(bound, f"the sieve to {brief(bound)} for reversed primes up to {x}")
@@ -404,23 +399,21 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
 
     n ranges over integers with nonzero last digit whose digital reverse is
     prime; equivalently n = reverse(p) over primes p with nonzero last digit.
-    With require_coprime, keep only gcd(n, b^3 - b) = 1.  An x past the
-    ceilings of reversed_prime_source_bound is refused before any prime is
-    read.
+    With require_coprime, keep only gcd(n, b^3 - b) = 1.  An x that
+    reversed_prime_source_bound refuses is refused before any prime is read.
 
     Each build covers n up to the end X of x's leading-digit group
-    (_group_end).  The build of base b is kept in `session.builds[b]`, whose
-    `.x` is that X: a later call with a group end at most X is cut from it,
-    a larger one rebuilds up to its own group end.
+    (_group_end).  The build of base b is kept in the bound session's
+    `builds[b]`, whose `.x` is that X: a later call in that session with a
+    group end at most X is cut from it, a larger one rebuilds up to its own.
     """
-    if x < 1:
-        raise ValueError("x must be >= 1")
     bound = reversed_prime_source_bound(x, base)
     X = _group_end(x, base)
-    full = session.builds.get(base.b)
+    builds = _current.get().builds
+    full = builds.get(base.b)
     if full is None or full.x < X:
         full = _build_blocks(X, base, _source_table(X, bound, base))
-        session.builds[base.b] = full
+        builds[base.b] = full
     out = full.restrict(x)
     return out.coprime_only() if require_coprime else out
 
@@ -569,44 +562,54 @@ def cache_load(path: str | os.PathLike) -> PrimeTable:
 @dataclass
 class Session:
     """The prime table and the per-base reversed-prime builds that the
-    library shares, and the directory of their disk cache (none if empty)."""
+    library reads while `with` binds it, and their cache directory (or none)."""
 
     cache_dir: str | None = None
     table: PrimeTable | None = None
     builds: dict[int, ReversedPrimeArrays] = field(default_factory=dict)
+    _tokens: list[Token] = field(default_factory=list, repr=False, compare=False)
+
+    def __enter__(self) -> "Session":
+        self._tokens.append(_current.set(self))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _current.reset(self._tokens.pop())
 
 
-session = Session()  # the one the library reads; the CLI gives each command its own
+_current: ContextVar[Session] = ContextVar("session")  # no default: a read outside any session fails
 
 
 def _session_table() -> PrimeTable | None:
-    """The session's table.  With a cache directory and no table yet, the
-    directory is created and its `prime_table.bin` loaded (a file of
-    another format version counts as no file; other cache errors
+    """The bound session's table.  With a cache directory and no table
+    yet, the directory is created and its `prime_table.bin` loaded (a file
+    of another format version counts as no file; other cache errors
     propagate).  An OSError becomes a CacheError."""
-    s = session
+    s = _current.get()
     if s.table is None and s.cache_dir:
         path = os.path.join(s.cache_dir, "prime_table.bin")
         try:
             os.makedirs(s.cache_dir, exist_ok=True)
-            if os.path.exists(path):
-                try:
-                    s.table = cache_load(path)
-                except CacheVersionError:
-                    pass
+            s.table = cache_load(path) if os.path.exists(path) else None
+        except CacheVersionError:
+            pass
         except OSError as exc:
             raise CacheError(f"cache directory {s.cache_dir}: {exc}") from exc
     return s.table
 
 
 def get_prime_table(limit: int) -> PrimeTable:
-    """Return a table covering `limit` from the session (_session_table),
-    growing it by sieving only past its limit; with a cache directory,
-    every sieve is stored there.  An OSError becomes a CacheError."""
-    s = session
+    """Return a table covering `limit` from the bound session, grown by
+    sieving only past its limit (a limit that adds no odd number is only
+    raised); with a cache directory, every sieve is stored there.  Raises
+    LookupError outside any session, and CacheError for an OSError."""
+    s = _current.get()
     table = _session_table()
     if table is not None and table.limit >= limit:
         return table
+    if table is not None and len(table.odd_mask) == _sieve_bytes(limit):  # no odd number to add
+        s.table = PrimeTable(limit, table.odd_mask)
+        return s.table
     s.table = sieve_primes(limit, extend=table)
     if s.cache_dir:
         try:

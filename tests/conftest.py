@@ -20,10 +20,9 @@ def fixtures():
     return load_fixtures(default_fixtures_path())
 
 
-@pytest.fixture
-def fresh_session(monkeypatch):
-    """An empty sieve.session for one test: it reuses no table or build made
-    before it, and the ones it makes are dropped after it."""
-    session = sieve.Session()
-    monkeypatch.setattr(sieve, "session", session)
-    return session
+@pytest.fixture(autouse=True)
+def fresh_session():
+    """An empty session bound for each test: it reuses no table or build
+    made before it, and the ones it makes are dropped after it."""
+    with sieve.Session() as session:
+        yield session

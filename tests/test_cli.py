@@ -824,7 +824,8 @@ def test_modulus_sweep_warns_once():
 # every sieve_primes call, (limit, limit of the table it extends), of a
 # command with a fresh cache directory; each sieve is stored once
 SIEVE_CALLS = {
-    ("circle", "--op", "curve", "--N", "7006387", "--samples", "1"): [(7006387, None), (9999999, 7006387)],
+    # one table for both sums, at the reversed primes' sources
+    ("circle", "--op", "curve", "--N", "7006387", "--samples", "1"): [(9999999, None)],
     ("represent", "--family", "r11", "--n", "7006387", "--exceptions"): [(9999999, None)],
     ("partition", "--digits", "7", "--eta", "1", "--r", "3"): [(9999999, None)],
     ("enumerate", "--limit", "1e5"): [(99999, None)],
@@ -833,6 +834,11 @@ SIEVE_CALLS = {
     # the 8-digit primes ending in 1 are sieved as one class, not by a
     # table to 10^8 - 1
     ("count-ap", "--x", "18329389", "--q", "1", "--a", "0"): [(9999999, None)],
+    # the command with the most growth steps; check 9's request for 10^6
+    # adds no odd number to the table to 999999, so it sieves nothing
+    ("verify", "--suite", "all"): [
+        (2000, None), (2047, 2000), (2186, 2047), (7775, 2186), (9999, 7775), (99999, 9999), (999999, 99999),
+    ],
 }
 
 
@@ -1030,15 +1036,20 @@ def test_short_cache_file_is_grown_not_resieved(tmp_path, monkeypatch):
     assert (tmp_path / "prime_table.bin").read_bytes() == fresh.read_bytes()
 
 
-def test_main_restores_the_callers_session(tmp_path, fresh_session):
-    # each command runs in its own session; the caller's is left as it was
+def test_main_restores_the_callers_session(tmp_path, fresh_session, capsys):
+    # each command runs in its own session; the caller's is bound again
+    # after it, as it was, whatever the exit code
     from revprime import cli, sieve
 
     assert cli.main(["enumerate", "--limit", "1000", "--cache-dir", str(tmp_path)]) == 0
-    assert sieve.session is fresh_session
+    assert sieve._current.get() is fresh_session
     assert fresh_session == sieve.Session()
     assert cli.main(["enumerate", "--limit", "0", "--cache-dir", str(tmp_path)]) == 2
-    assert sieve.session is fresh_session
+    assert sieve._current.get() is fresh_session
+    assert cli.main(["represent", "--family", "r11", "--n", "3e9", "--cache-dir", str(tmp_path)]) == 3
+    assert sieve._current.get() is fresh_session
+    assert fresh_session == sieve.Session()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("args", [

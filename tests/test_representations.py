@@ -298,13 +298,13 @@ def test_squarefree_ratio_tolerance(b10, fixtures):
 def test_exceptional_evens_brute(b10):
     exc = exceptional_evens(100, b10)
     # direct double loop
-    table = get_prime_table(100)
+    primes = set(get_prime_table(100).primes().tolist())
     arr = reversed_prime_arrays(100, b10, require_coprime=True)
     revs = set(int(v) for v in arr.n)
     brute = [
         N
         for N in range(2, 101, 2)
-        if not any(table.is_prime(p) and (N - p) in revs for p in range(2, N))
+        if not any(p in primes and (N - p) in revs for p in range(2, N))
     ]
     assert exc.tolist() == brute == [2, 4, 6, 8, 52]
     assert count_exceptional_evens(100, b10) == 5
@@ -662,7 +662,7 @@ def test_batch_transforms_only_new_inputs(b10, monkeypatch):
     # a new prime or reversed prime enters, and a new reversed prime is the
     # only thing that makes the second stage's factor miss
     Ns = list(range(100001, 100041))
-    table = get_prime_table(max(Ns))
+    primes = set(get_prime_table(max(Ns)).primes().tolist())
     revs = set(reversed_prime_arrays(max(Ns), b10, require_coprime=True).n.tolist())
     counts = {"rfft": 0, "irfft": 0}
     for name in counts:
@@ -677,7 +677,7 @@ def test_batch_transforms_only_new_inputs(b10, monkeypatch):
     # the first target; the composition table (interval steps) makes no FFT
     want_rfft, want_irfft = 3 + len(Ns) - 1, len(Ns) + 1
     for N in Ns[1:]:
-        new_rev, new_prime = N in revs, table.is_prime(N)
+        new_rev, new_prime = N in revs, N in primes
         want_rfft += int(new_rev or new_prime) + int(new_rev)
         want_irfft += int(new_rev or new_prime)
     assert counts == {"rfft": want_rfft, "irfft": want_irfft}

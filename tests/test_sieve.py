@@ -44,8 +44,6 @@ def test_sieve_vs_trial_division():
     table = sieve_primes(10**4)
     assert table.primes().tolist() == trial_division_primes(10**4)
     assert table.count() == 1229
-    for n in (0, 1, 2, 3, 4, 9973, 9999, 10000):
-        assert table.is_prime(n) == (n in set(trial_division_primes(10**4)))
 
 
 def test_sieve_millionth_count():
@@ -141,19 +139,50 @@ def test_class_sieve_is_the_same_at_every_segment_length(monkeypatch):
         assert np.array_equal(sieve.sieve_progression(10**6 + 3, 10, 900000), want), segment
 
 
-def test_get_prime_table_grows_the_shared_table(monkeypatch, fresh_session):
+def test_get_prime_table_grows_the_shared_table(tmp_path, monkeypatch):
     real, calls = sieve.sieve_primes, []
+    real_store, stores = sieve.cache_store, []
 
     def spy(limit, *, extend=None):
         calls.append((limit, None if extend is None else extend.limit))
         return real(limit, extend=extend)
 
+    def store_spy(path, table):
+        stores.append(table.limit)
+        real_store(path, table)
+
     monkeypatch.setattr(sieve, "sieve_primes", spy)
+    monkeypatch.setattr(sieve, "cache_store", store_spy)
     assert sieve.get_prime_table(1000).limit == 1000
     assert sieve.get_prime_table(500).limit == 1000
     grown = sieve.get_prime_table(SEGMENT + 1)
     assert calls == [(1000, None), (SEGMENT + 1, 1000)]
     assert np.array_equal(grown.odd_mask, real(SEGMENT + 1).odd_mask)
+    # 999999 -> 1000000 adds no odd number: the limit is raised, and nothing
+    # is sieved or stored
+    calls.clear()
+    with sieve.Session(str(tmp_path)) as session:
+        odd_mask = sieve.get_prime_table(999999).odd_mask
+        assert sieve.get_prime_table(1000000).limit == 1000000
+    assert calls == [(999999, None)] and stores == [999999]
+    assert session.table.odd_mask is odd_mask
+    assert sieve.cache_load(tmp_path / "prime_table.bin").limit == 999999
+
+
+def test_the_library_holds_no_session(monkeypatch, b10):
+    # the one session is the one a `with` binds: there is no module-level
+    # session, and a prime read outside any fails before it sieves
+    import contextvars
+
+    monkeypatch.setattr(sieve, "sieve_primes", lambda *args, **kwargs: pytest.fail("sieved"))
+    assert not hasattr(sieve, "session")
+    with pytest.raises(LookupError):
+        contextvars.Context().run(sieve.get_prime_table, 10)
+    with pytest.raises(LookupError):
+        contextvars.Context().run(reversed_prime_arrays, 100, b10)
+    with sieve.Session() as inner:
+        assert sieve._current.get() is inner
+    assert sieve._current.get() is not inner
 
 
 def test_sieve_limit_range():
@@ -177,13 +206,13 @@ def test_enumeration_matches_oracle(b):
     base = Base(b)
     x = 10**4
     # independent n-side oracle: walk n, reverse by divmod, test primality
-    table = sieve_primes(10**6)
+    primes = set(sieve_primes(10**6).primes().tolist())
     expected = []
     for n in range(1, x + 1):
         if n % b == 0:
             continue
         p = rev_int(n, b)
-        if table.is_prime(p):
+        if p in primes:
             expected.append((n, p))
     arrays = reversed_prime_arrays(x, base)
     got = list(zip(arrays.n.tolist(), arrays.p.tolist()))
@@ -206,9 +235,7 @@ def test_enumeration_matches_nside_oracle_1e5(b):
         n = np.arange(lo, hi + 1, dtype=np.int64)
         n = n[n % b != 0]
         rev = reverse_block(n, L, base)
-        is_p = np.array([table.is_prime(int(p)) for p in rev]) if len(rev) < 2000 else (
-            (rev == 2) | ((rev % 2 == 1) & table.odd_mask[rev // 2])
-        )
+        is_p = (rev == 2) | ((rev % 2 == 1) & table.odd_mask[rev // 2])
         expected_n.extend(int(v) for v in n[is_p])
         L += 1
     got = reversed_prime_arrays(x, base)
@@ -468,10 +495,11 @@ def test_weighted_indicator_reversed(b10):
 
 def test_weighted_indicator_total_matches_direct_sum(b10):
     w = weighted_indicator(100, "reversed_prime_coprime", base=b10)
+    primes = set(sieve_primes(10**3).primes().tolist())
     direct = sum(
         math.log(rev_int(n, 10))
         for n in range(1, 101)
-        if n % 10 and math.gcd(n, 990) == 1 and sieve_primes(10**3).is_prime(rev_int(n, 10))
+        if n % 10 and math.gcd(n, 990) == 1 and rev_int(n, 10) in primes
     )
     assert abs(w.weights.sum() - direct) < 1e-9
 
