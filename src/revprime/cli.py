@@ -297,9 +297,8 @@ def cmd_circle(args, cfg: RunConfig) -> int:
         return 0
     if args.op == "curve":
         xs = np.linspace(0.0, 1.0, args.samples, endpoint=False)
-        # one table for both sums, at the larger of N and the reversed
-        # primes' sources, requested after their checks
-        sieve.get_prime_table(max(args.N, sieve.reversed_prime_source_bound(args.N, base)))
+        # the reversed primes' ceilings are checked before the prime sum sieves
+        sieve.reversed_prime_source_bound(args.N, base)
         prime_s = circle.exp_sum_evaluator(args.N, "prime")
         rev_s = circle.exp_sum_evaluator(args.N, "reversed_prime_coprime", base)
         rows = (

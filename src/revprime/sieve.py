@@ -97,12 +97,6 @@ class PrimeTable:
         odd = 2 * np.flatnonzero(self.odd_mask[: (limit + 1) // 2]).astype(np.int64) + 1
         return np.concatenate((np.array([2], dtype=np.int64), odd))
 
-    def count(self, limit: int | None = None) -> int:
-        limit = self.limit if limit is None else min(limit, self.limit)
-        if limit < 2:
-            return 0
-        return 1 + int(np.count_nonzero(self.odd_mask[: (limit + 1) // 2]))
-
 
 def check_length(x: int, what: str) -> None:
     """Refuse a dense sequence over 0..x past the one length ceiling."""
@@ -374,9 +368,7 @@ def reversed_prime_source_bound(x: int, base: Base) -> int:
     The ceilings of reversed_prime_arrays, which any caller can check
     before it reads a prime: check_length refuses an x past the length
     ceiling, and so a sieve past it too (x > 10^9 in base 10), whose odd
-    mask alone would take a gigabyte.  An x below 1 is refused first."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
+    mask alone would take a gigabyte."""
     check_length(x, "reversed-prime sequence")
     bound = max(2, base.b ** _max_block_length(x, base) - 1)
     check_length(bound, f"the sieve to {brief(bound)} for reversed primes up to {x}")
@@ -399,14 +391,17 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
 
     n ranges over integers with nonzero last digit whose digital reverse is
     prime; equivalently n = reverse(p) over primes p with nonzero last digit.
-    With require_coprime, keep only gcd(n, b^3 - b) = 1.  An x that
-    reversed_prime_source_bound refuses is refused before any prime is read.
+    With require_coprime, keep only gcd(n, b^3 - b) = 1.  An x past the
+    ceilings of reversed_prime_source_bound is refused before any prime is
+    read.
 
     Each build covers n up to the end X of x's leading-digit group
     (_group_end).  The build of base b is kept in the bound session's
     `builds[b]`, whose `.x` is that X: a later call in that session with a
     group end at most X is cut from it, a larger one rebuilds up to its own.
     """
+    if x < 1:
+        raise ValueError("x must be >= 1")
     bound = reversed_prime_source_bound(x, base)
     X = _group_end(x, base)
     builds = _current.get().builds
@@ -567,14 +562,14 @@ class Session:
     cache_dir: str | None = None
     table: PrimeTable | None = None
     builds: dict[int, ReversedPrimeArrays] = field(default_factory=dict)
-    _tokens: list[Token] = field(default_factory=list, repr=False, compare=False)
+    _token: Token | None = field(default=None, init=False, repr=False, compare=False)
 
     def __enter__(self) -> "Session":
-        self._tokens.append(_current.set(self))
+        self._token = _current.set(self)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        _current.reset(self._tokens.pop())
+        _current.reset(self._token)
 
 
 _current: ContextVar[Session] = ContextVar("session")  # no default: a read outside any session fails
@@ -590,9 +585,11 @@ def _session_table() -> PrimeTable | None:
         path = os.path.join(s.cache_dir, "prime_table.bin")
         try:
             os.makedirs(s.cache_dir, exist_ok=True)
-            s.table = cache_load(path) if os.path.exists(path) else None
-        except CacheVersionError:
-            pass
+            if os.path.exists(path):
+                try:
+                    s.table = cache_load(path)
+                except CacheVersionError:
+                    pass
         except OSError as exc:
             raise CacheError(f"cache directory {s.cache_dir}: {exc}") from exc
     return s.table

@@ -824,8 +824,7 @@ def test_modulus_sweep_warns_once():
 # every sieve_primes call, (limit, limit of the table it extends), of a
 # command with a fresh cache directory; each sieve is stored once
 SIEVE_CALLS = {
-    # one table for both sums, at the reversed primes' sources
-    ("circle", "--op", "curve", "--N", "7006387", "--samples", "1"): [(9999999, None)],
+    ("circle", "--op", "curve", "--N", "7006387", "--samples", "1"): [(7006387, None), (9999999, 7006387)],
     ("represent", "--family", "r11", "--n", "7006387", "--exceptions"): [(9999999, None)],
     ("partition", "--digits", "7", "--eta", "1", "--r", "3"): [(9999999, None)],
     ("enumerate", "--limit", "1e5"): [(99999, None)],
@@ -922,16 +921,15 @@ def _refuse_to_sieve(limit, *, extend=None):
     ("schnirelmann", "--op", "scan", "--lo", "100", "--hi", "300"),
     ("schnirelmann", "--op", "gap", "--i", "2", "--digits", "2"),
 ])
-def test_cache_dir_serves_every_prime_reading_command(args, tmp_path, monkeypatch, fresh_session, capsys):
-    # a cold run stores the table; a warm one, with no table in memory,
-    # reads it back instead of sieving and prints the same rows
+def test_cache_dir_serves_every_prime_reading_command(args, tmp_path, monkeypatch, capsys):
+    # a cold run stores the table; a warm one, in a session of its own with
+    # no table in memory, reads it back instead of sieving and prints the same rows
     from revprime import cli, sieve
 
     argv = [*args, "--cache-dir", str(tmp_path)]
     assert cli.main(argv) == 0
     cold = capsys.readouterr().out
     assert (tmp_path / "prime_table.bin").exists()
-    fresh_session.table, fresh_session.builds = None, {}
     monkeypatch.setattr(sieve, "sieve_primes", _refuse_to_sieve)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == cold
