@@ -315,11 +315,10 @@ def minor_arc_probe(
     base: Base,
     samples: int,
     seed: int = 0,
-    exponents: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 4.0),
 ) -> MinorArcProbe:
     """Sample |revS| (and |S|) at uniform minor-arc points (rejection
     against the major arcs of build_arcs(N, B)) and report
-    max |revS| * (log N)^A / N over a grid of A.  Purely
+    max |revS| * (log N)^A / N for A = 0, 1, 2, 3, 4.  Purely
     exploratory: no pass/fail is attached to either the conjectured
     reversed-prime decay or the classical prime-sum decay."""
     if samples < 1:
@@ -339,7 +338,7 @@ def minor_arc_probe(
         max_abs = max(max_abs, abs(rev_s(alpha)))
         max_abs_prime = max(max_abs_prime, abs(prime_s(alpha)))
     logN = math.log(N)
-    scaled = {A: max_abs * logN**A / N for A in exponents}
+    scaled = {A: max_abs * logN**A / N for A in (0.0, 1.0, 2.0, 3.0, 4.0)}
     return MinorArcProbe(N, B, samples, seed, max_abs, max_abs_prime, scaled)
 
 

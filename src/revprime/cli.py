@@ -101,16 +101,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_rows(cfg: RunConfig, fieldnames: list[str], rows: Iterable[dict], out=None) -> None:
-    """Write rows one at a time as they are drawn; the CSV header is written
-    before the first row is asked for."""
-    out = out if out is not None else sys.stdout
+def emit_rows(cfg: RunConfig, fieldnames: list[str], rows: Iterable[dict]) -> None:
+    """Write rows to stdout one at a time as they are drawn; the CSV header
+    is written before the first row is asked for."""
     if cfg.format == "json":
         for row in rows:
             obj = {k: (_fmt(v) if isinstance(v, float) else v) for k, v in row.items()}
-            out.write(json.dumps(obj, sort_keys=True) + "\n")
+            sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
     else:
-        writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
+        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _fmt(v) for k, v in row.items()})
@@ -296,6 +295,8 @@ def cmd_circle(args, cfg: RunConfig) -> int:
         emit_rows(cfg, ["A", "scaled_max", "max_abs_prime", "samples", "seed"], rows)
         return 0
     if args.op == "curve":
+        if args.samples < 1:
+            raise ValueError("samples must be >= 1")
         xs = np.linspace(0.0, 1.0, args.samples, endpoint=False)
         # the reversed primes' ceilings are checked before the prime sum sieves
         sieve.reversed_prime_source_bound(args.N, base)
@@ -350,26 +351,12 @@ def cmd_schnirelmann(args, cfg: RunConfig) -> int:
     raise ValueError(f"unknown schnirelmann op {args.op!r}")
 
 
-def _parse_budget(text: str) -> float:
-    if text.endswith("ms"):
-        return float(text[:-2]) / 1000
-    if text.endswith("s"):
-        return float(text[:-1])
-    if text.endswith("m"):
-        return float(text[:-1]) * 60
-    if text.endswith("h"):
-        return float(text[:-1]) * 3600
-    return float(text)
-
-
 def cmd_verify(args, cfg: RunConfig) -> int:
     if args.suite not in verify.SUITES:
         raise ValueError(f"unknown suite {args.suite!r}; available: {', '.join(sorted(verify.SUITES))}")
-    budget = _parse_budget(args.budget) if args.budget else None
-    if budget is not None and not budget > 0:  # nan too; inf means no limit
-        raise ValueError(f"budget must be positive, not {args.budget!r}: it would check nothing")
+    keys = verify.suite_fixture_keys(args.suite)
     fixtures = None
-    if verify.suite_needs_fixtures(args.suite):
+    if keys:
         path = cfg.fixtures or verify.default_fixtures_path()
         try:
             fixtures = verify.load_fixtures(path)
@@ -378,12 +365,14 @@ def cmd_verify(args, cfg: RunConfig) -> int:
                 f"suite {args.suite!r} needs the oracle fixtures file, which cannot be read "
                 f"({exc}); regenerate it with scripts/build_fixtures.py"
             ) from exc
-    results = verify.run_suite(args.suite, fixtures=fixtures, budget_seconds=budget)
+        missing = [key for key in keys if key not in fixtures]
+        if missing:
+            raise ValueError(f"fixtures {path} lacks the key {missing[0]!r}; regenerate it with "
+                             "scripts/build_fixtures.py")
+    results = verify.run_suite(args.suite, fixtures=fixtures)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        if res.detail.startswith("skipped"):
-            status = "SKIP"
         print(f"{status} {res.name}: {res.detail}")
         if not res.passed:
             failed += 1
@@ -479,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an acceptance suite", parents=[common])
     p.add_argument("--suite", default="all")
-    p.add_argument("--budget", default=None, help="e.g. 30s, 10m")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -560,8 +560,8 @@ class Session:
     library reads while `with` binds it, and their cache directory (or none)."""
 
     cache_dir: str | None = None
-    table: PrimeTable | None = None
-    builds: dict[int, ReversedPrimeArrays] = field(default_factory=dict)
+    table: PrimeTable | None = field(default=None, init=False)
+    builds: dict[int, ReversedPrimeArrays] = field(default_factory=dict, init=False)
     _token: Token | None = field(default=None, init=False, repr=False, compare=False)
 
     def __enter__(self) -> "Session":

@@ -33,6 +33,9 @@ from .progressions import weighted_counts_up_to
 from .sieve import WeightedSequence, reversed_prime_arrays, weighted_indicator
 
 
+_BASES = (2, 3, 6, 10)  # the bases of checks 1, 4 and 6
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -89,9 +92,10 @@ def _timed(name: str, fn) -> CheckResult:
 # criterion 1: reversal / involution / congruence, exhaustive to 1e5
 # ---------------------------------------------------------------------------
 
-def check_reversal_algebra(limit: int = 10**5, bases: tuple[int, ...] = (2, 3, 6, 10)):
+def check_reversal_algebra():
+    limit = 10**5
     failures = 0
-    for b in bases:
+    for b in _BASES:
         base = Base(b)
         mod = b * b - 1
         L = 1
@@ -113,14 +117,15 @@ def check_reversal_algebra(limit: int = 10**5, bases: tuple[int, ...] = (2, 3, 6
             if np.any((np.gcd(n, mod) > 1) != (np.gcd(rev, mod) > 1)):
                 failures += 1
             L += 1
-    return failures == 0, f"bases {bases}, n <= {limit}, block failures = {failures}"
+    return failures == 0, f"bases {_BASES}, n <= {limit}, block failures = {failures}"
 
 
 # ---------------------------------------------------------------------------
 # criterion 2: residue exponential-sum identity, b <= 12, q <= 500
 # ---------------------------------------------------------------------------
 
-def check_admissible_exp_sum(q_max: int = 500, b_max: int = 12):
+def check_admissible_exp_sum():
+    q_max, b_max = 500, 12
     eps_scale = 1e-9
     worst = 0.0
     sums_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -151,7 +156,8 @@ def check_admissible_exp_sum(q_max: int = 500, b_max: int = 12):
 # criterion 3: singular series identities
 # ---------------------------------------------------------------------------
 
-def check_singular_series(n_max: int = 2000, b_max: int = 12):
+def check_singular_series():
+    n_max, b_max = 2000, 12
     c2 = Fraction(66016, 100000)
     for b in range(2, b_max + 1):
         base = Base(b)
@@ -194,10 +200,11 @@ def _enumeration_oracle(seqs: list[np.ndarray], out_len: int) -> np.ndarray:
     return acc
 
 
-def check_representation_oracle(n_max: int = 2000, bases: tuple[int, ...] = (2, 3, 6, 10)):
+def check_representation_oracle():
+    n_max = 2000
     rel_tol = 1e-6
     worst = 0.0
-    for b in bases:
+    for b in _BASES:
         base = Base(b)
         pr = weighted_indicator(n_max, "prime").weights
         rev = weighted_indicator(n_max, "reversed_prime_coprime", base=base).weights
@@ -233,7 +240,7 @@ def check_representation_oracle(n_max: int = 2000, bases: tuple[int, ...] = (2, 
             got = profile.exact
             if abs(got - want) > rel_tol * max(1.0, want):
                 return False, f"rsquare({N}) b={b}: {got} vs oracle {want}"
-    return True, f"five families, N <= {n_max}, bases {bases}; worst rel err {worst:.2e}"
+    return True, f"five families, N <= {n_max}, bases {_BASES}; worst rel err {worst:.2e}"
 
 
 def _is_squarefree_slow(n: int) -> bool:
@@ -268,8 +275,8 @@ def check_exact_obstructions():
 # criterion 6: composition-count bounds
 # ---------------------------------------------------------------------------
 
-def check_composition_bounds(bases: tuple[int, ...] = (2, 3, 6, 10)):
-    for b in bases:
+def check_composition_bounds():
+    for b in _BASES:
         base = Base(b)
         Ns = (10**3, 10**4, 10**5)
         s12s, s21s = (representations.composition_counts(Ns, family, base) for family in ("s12", "s21"))
@@ -278,19 +285,22 @@ def check_composition_bounds(bases: tuple[int, ...] = (2, 3, 6, 10)):
                 return False, f"s12({N}) b={b} = {s12} out of bounds"
             if not N * N / (8 * b) <= s21 <= N * N / 2:
                 return False, f"s21({N}) b={b} = {s21} out of bounds"
-    return True, f"bounds hold at N in 1e3..1e5, bases {bases}"
+    return True, f"bounds hold at N in 1e3..1e5, bases {_BASES}"
 
 
 # ---------------------------------------------------------------------------
 # criterion 7: progression ratio convergence (fixtures)
 # ---------------------------------------------------------------------------
 
+_PROGRESSION_MODULI = (1, 3, 7, 9, 11)
+
+
 def check_progression_convergence(fixtures: dict[str, float]):
     base10 = Base(10)
-    xs, qs = (10**4, 10**5, 10**6, 10**7), (1, 3, 7, 9, 11)
-    counts = weighted_counts_up_to(xs, qs, base10)
+    xs = (10**4, 10**5, 10**6, 10**7)
+    counts = weighted_counts_up_to(xs, _PROGRESSION_MODULI, base10)
     lines = []
-    for q in qs:
+    for q in _PROGRESSION_MODULI:
         tol = fixtures[f"theta_ratio_tol.b10.q{q}"]
         worst_first, worst_last = 0.0, 0.0
         for a in range(q):
@@ -371,18 +381,20 @@ def check_ternary_positivity():
 # suite registry
 # ---------------------------------------------------------------------------
 
-# (name, needs_fixtures, nominal_seconds, callable)
+# (name, the fixture keys it reads, callable); a check that reads keys
+# takes the fixtures as its one argument
 _CHECKS = [
-    ("1-reversal-algebra", False, 10, check_reversal_algebra),
-    ("2-residue-exp-sum", False, 30, check_admissible_exp_sum),
-    ("3-singular-series", False, 30, check_singular_series),
-    ("4-representation-oracle", False, 120, check_representation_oracle),
-    ("5-exact-obstructions", False, 60, check_exact_obstructions),
-    ("6-composition-bounds", False, 30, check_composition_bounds),
-    ("7-progression-convergence", True, 300, check_progression_convergence),
-    ("8-parseval", False, 30, check_parseval),
-    ("9-exception-decay", True, 120, check_exception_decay),
-    ("10-ternary-positivity", False, 60, check_ternary_positivity),
+    ("1-reversal-algebra", (), check_reversal_algebra),
+    ("2-residue-exp-sum", (), check_admissible_exp_sum),
+    ("3-singular-series", (), check_singular_series),
+    ("4-representation-oracle", (), check_representation_oracle),
+    ("5-exact-obstructions", (), check_exact_obstructions),
+    ("6-composition-bounds", (), check_composition_bounds),
+    ("7-progression-convergence", tuple(f"theta_ratio_tol.b10.q{q}" for q in _PROGRESSION_MODULI),
+     check_progression_convergence),
+    ("8-parseval", (), check_parseval),
+    ("9-exception-decay", ("exception_density_limit.b10",), check_exception_decay),
+    ("10-ternary-positivity", (), check_ternary_positivity),
 ]
 
 SUITES = {
@@ -394,31 +406,15 @@ SUITES = {
 }
 
 
-def suite_needs_fixtures(suite: str) -> bool:
-    wanted = set(SUITES[suite])
-    return any(needs for name, needs, *_ in _CHECKS if name in wanted)
+def suite_fixture_keys(suite: str) -> list[str]:
+    """The fixture keys that the suite's checks read, in check order."""
+    return [key for name, keys, _ in _CHECKS if name in SUITES[suite] for key in keys]
 
 
-def run_suite(
-    suite: str,
-    fixtures: dict[str, float] | None = None,
-    budget_seconds: float | None = None,
-) -> list[CheckResult]:
-    if suite not in SUITES:
-        raise KeyError(suite)
-    wanted = set(SUITES[suite])
+def run_suite(suite: str, fixtures: dict[str, float] | None = None) -> list[CheckResult]:
     results = []
-    remaining = budget_seconds
-    for name, needs_fixtures, nominal, fn in _CHECKS:
-        if name not in wanted:
-            continue
-        if remaining is not None:
-            if nominal > remaining:
-                results.append(CheckResult(name, True, "skipped: over budget", 0))
-                continue
-        bound_fn = (lambda f=fn: f(fixtures)) if needs_fixtures else fn
-        result = _timed(name, bound_fn)
-        results.append(result)
-        if remaining is not None:
-            remaining -= result.runtime_ms / 1000
+    for name, keys, fn in _CHECKS:
+        if name in SUITES[suite]:
+            bound_fn = (lambda f=fn: f(fixtures)) if keys else fn
+            results.append(_timed(name, bound_fn))
     return results

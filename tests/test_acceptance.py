@@ -9,7 +9,7 @@ import pytest
 
 from revprime import verify
 
-_CHECKS = {name: (needs, fn) for name, needs, _, fn in verify._CHECKS}
+_CHECKS = {name: (keys, fn) for name, keys, fn in verify._CHECKS}
 
 
 @pytest.fixture(scope="module")
@@ -18,8 +18,8 @@ def fixture_values():
 
 
 def _run(name, fixture_values=None):
-    needs, fn = _CHECKS[name]
-    passed, detail = fn(fixture_values) if needs else fn()
+    keys, fn = _CHECKS[name]
+    passed, detail = fn(fixture_values) if keys else fn()
     print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     assert passed, detail
 

@@ -387,6 +387,29 @@ def test_top_block_class_sieve_matches_full_block_oracle(b, L_top, monkeypatch, 
     assert bool(sieved) == (b > 2), sieved
 
 
+def test_many_classes_grow_the_table_instead(monkeypatch, fresh_session):
+    # base 1000 at x = 900000: the top block's 360 classes would take a
+    # segment pass each, growing the table to 999999 takes one, so the
+    # table grows in one request and no class is sieved
+    requests, sieved = [], []
+    real_table, real_progression = sieve.get_prime_table, sieve.sieve_progression
+
+    def table_spy(limit):
+        requests.append(limit)
+        return real_table(limit)
+
+    def progression_spy(*args, **kwargs):
+        if "out" not in kwargs:  # a class, not a table
+            sieved.append(args)
+        return real_progression(*args, **kwargs)
+
+    monkeypatch.setattr(sieve, "get_prime_table", table_spy)
+    monkeypatch.setattr(sieve, "sieve_progression", progression_spy)
+    got = reversed_prime_arrays(900000, Base(1000))
+    assert requests == [999999] and sieved == []
+    assert got.x == 900000 and got.n[-1] <= 900000
+
+
 @pytest.mark.parametrize("b", range(2, 65))
 def test_coprime_column_matches_gcd(b, fresh_session):
     # the column looks n up by n mod M, M the product of the least primes
