@@ -28,14 +28,14 @@ import json
 import os
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
 from . import circle, representations, schnirelmann, sieve, verify
-from .digits import Base
+from .digits import Base, reverse_block
 from .errors import CacheError, CrossCheckError, ResourceLimitError
 from .progressions import check_modulus, weighted_count_window, weighted_counts_up_to
 
@@ -189,12 +189,24 @@ def int_list(ranges: list[range]) -> list[int]:
 def cmd_enumerate(args, cfg: RunConfig) -> int:
     # built, and the limit checked, before emit_rows writes the header
     arrays = sieve.reversed_prime_arrays(args.limit, Base(cfg.base), require_coprime=args.coprime)
-    rows = (
-        {"n": int(n), "p": int(p), "weight": float(w), "coprime": int(c)}
-        for n, p, w, c in zip(arrays.n, arrays.p, arrays.weight, arrays.coprime)
-    )
-    emit_rows(cfg, ["n", "p", "weight", "coprime"], rows)
+    emit_rows(cfg, ["n", "p", "weight", "coprime"], _enumerate_rows(arrays))
     return 0
+
+
+def _enumerate_rows(arrays: sieve.ReversedPrimeArrays) -> Iterator[dict]:
+    """The rows of a build, one digit length L at a time: the build keeps no
+    source primes, so those of the n in [b^(L-1), b^L) are rebuilt as
+    reverse(n) just before their rows are drawn, 2^16 at a time, so that
+    no temporary grows with the block."""
+    b, lo, L = arrays.base.b, 0, 1
+    while lo < len(arrays):
+        end = int(np.searchsorted(arrays.n, b**L))
+        for start in range(lo, end, 1 << 16):
+            cut = slice(start, min(start + (1 << 16), end))
+            ps = reverse_block(arrays.n[cut], L, arrays.base)
+            for n, p, w, c in zip(arrays.n[cut], ps, arrays.weight[cut], arrays.coprime[cut]):
+                yield {"n": int(n), "p": int(p), "weight": float(w), "coprime": int(c)}
+        lo, L = end, L + 1
 
 
 def cmd_count_ap(args, cfg: RunConfig) -> int:
@@ -369,11 +381,10 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         if missing:
             raise ValueError(f"fixtures {path} lacks the key {missing[0]!r}; regenerate it with "
                              "scripts/build_fixtures.py")
-    results = verify.run_suite(args.suite, fixtures=fixtures)
     failed = 0
-    for res in results:
+    for res in verify.run_suite(args.suite, fixtures=fixtures):  # each line as its check ends
         status = "PASS" if res.passed else "FAIL"
-        print(f"{status} {res.name}: {res.detail}")
+        print(f"{status} {res.name}: {res.detail}", flush=True)
         if not res.passed:
             failed += 1
         print(f"# {res.name} runtime_ms={res.runtime_ms}", file=sys.stderr)

@@ -34,10 +34,13 @@ hits.  When it does not, the top block sieves its classes itself, one
 progression each, keeping only their hits, if that takes fewer segment
 passes than growing the table to b^L - 1; the table is then taken only to
 b^(L-1) - 1, and the classes sieved are not stored.  Each block is reversed
-and sorted in place in its slot of the output columns; reversal preserves
-digit length, so the blocks in order are globally increasing.  The coprime
-column is one lookup by n mod the product of the small primes dividing
-b^3 - b.
+and sorted in place in its slot of the n column; reversal preserves digit
+length, so the blocks in order are globally increasing.  A build keeps
+three columns, n, weight = log(p) and coprime, 17 bytes an entry: the
+source primes p are a local of the build, dropped once the weights are
+taken, and the one reader of p, `enumerate`, rebuilds them as reverse(n)
+one digit-length block at a time.  The coprime column is one lookup by n
+mod the product of the small primes dividing b^3 - b.
 
 The disk cache layout is:
 
@@ -206,13 +209,14 @@ def sieve_primes(limit: int, *, extend: PrimeTable | None = None) -> PrimeTable:
 
 @dataclass
 class ReversedPrimeArrays:
-    """Columnar form of a reversed-prime enumeration, sorted by n."""
+    """Columnar form of a reversed-prime enumeration, sorted by n: 17 bytes
+    an entry.  The source prime p = reverse(n) is not kept; a reader
+    rebuilds it with reverse_block, one digit length of n at a time."""
 
     base: Base
     x: int
     n: np.ndarray  # int64, strictly increasing
-    p: np.ndarray  # int64, reverse(n)
-    weight: np.ndarray  # float64, log(p)
+    weight: np.ndarray  # float64, log(p) for p = reverse(n)
     coprime: np.ndarray  # bool, gcd(n, b^3 - b) == 1
 
     def __len__(self) -> int:
@@ -220,16 +224,12 @@ class ReversedPrimeArrays:
 
     def restrict(self, x: int) -> "ReversedPrimeArrays":
         cut = int(np.searchsorted(self.n, x, side="right"))
-        return ReversedPrimeArrays(
-            self.base, x, self.n[:cut], self.p[:cut],
-            self.weight[:cut], self.coprime[:cut],
-        )
+        return ReversedPrimeArrays(self.base, x, self.n[:cut], self.weight[:cut], self.coprime[:cut])
 
     def coprime_only(self) -> "ReversedPrimeArrays":
-        keep = np.flatnonzero(self.coprime)  # one index gather beats three boolean masks
+        keep = np.flatnonzero(self.coprime)  # one index gather beats two boolean masks
         return ReversedPrimeArrays(
-            self.base, self.x, self.n.take(keep), self.p.take(keep),
-            self.weight.take(keep), np.ones(len(keep), dtype=bool),
+            self.base, self.x, self.n.take(keep), self.weight.take(keep), np.ones(len(keep), dtype=bool),
         )
 
 
@@ -285,10 +285,12 @@ def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
     contiguous copy (numpy finds the nonzero entries of a strided view
     several times slower); a block past the table's limit, the top block
     only, sieves each class on its own (sieve_progression).  A block's p
-    are reversed into n, n is sorted in place, and p is taken back as
-    reverse(n), which is exact because n's last digit is p's leading
-    digit.  Each class's hits are kept until every block is counted, so n
-    and p are filled in place, with no per-block parts to join."""
+    are reversed into n, n is sorted in place, and p is put in n's order
+    as reverse(n), which is exact because n's last digit is p's leading
+    digit.  Each class's hits are kept until every block is counted, so
+    the local p and n are filled in place, with no per-block parts to
+    join.  The weights are log(p) over the whole of p, which is then
+    dropped: the build keeps n, weight and coprime."""
     b = base.b
     L_max = _max_block_length(X + 1, base)  # the digit length of X (0 for X = 0)
     step = math.lcm(2, b)  # between odd p = d mod b
@@ -320,6 +322,7 @@ def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
         n[start:pos].sort()
         p[start:pos] = reverse_block(n[start:pos], L, base)
     weight = np.log(p, dtype=np.float64)
+    del p  # before the coprime temporaries; reverse(n) gives it back
     # gcd(n, b^3 - b) = 1 iff no prime q dividing b - 1, b or b + 1 divides
     # n: one lookup by n mod M, M the product of the least of them while
     # M <= 2^16, then a division test by each one left that is at most X
@@ -335,7 +338,7 @@ def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
         if q > X:
             break
         coprime &= n // q * q != n
-    return ReversedPrimeArrays(base, X, n, p, weight, coprime)
+    return ReversedPrimeArrays(base, X, n, weight, coprime)
 
 
 def _source_table(X: int, bound: int, base: Base) -> PrimeTable:

@@ -411,10 +411,8 @@ def suite_fixture_keys(suite: str) -> list[str]:
     return [key for name, keys, _ in _CHECKS if name in SUITES[suite] for key in keys]
 
 
-def run_suite(suite: str, fixtures: dict[str, float] | None = None) -> list[CheckResult]:
-    results = []
+def run_suite(suite: str, fixtures: dict[str, float] | None = None) -> Iterator[CheckResult]:
+    """Run the suite's checks in order, yielding each result as its check ends."""
     for name, keys, fn in _CHECKS:
         if name in SUITES[suite]:
-            bound_fn = (lambda f=fn: f(fixtures)) if keys else fn
-            results.append(_timed(name, bound_fn))
-    return results
+            yield _timed(name, (lambda: fn(fixtures)) if keys else fn)

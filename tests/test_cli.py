@@ -299,6 +299,24 @@ def test_verify_failure_exits_1(tmp_path, capsys):
     assert "FAIL 7-progression-convergence" in out
 
 
+def test_verify_prints_each_line_as_its_check_ends(monkeypatch, capsys):
+    # the line of a check is out before the next check starts, and a failed
+    # check before a passing one still decides the exit code
+    from revprime import cli, verify
+
+    seen = []
+
+    def second():
+        seen.append(capsys.readouterr().out)
+        return True, "after"
+
+    monkeypatch.setattr(verify, "_CHECKS", [("a", (), lambda: (False, "first")), ("b", (), second)])
+    monkeypatch.setitem(verify.SUITES, "pair", ["a", "b"])
+    assert cli.main(["verify", "--suite", "pair"]) == 1
+    assert seen == ["FAIL a: first\n"]
+    assert capsys.readouterr().out == "PASS b: after\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc", "", None], ids=repr)
 def test_verify_refuses_a_bad_fixtures_line(value, tmp_path, capsys):
     # a nan tolerance would pass every check it bounds, and a line that is

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from revprime import circle, cli, representations
-from revprime.digits import Base, reverse
+from revprime.digits import Base, reverse, reverse_block
 from revprime.errors import (
     CacheChecksumError,
     CacheFormatError,
@@ -201,6 +201,18 @@ def rev_int(n, b):
     return r
 
 
+def rebuilt_p(arrays):
+    # a build keeps no source primes: p = reverse(n) within n's digit
+    # length L, over the n in [b^(L-1), b^L)
+    n, base = arrays.n, arrays.base
+    p, lo, L = np.empty_like(n), 0, 1
+    while lo < len(n):
+        hi = int(np.searchsorted(n, base.b**L))
+        p[lo:hi] = reverse_block(n[lo:hi], L, base)
+        lo, L = hi, L + 1
+    return p
+
+
 @pytest.mark.parametrize("b", [2, 3, 6, 10])
 def test_enumeration_matches_oracle(b):
     base = Base(b)
@@ -215,7 +227,7 @@ def test_enumeration_matches_oracle(b):
         if p in primes:
             expected.append((n, p))
     arrays = reversed_prime_arrays(x, base)
-    got = list(zip(arrays.n.tolist(), arrays.p.tolist()))
+    got = list(zip(arrays.n.tolist(), rebuilt_p(arrays).tolist()))
     assert got == expected
 
 
@@ -223,8 +235,6 @@ def test_enumeration_matches_oracle(b):
 def test_enumeration_matches_nside_oracle_1e5(b):
     # n-side formulation at scale: walk every n <= 1e5 with nonzero last
     # digit, reverse blockwise, and keep those whose reverse is prime
-    from revprime.digits import reverse_block
-
     base = Base(b)
     x = 10**5
     table = sieve_primes(10**6)
@@ -245,10 +255,10 @@ def test_enumeration_matches_nside_oracle_1e5(b):
 def test_enumeration_examples(b10):
     arrays = reversed_prime_arrays(40, b10)
     i = arrays.n.tolist().index(32)
-    assert arrays.p[i] == 23 and not arrays.coprime[i]
+    assert rebuilt_p(arrays)[i] == 23 and not arrays.coprime[i]
     assert reversed_prime_arrays(1, b10).n.tolist() == []
     first = reversed_prime_arrays(2, b10)
-    assert (first.n[0], first.p[0]) == (2, 2)
+    assert (first.n[0], rebuilt_p(first)[0]) == (2, 2)
 
 
 def test_enumeration_checks_its_bound_at_the_call(b10, fresh_session, capsys):
@@ -260,6 +270,36 @@ def test_enumeration_checks_its_bound_at_the_call(b10, fresh_session, capsys):
     assert capsys.readouterr().out == ""
     assert cli.main(["enumerate", "--limit", "40"]) == 0
     assert [row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:4]] == ["2", "3", "5"]
+
+
+@pytest.mark.parametrize("coprime", [False, True])
+@pytest.mark.parametrize("b", [2, 3, 6, 10])
+def test_enumerate_prints_the_source_of_each_n(b, coprime, capsys):
+    # the build keeps no p: enumerate rebuilds it from n as it prints, and
+    # each row must hold the n <= x whose reverse p is prime, with that p
+    x = 30000
+    primes = set(sieve_primes(10**5).primes().tolist())  # every source, b^L - 1 < 10^5
+    expected = [
+        [n, rev_int(n, b), int(math.gcd(n, b**3 - b) == 1)]
+        for n in range(1, x + 1)
+        if n % b and rev_int(n, b) in primes and (not coprime or math.gcd(n, b**3 - b) == 1)
+    ]
+    args = ["enumerate", "--base", str(b), "--limit", str(x)] + ["--coprime"] * coprime
+    assert cli.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n,p,weight,coprime"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [[int(n), int(p), int(c)] for n, p, _, c in rows] == expected
+
+
+def test_enumerate_rebuilds_the_sources_of_a_long_block_in_parts(capsys):
+    # the 7-digit n up to 2e6 (sources ending in 1) are more than the 2^16
+    # whose sources enumerate rebuilds at once
+    assert cli.main(["enumerate", "--limit", "2000000"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    top = [(int(n), int(p)) for n, p, _, _ in rows if int(n) >= 10**6]
+    assert len(top) > 1 << 16
+    assert all(rev_int(n, 10) == p for n, p in top)
 
 
 def test_indicator_refuses_sources_past_the_ceiling_before_allocating(monkeypatch, fresh_session):
@@ -282,9 +322,10 @@ def test_indicator_refuses_sources_past_the_ceiling_before_allocating(monkeypatc
 def test_enumeration_monotone_and_weights(b10):
     arr = reversed_prime_arrays(10**5, b10)
     assert np.all(np.diff(arr.n) > 0)
-    assert np.allclose(arr.weight, np.log(arr.p.astype(float)), rtol=0, atol=0)
+    ps = rebuilt_p(arr)
+    assert np.allclose(arr.weight, np.log(ps.astype(float)), rtol=0, atol=0)
     # involution on records: reversing n recovers p and vice versa
-    for n, p in zip(arr.n[:200], arr.p[:200]):
+    for n, p in zip(arr.n[:200], ps[:200]):
         assert rev_int(int(n), 10) == int(p) and rev_int(int(p), 10) == int(n)
 
 
@@ -295,7 +336,7 @@ def test_only_base_itself_skipped(b):
     base = Base(b)
     x = b**3
     table = sieve_primes(x)
-    sources = set(int(p) for p in reversed_prime_arrays(x - 1, base).p)
+    sources = set(int(p) for p in rebuilt_p(reversed_prime_arrays(x - 1, base)))
     for p in table.primes(x - 1):
         p = int(p)
         if p == b:
@@ -350,7 +391,8 @@ def test_bounded_build_matches_full_block_oracle(b, L_top, fresh_session):
             got = reversed_prime_arrays(x, base)
             assert got.x == x
             for name, want in zip(("n", "p", "weight", "coprime"), oracle):
-                assert np.array_equal(getattr(got, name), want[:cut]), (b, x, name)
+                have = rebuilt_p(got) if name == "p" else getattr(got, name)
+                assert np.array_equal(have, want[:cut]), (b, x, name)
 
 
 @pytest.mark.parametrize("b, L_top", [(2, 15), (3, 11), (5, 7), (6, 6), (7, 6), (10, 5), (30, 3), (210, 2)])
@@ -381,7 +423,8 @@ def test_top_block_class_sieve_matches_full_block_oracle(b, L_top, monkeypatch, 
             cut = int(np.searchsorted(oracle[0], x, side="right"))
             got = reversed_prime_arrays(x, base)
             for name, want in zip(("n", "p", "weight", "coprime"), oracle):
-                assert np.array_equal(getattr(got, name), want[:cut]), (b, x, fresh, name)
+                have = rebuilt_p(got) if name == "p" else getattr(got, name)
+                assert np.array_equal(have, want[:cut]), (b, x, fresh, name)
     # in base 2 a block's one class is all its odd numbers: growing the
     # table never takes more passes
     assert bool(sieved) == (b > 2), sieved
@@ -468,7 +511,26 @@ def test_count_ap_grid_builds_once_to_the_group_end(monkeypatch, fresh_session, 
     assert reversed_prime_arrays(18300000, Base(10)).x == 18300000
     assert [full.x for full in builds] == [19999999, 19999999]
     top = builds[1].n >= 10**7
-    assert top.any() and (builds[1].p[top] % 10 == 1).all()
+    assert top.any() and (rebuilt_p(builds[1])[top] % 10 == 1).all()
+
+
+def test_the_build_keeps_17_bytes_an_entry(fresh_session, capsys):
+    # the build to ap-grid's group end keeps n, weight and coprime, not p;
+    # with p (25 bytes an entry) count-ap at 1.83e7 peaked at 89.5 MB traced
+    tracemalloc.start()
+    try:
+        assert cli.main(["count-ap", "--x", "18329389", "--q", "1", "--a", "0"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 80 * 2**20, peak
+    reversed_prime_arrays(18329389, Base(10))
+    full = fresh_session.builds[10]
+    assert full.x == 19999999 and len(full) == 1938773
+    columns = {name: value for name, value in vars(full).items() if isinstance(value, np.ndarray)}
+    assert list(columns) == ["n", "weight", "coprime"]
+    assert sum(column.nbytes for column in columns.values()) == 17 * len(full)
 
 
 @pytest.mark.parametrize("b", [2, 3, 10, 30])
