@@ -39,8 +39,9 @@ length, so the blocks in order are globally increasing.  A build keeps
 three columns, n, weight = log(p) and coprime, 17 bytes an entry: the
 source primes p are a local of the build, dropped once the weights are
 taken, and the one reader of p, `enumerate`, rebuilds them as reverse(n)
-one digit-length block at a time.  The coprime column is one lookup by n
-mod the product of the small primes dividing b^3 - b.
+one digit-length block at a time, 2^16 entries at a time.  The coprime
+column is one lookup by n mod the product of the small primes dividing
+b^3 - b.
 
 The disk cache layout is:
 
@@ -211,7 +212,7 @@ def sieve_primes(limit: int, *, extend: PrimeTable | None = None) -> PrimeTable:
 class ReversedPrimeArrays:
     """Columnar form of a reversed-prime enumeration, sorted by n: 17 bytes
     an entry.  The source prime p = reverse(n) is not kept; a reader
-    rebuilds it with reverse_block, one digit length of n at a time."""
+    rebuilds it with reverse_block, within one digit length of n."""
 
     base: Base
     x: int
