@@ -71,29 +71,40 @@ def reverse(n: int, base: Base) -> int:
     return rev
 
 
+@lru_cache(maxsize=None)
+def _reversal_table(base: Base) -> tuple[int, np.ndarray | None]:
+    """(k, table): k the largest with b^k <= 2^14 (at least 1) and the
+    read-only int64 table of the reverses of the k-digit numbers, None for
+    k = 1, where it is the identity; built once per base."""
+    b = base.b
+    k = 1
+    while b ** (k + 1) <= 1 << 14:
+        k += 1
+    if k == 1:
+        return k, None
+    table = np.zeros(b**k, dtype=np.int64)
+    rest = np.arange(b**k, dtype=np.int64)
+    for _ in range(k):
+        rest, digit = np.divmod(rest, b)
+        table *= b
+        table += digit
+    table.flags.writeable = False
+    return k, table
+
+
 def reverse_block(values: np.ndarray, length: int, base: Base) -> np.ndarray:
     """Vectorized digital reverse for an int64 array of integers with at
     most `length` base-b digits (zero-padded reversal, so the same value as
     reverse() on integers with exactly `length` digits), as a new array.
 
-    The digits go k at a time, k the largest with b^k <= 2^14 (at least 1):
-    one floor division by b^k per step (numpy's is faster than its % or
-    divmod), a multiply-subtract for the low k digits and a lookup in the
-    table of reversed k-digit numbers, none for k = 1, where that table is
-    the identity.  The top step takes the `step` digits left, whose
-    reverses are the table's entries divided exactly by b^(k - step)."""
+    The digits go k at a time (_reversal_table): one floor division by b^k
+    per step (numpy's is faster than its % or divmod), a multiply-subtract
+    for the low k digits and a lookup in the table of reversed k-digit
+    numbers, none for k = 1.  The top step takes the `step` digits left,
+    whose reverses are the table's entries divided exactly by
+    b^(k - step)."""
     b = base.b
-    k = 1
-    while b ** (k + 1) <= 1 << 14:
-        k += 1
-    table = None
-    if k > 1:
-        table = np.zeros(b**k, dtype=np.int64)
-        rest = np.arange(b**k, dtype=np.int64)
-        for _ in range(k):
-            rest, digit = np.divmod(rest, b)
-            table *= b
-            table += digit
+    k, table = _reversal_table(base)
     high = values = np.asarray(values, dtype=np.int64)
     rev = None
     while length > 0:
@@ -162,14 +173,3 @@ def count_coprime_leading(x: int, base: Base) -> int:
     """#{1 <= n <= x : leading base-b digit of n coprime to b}, equivalently
     gcd(reverse(n), b) = 1: the summed lengths of B's intervals up to x."""
     return sum(hi - lo + 1 for lo, hi in coprime_leading_intervals(x, base))
-
-
-def coprime_leading_indicator(x: int, base: Base) -> np.ndarray:
-    """0/1 float array w[0..x] with w[n] = 1 iff the leading digit of n is
-    coprime to b (w[0] = 0), filled from B's intervals."""
-    if x < 0:
-        raise ValueError("x must be non-negative")
-    w = np.zeros(x + 1, dtype=np.float64)
-    for lo, hi in coprime_leading_intervals(x, base):
-        w[lo : hi + 1] = 1.0
-    return w

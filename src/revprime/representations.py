@@ -413,7 +413,6 @@ def _composition_table(top: int, parts: str, base: Base) -> np.ndarray:
     to b and A is every n >= 1.  Both are lists of intervals, B its digit
     intervals, so the table starts from the empty sum and takes each part by
     one _interval_step."""
-    _check_conv_len(2 * top + 1)
     check_length(top, "composition table")
     runs = {"A": [(1, top)], "B": coprime_leading_intervals(top, base)}
     counts = np.zeros(top + 1, dtype=np.int64)
@@ -445,8 +444,9 @@ def composition_counts(Ns: list[int], family: str, base: Base) -> list[int]:
     """The compositions n1 + n2 + n3 = N of each N in Ns, read from one
     table at the largest N: for s12 the leading digits of n2 and n3 are
     coprime to b (the table BBA of _composition_table), for s21 that of n3
-    (BAA).  As in a represent batch, a table whose product would pass
-    MAX_CONV_LEN is refused."""
+    (BAA).  The table makes no convolution, so its one bound is the length
+    ceiling (check_length); a represent batch's chain still refuses a
+    target past MAX_CONV_LEN (check_batch)."""
     if family not in COMPOSITION_PARTS:
         raise ValueError(f"unknown composition family {family!r}")
     if min(Ns) < 3:

@@ -14,9 +14,10 @@ indicator_support is the one registry of the dense sequences over 0..x,
 and MAX_SEQUENCE_LEN = 2^31 the one ceiling on their length and on every
 sieve, which check_length tests at each call.
 
-The table, one reversed-prime build per base and the directory of the disk
-cache are held by the Session bound by `with Session(...)` (the CLI binds
-one per command); a prime read outside any raises LookupError.  With a
+The table and the directory of the disk cache are held by the Session
+bound by `with Session(...)` (the CLI binds one per command); a prime read
+outside any raises LookupError.  The session keeps no reversed-prime build:
+each reversed_prime_arrays call builds its own from the table.  With a
 cache directory, the session's first table read loads `prime_table.bin`
 from it (a smaller table there is grown, not re-sieved), and every sieve
 of the table is stored back, so the file holds the largest table sieved so
@@ -399,21 +400,16 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
     ceilings of reversed_prime_source_bound is refused before any prime is
     read.
 
-    Each build covers n up to the end X of x's leading-digit group
-    (_group_end).  The build of base b is kept in the bound session's
-    `builds[b]`, whose `.x` is that X: a later call in that session with a
-    group end at most X is cut from it, a larger one rebuilds up to its own.
+    Each call builds every n up to the end X of x's leading-digit group
+    (_group_end) from the bound session's prime table and cuts the build to
+    x; the session keeps no build, so it is freed once the caller drops
+    what it took from it.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
     bound = reversed_prime_source_bound(x, base)
     X = _group_end(x, base)
-    builds = _current.get().builds
-    full = builds.get(base.b)
-    if full is None or full.x < X:
-        full = _build_blocks(X, base, _source_table(X, bound, base))
-        builds[base.b] = full
-    out = full.restrict(x)
+    out = _build_blocks(X, base, _source_table(X, bound, base)).restrict(x)
     return out.coprime_only() if require_coprime else out
 
 
@@ -558,14 +554,13 @@ def cache_load(path: str | os.PathLike) -> PrimeTable:
 # Session
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Session:
-    """The prime table and the per-base reversed-prime builds that the
-    library reads while `with` binds it, and their cache directory (or none)."""
+    """The prime table that the library reads while `with` binds it, and
+    its cache directory (or none)."""
 
     cache_dir: str | None = None
     table: PrimeTable | None = field(default=None, init=False)
-    builds: dict[int, ReversedPrimeArrays] = field(default_factory=dict, init=False)
     _token: Token | None = field(default=None, init=False, repr=False, compare=False)
 
     def __enter__(self) -> "Session":

@@ -22,7 +22,7 @@ def fixtures():
 
 @pytest.fixture(autouse=True)
 def fresh_session():
-    """An empty session bound for each test: it reuses no table or build
-    made before it, and the ones it makes are dropped after it."""
+    """An empty session bound for each test: it reuses no table made
+    before it, and the one it makes is dropped after it."""
     with sieve.Session() as session:
         yield session

@@ -18,9 +18,9 @@ from revprime.circle import (
     parseval_check,
     weyl_ratio,
 )
-from revprime.digits import Base, coprime_leading_indicator, count_coprime_leading
+from revprime.digits import Base, count_coprime_leading
 from revprime.errors import ResourceLimitError
-from revprime.sieve import get_prime_table, indicator_support
+from revprime.sieve import get_prime_table, indicator_support, weighted_indicator
 
 
 def test_exp_sum_at_zero(b10):
@@ -67,7 +67,7 @@ def _direct_exp_sum(alpha, x, kind, base):
     elif kind == "all":
         n, w = np.arange(1, x + 1, dtype=np.int64), np.ones(x)
     else:
-        n = np.flatnonzero(coprime_leading_indicator(x, base))
+        n = np.flatnonzero(weighted_indicator(x, "B_set", base=base).weights)
         w = np.ones(len(n))
     theta = 2.0 * np.pi * ((n * (alpha % 1.0)) % 1.0)
     return complex(np.sum(w * np.cos(theta)), np.sum(w * np.sin(theta)))

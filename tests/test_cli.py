@@ -891,6 +891,43 @@ def test_sieve_calls_are_pinned(args, tmp_path, monkeypatch, fresh_session, caps
     assert stores == {"cache_store": len(calls)}
 
 
+# every reversed-prime build, by its group end, of the commands of
+# SIEVE_CALLS: the session keeps no build, so each reversed_prime_arrays
+# call makes one
+BUILD_CALLS = {
+    ("circle", "--op", "curve", "--N", "7006387", "--samples", "1"): [7999999],
+    ("represent", "--family", "r11", "--n", "7006387", "--exceptions"): [7999999],
+    ("partition", "--digits", "7", "--eta", "1", "--r", "3"): [3999999],
+    ("enumerate", "--limit", "1e5"): [99999],
+    ("--base", "30", "schnirelmann", "--op", "scan", "--lo", "2", "--hi", "4000", "--kmax", "4"): [4499],
+    ("represent", "--family", "r11", "--n", "117698"): [199999],
+    ("count-ap", "--x", "18329389", "--q", "1", "--a", "0"): [19999999],
+    # check 4 reads four times in each of bases 2, 3, 6 and 10; checks 5
+    # and 7-10 read the rest, check 7 the largest
+    ("verify", "--suite", "all"): [
+        2047, 2047, 2047, 2047, 2186, 2186, 2186, 2186, 2591, 2591, 2591, 2591, 2999, 2999, 2999, 2999,
+        699, 6999, 69999, 29, 179, 209, 9999999, 999, 9999, 999, 9999, 99999, 999999, 19999,
+    ],
+}
+assert list(BUILD_CALLS) == list(SIEVE_CALLS)
+
+
+@pytest.mark.parametrize("args", list(BUILD_CALLS), ids=" ".join)
+def test_build_calls_are_pinned(args, monkeypatch, fresh_session, capsys):
+    from revprime import cli, sieve
+
+    real, calls = sieve._build_blocks, []
+
+    def spy(X, base, table):
+        calls.append(X)
+        return real(X, base, table)
+
+    monkeypatch.setattr(sieve, "_build_blocks", spy)
+    assert cli.main(list(args)) == 0
+    capsys.readouterr()
+    assert calls == BUILD_CALLS[args]
+
+
 def test_top_block_classes_leave_the_table_below_them(tmp_path, fresh_session, capsys):
     # count-ap at 1.83e7 reads the 8-digit primes ending in 1: the cache
     # holds the table to 10^7 - 1, and no 10^8 odd mask (47.7 MB) is built

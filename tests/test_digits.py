@@ -6,7 +6,6 @@ import pytest
 
 from revprime.digits import (
     Base,
-    coprime_leading_indicator,
     coprime_leading_intervals,
     count_coprime_leading,
     digits_of,
@@ -14,6 +13,7 @@ from revprime.digits import (
     reverse,
     reverse_block,
 )
+from revprime.sieve import weighted_indicator
 
 
 def test_base_validation():
@@ -134,11 +134,11 @@ def test_count_coprime_leading_vs_enumeration(b):
     for lo, hi in coprime_leading_intervals(limit, base):
         mask[lo : hi + 1] = True
     assert np.array_equal(mask, in_b)
-    assert np.array_equal(coprime_leading_indicator(limit, base), in_b.astype(np.float64))
+    assert np.array_equal(weighted_indicator(limit, "B_set", base=base).weights, in_b.astype(np.float64))
 
 
 def test_coprime_leading_indicator_brute(b10):
-    ind = coprime_leading_indicator(500, b10)
+    ind = weighted_indicator(500, "B_set", base=b10).weights
     for n in range(1, 501):
         lead = int(str(n)[0])
         assert ind[n] == (1.0 if math.gcd(lead, 10) == 1 else 0.0)

@@ -229,9 +229,7 @@ def test_composition_counts(b10):
 
 
 def brute_s12(N, base):
-    from revprime.digits import coprime_leading_indicator
-
-    ind = coprime_leading_indicator(N, base)
+    ind = weighted_indicator(N, "B_set", base=base).weights
     return sum(
         1
         for n2 in range(1, N)
@@ -743,7 +741,6 @@ def test_over_long_chain_is_refused_before_any_build(monkeypatch, fresh_session,
         lambda: representation_count(40000, "r12", b10),
         lambda: representation_count(40000, "r0k", b10, k=3),
         lambda: reps.representation_counts([100, 40000], "r11", b10),
-        lambda: reps._composition_table(40000, "BBB", b10),
     ]
     for call in calls:
         with pytest.raises(ResourceLimitError, match="convolution length 80001 exceeds 65536"):
@@ -782,10 +779,8 @@ def _ternary_targets(b, top):
 @pytest.mark.parametrize("b", [2, 3, 6, 10, 30])
 def test_ternary_compositions_vs_brute_force(b):
     # exact int64 convolutions of the 0/1 sequences (1..M) and B
-    from revprime.digits import coprime_leading_indicator
-
     base, M = Base(b), 400
-    in_b = coprime_leading_indicator(M, base).astype(np.int64)
+    in_b = weighted_indicator(M, "B_set", base=base).weights.astype(np.int64)
     ones = np.ones(M + 1, dtype=np.int64)
     ones[0] = 0
     s12 = np.convolve(np.convolve(ones, in_b), in_b)
@@ -905,11 +900,15 @@ def test_composition_counts_read_one_table(monkeypatch, b10):
 
 @pytest.mark.parametrize("family", ["s12", "s21"])
 def test_composition_count_refuses_an_over_long_table(monkeypatch, b10, family):
-    # as in a represent batch, before B's intervals are built
+    # the table makes no convolution, so MAX_CONV_LEN does not bound it; the
+    # represent batch that reads it refuses the chain's convolution length,
+    # before B's intervals are built
     monkeypatch.setattr(reps, "MAX_CONV_LEN", 1 << 16)
     built = []
     _spy(monkeypatch, reps, "coprime_leading_intervals", built)
     assert composition_count(32767, family, b10) > 0
+    assert composition_count(32768, family, b10) > 0
+    assert len(built) == 2
     with pytest.raises(ResourceLimitError, match="convolution length 65537 exceeds 65536"):
-        composition_count(32768, family, b10)
-    assert len(built) == 1
+        reps.check_batch(3, 32768, "r" + family[1:], b10, None)
+    assert len(built) == 2

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -376,16 +377,16 @@ def _group_cutoffs(b, L_top):
     (36, 3), (257, 2),
 ])
 def test_bounded_build_matches_full_block_oracle(b, L_top, fresh_session):
-    # the top block is reversed only up to x's leading-digit group; growing
-    # the cached build (small x first) and cutting it (large x first) must
-    # both give every column of the full-block enumeration cut at x
+    # the top block is reversed only up to x's leading-digit group; each
+    # call builds to its own group end and cuts at x, on a table that grows
+    # (small x first) or already covers every x (large x first), and both
+    # give every column of the full-block enumeration cut at x
     base = Base(b)
     table = sieve_primes(b**L_top - 1)
     oracle = _full_block_oracle(table, base)
     xs = _group_cutoffs(b, L_top)
     assert xs[0] == 1 and xs[-1] == b**L_top
     for order in (xs, xs[::-1]):
-        fresh_session.builds.clear()
         for x in order:
             cut = int(np.searchsorted(oracle[0], x, side="right"))
             got = reversed_prime_arrays(x, base)
@@ -399,8 +400,8 @@ def test_bounded_build_matches_full_block_oracle(b, L_top, fresh_session):
 def test_top_block_class_sieve_matches_full_block_oracle(b, L_top, monkeypatch, fresh_session):
     # with short segments a top block sieves its own classes whenever that
     # takes fewer passes than growing the table: at group ends, at b^L - 1,
-    # b^L and b^L + 1 and at random x, from a fresh session and from one
-    # whose table and build grow, every column equals the oracle's cut at x
+    # b^L and b^L + 1 and at random x, from a fresh table and from one that
+    # grows, every column equals the oracle's cut at x
     import random
 
     base = Base(b)
@@ -419,7 +420,7 @@ def test_top_block_class_sieve_matches_full_block_oracle(b, L_top, monkeypatch, 
     for fresh in (True, False):
         for x in xs:
             if fresh:
-                fresh_session.table, fresh_session.builds = None, {}
+                fresh_session.table = None
             cut = int(np.searchsorted(oracle[0], x, side="right"))
             got = reversed_prime_arrays(x, base)
             for name, want in zip(("n", "p", "weight", "coprime"), oracle):
@@ -492,12 +493,13 @@ def test_ascending_represent_range_builds_once(monkeypatch, fresh_session, capsy
 
 
 def test_cutoff_at_a_power_of_b_builds_once(monkeypatch, fresh_session, b10):
-    # 10^5 is not a reversed prime: the 5-digit build, complete to 99999,
-    # serves it
+    # 10^5 is not a reversed prime: each call at it builds only the 5-digit
+    # block, complete to 99999; the session keeps no build, so every call
+    # builds once, to its own group end
     builds = _count_builds(monkeypatch)
     for x in (10**5, 10**5, 99999, 10**5, 10**5 + 1):
         reversed_prime_arrays(x, b10)
-    assert [full.x for full in builds] == [99999, 199999]
+    assert [full.x for full in builds] == [99999, 99999, 99999, 99999, 199999]
 
 
 def test_count_ap_grid_builds_once_to_the_group_end(monkeypatch, fresh_session, capsys):
@@ -507,7 +509,6 @@ def test_count_ap_grid_builds_once_to_the_group_end(monkeypatch, fresh_session, 
     assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 10 * 10
     assert [full.x for full in builds] == [19999999]
     # a lone call reverses only the 8-digit primes ending in 1
-    fresh_session.builds.clear()
     assert reversed_prime_arrays(18300000, Base(10)).x == 18300000
     assert [full.x for full in builds] == [19999999, 19999999]
     top = builds[1].n >= 10**7
@@ -525,25 +526,60 @@ def test_the_build_keeps_17_bytes_an_entry(fresh_session, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < 80 * 2**20, peak
-    reversed_prime_arrays(18329389, Base(10))
-    full = fresh_session.builds[10]
+    full = reversed_prime_arrays(19999999, Base(10))
     assert full.x == 19999999 and len(full) == 1938773
     columns = {name: value for name, value in vars(full).items() if isinstance(value, np.ndarray)}
     assert list(columns) == ["n", "weight", "coprime"]
     assert sum(column.nbytes for column in columns.values()) == 17 * len(full)
 
 
+def test_a_build_lives_only_as_long_as_what_was_cut_from_it(monkeypatch, b10):
+    # the session keeps no build: a cut at x holds views of its columns, a
+    # coprime cut holds copies, so the build goes with the cut or at once
+    refs = []
+    build = sieve._build_blocks
+
+    def spy(*args):
+        full = build(*args)
+        refs.append(weakref.ref(full.n))
+        return full
+
+    monkeypatch.setattr(sieve, "_build_blocks", spy)
+    got = reversed_prime_arrays(50000, b10)
+    assert refs[-1]() is not None
+    del got
+    assert refs[-1]() is None
+    got = reversed_prime_arrays(50000, b10, require_coprime=True)
+    assert len(refs) == 2 and refs[-1]() is None and len(got) > 0
+
+
+@pytest.mark.parametrize("args, mib", [
+    (("count-ap", "--x", "11700000,18300000", "--q", "1..10", "--a", "0..9"), 68),
+    (("represent", "--family", "r11", "--n", "7006387", "--exceptions"), 31),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else f"{v}MiB")
+def test_a_command_drops_its_build_once_it_has_read_it(args, mib, capsys):
+    # ap-grid's grid invocation and spectral's --exceptions: the build is
+    # freed once the caller has its coprime cut, before the counts are made
+    tracemalloc.start()
+    try:
+        assert cli.main(list(args)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < mib * 2**20, peak
+
+
 @pytest.mark.parametrize("b", [2, 3, 10, 30])
 def test_weighted_indicator_is_bitwise_a_prefix_of_a_longer_one(b, fresh_session):
     # a represent batch hands target N the view weights[:N + 1] of one build
     # at its largest target M; it must be bitwise the indicator built at N,
-    # before and after the session's table and reversed-prime build grow
+    # before and after the session's table grows
     base, M = Base(b), 30000
     kinds = ("prime", "reversed_prime_coprime")
     Ns = list(range(990, 1010)) + [4096, 4097, 29999, M]
     before = {(N, kind): weighted_indicator(N, kind, base=base) for N in Ns[:22] for kind in kinds}
     longer = {kind: weighted_indicator(M, kind, base=base).weights for kind in kinds}
-    assert fresh_session.builds[b].x >= M
     members = set()
     for N in Ns:
         for kind in kinds:
