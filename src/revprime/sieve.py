@@ -402,8 +402,8 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
 
     Each call builds every n up to the end X of x's leading-digit group
     (_group_end) from the bound session's prime table and cuts the build to
-    x; the session keeps no build, so it is freed once the caller drops
-    what it took from it.
+    x; the session keeps no build, so the build is freed once the caller
+    drops what it took from it.
     """
     if x < 1:
         raise ValueError("x must be >= 1")

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from revprime import digits
 from revprime.digits import (
     Base,
     coprime_leading_intervals,
@@ -72,7 +73,10 @@ def test_reverse_block_matches_scalar_oracle(b):
     # mod the kernel's digits per step k, the largest with b^k <= 2^14: the
     # bases 11 | 12, 25 | 26 and 128 | 129 sit on the edges of k = 4, 3, 2,
     # and 129 and above take one digit a step.  The input is never written
-    # and never returned.
+    # and never returned, and the per-base table of reverses, shared by
+    # every call, is read-only and never returned either.
+    _, table = digits._reversal_table(Base(b))
+    assert table is None or not table.flags.writeable
     rng = random.Random(b)
     L = 1
     while b**L <= 1 << 63:
@@ -84,6 +88,7 @@ def test_reverse_block_matches_scalar_oracle(b):
         got = reverse_block(values, L, Base(b))
         assert got.dtype == np.int64
         assert values.tolist() == vals and not np.shares_memory(got, values), (b, L)
+        assert table is None or not np.shares_memory(got, table), (b, L)
         assert got.tolist() == [_divmod_reverse(v, L, b) for v in vals], (b, L)
         L += 1
     assert L - 1 >= (12 if b <= 36 else 3)  # the longest length tested

@@ -184,6 +184,9 @@ def test_the_library_holds_no_session(monkeypatch, b10):
     with sieve.Session() as inner:
         assert sieve._current.get() is inner
     assert sieve._current.get() is not inner
+    # it holds the table and cache directory only: a stale attribute raises
+    with pytest.raises(AttributeError):
+        inner.builds = {}
 
 
 def test_sieve_limit_range():
