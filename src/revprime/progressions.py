@@ -230,7 +230,7 @@ def weighted_count_window(
         raise ValueError(f"r={brief(r)} outside [{base.b**(eta-1)}, {base.b**eta})")
     _check_modulus_guard([(q, L)], base)
     a %= q
-    get_prime_table(base.b**L - 1)  # both sides read this one table
+    get_prime_table(max(base.b**L - 1, 2))  # both sides read this one table
     unit = base.b ** (L - eta)
     span = (r * unit, (r + 1) * unit - 1)
     res = _class_counts([span], [q], base)[span, q].result(a)
@@ -248,7 +248,7 @@ def weighted_count_window(
 
 def _prime_side_window(L: int, eta: int, r: int, a: int, q: int, base: Base) -> tuple[float, int]:
     b = base.b
-    primes = get_prime_table(b**L - 1).primes(b**L - 1)
+    primes = get_prime_table(max(b**L - 1, 2)).primes(b**L - 1)
     lo = int(np.searchsorted(primes, b ** (L - 1), side="left"))
     # p = rev(r) mod b^eta ends in r's leading digit, which is nonzero
     block = primes[lo:]

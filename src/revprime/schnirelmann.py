@@ -132,15 +132,16 @@ def scan_min_k(x_lo: int, x_hi: int, base: Base, k_max: int) -> ScanResult:
     check_k_max(k_max)
     pool = indicator_mask(x_hi, "reversed_prime", base=base)
     counts: dict[int, int] = {}
-    open_n = np.arange(x_lo, x_hi + 1)  # targets not yet reached
+    open_n = np.ones(x_hi - x_lo + 1, dtype=bool)  # open_n[i]: x_lo + i not yet reached
+    left = len(open_n)
     layer = pool  # layer k: the sums of exactly k reversed primes
     for k in range(1, k_max + 1):
         if k > 1:
             layer = reach_step(layer, pool, out_len=x_hi + 1)
-        hit = layer[open_n]
-        if hit.any():
-            counts[k] = int(hit.sum())
-        open_n = open_n[~hit]
-        if not len(open_n):
+        open_n &= ~layer[x_lo:]
+        before, left = left, int(np.count_nonzero(open_n))
+        if left < before:
+            counts[k] = before - left
+        if not left:
             break
-    return ScanResult(x_lo, x_hi, k_max, counts, open_n.tolist())
+    return ScanResult(x_lo, x_hi, k_max, counts, (x_lo + np.flatnonzero(open_n)).tolist())

@@ -27,22 +27,22 @@ Reversed primes are enumerated prime-side, one digit length L at a time
 (primes are much sparser than integers).  The reverse of a prime leads with
 the prime's last digit d, so the sources of the n with leading digit d are
 one class mod b, and the top block of a cutoff x is read only for the d up
-to x's leading digit: that gives every reversed prime up to the end of x's
-leading-digit group and none past it.  A class is read straight from the
-odd mask, one entry in b/2 (b even) or in b (b odd), when the table reaches
-b^L - 1; each strided view is read once, as a contiguous copy, for its
-hits.  When it does not, the top block sieves its classes itself, one
-progression each, keeping only their hits, if that takes fewer segment
-passes than growing the table to b^L - 1; the table is then taken only to
-b^(L-1) - 1, and the classes sieved are not stored.  Each block is reversed
-and sorted in place in its slot of the n column; reversal preserves digit
-length, so the blocks in order are globally increasing.  A build keeps
-three columns, n, weight = log(p) and coprime, 17 bytes an entry: the
-source primes p are a local of the build, dropped once the weights are
-taken, and the one reader of p, `enumerate`, rebuilds them as reverse(n)
-one digit-length block at a time, 2^16 entries at a time.  The coprime
-column is one lookup by n mod the product of the small primes dividing
-b^3 - b.
+to x's leading digit; its n past x are dropped as soon as they are
+reversed, so a build holds every reversed prime up to x and none past it.
+A class is read straight from the odd mask, one entry in b/2 (b even) or
+in b (b odd), when the table reaches b^L - 1; each strided view is read
+once, as a contiguous copy, for its hits.  When it does not, the top block
+sieves its classes itself, one progression each, keeping only their hits,
+if that takes fewer segment passes than growing the table to b^L - 1; the
+table is then taken only to b^(L-1) - 1, and the classes sieved are not
+stored.  Each block is reversed and sorted in place in its slot of the n
+column; reversal preserves digit length, so the blocks in order are
+globally increasing.  A build keeps three columns, n, weight = log(p) and
+coprime, 17 bytes an entry: the source primes p are a local of the build,
+dropped once the weights are taken, and the one reader of p, `enumerate`,
+rebuilds them as reverse(n) one digit-length block at a time, 2^16 entries
+at a time.  The coprime column is one lookup by n mod the product of the
+small primes dividing b^3 - b.
 
 The disk cache layout is:
 
@@ -216,7 +216,6 @@ class ReversedPrimeArrays:
     rebuilds it with reverse_block, within one digit length of n."""
 
     base: Base
-    x: int
     n: np.ndarray  # int64, strictly increasing
     weight: np.ndarray  # float64, log(p) for p = reverse(n)
     coprime: np.ndarray  # bool, gcd(n, b^3 - b) == 1
@@ -224,14 +223,10 @@ class ReversedPrimeArrays:
     def __len__(self) -> int:
         return len(self.n)
 
-    def restrict(self, x: int) -> "ReversedPrimeArrays":
-        cut = int(np.searchsorted(self.n, x, side="right"))
-        return ReversedPrimeArrays(self.base, x, self.n[:cut], self.weight[:cut], self.coprime[:cut])
-
     def coprime_only(self) -> "ReversedPrimeArrays":
         keep = np.flatnonzero(self.coprime)  # one index gather beats two boolean masks
         return ReversedPrimeArrays(
-            self.base, self.x, self.n.take(keep), self.weight.take(keep), np.ones(len(keep), dtype=bool),
+            self.base, self.n.take(keep), self.weight.take(keep), np.ones(len(keep), dtype=bool),
         )
 
 
@@ -248,58 +243,48 @@ def _max_block_length(x: int, base: Base) -> int:
     return L
 
 
-def _group_end(x: int, base: Base) -> int:
-    """End X = (d + 1) b^(L-1) - 1 of x's leading-digit group: L is the top
-    block length of x and d <= b - 1 the leading digit of x in L digits
-    (X = 0 for x = 1, which needs no block).  X >= x unless x = b^L, which
-    is not a reversed prime."""
-    L = _max_block_length(x, base)
-    if L == 0:
-        return 0
-    unit = base.b ** (L - 1)
-    return (min(x // unit, base.b - 1) + 1) * unit - 1
-
-
-def _block_classes(L: int, top: int, base: Base) -> list[tuple[int, int]]:
-    """The sources of the L-digit block (L >= 2) for the leading digits up
-    to top, one (p0, count) per d in 1..top with gcd(d, b) = 1: the odd
-    p = d mod b in [b^(L-1), b^L) are p0 + lcm(2, b) j for 0 <= j < count.
-    An L-digit prime shares no factor with b, and p = b ends in 0."""
+def _block_classes(L: int, x: int, base: Base) -> list[tuple[int, int]]:
+    """The sources of the L-digit block (L >= 2) whose reverse can be at
+    most x, one (p0, count) per leading digit d of n, d in
+    1..min(x // b^(L-1), b - 1) with gcd(d, b) = 1: the odd p = d mod b in
+    [b^(L-1), b^L) are p0 + lcm(2, b) j for 0 <= j < count.  An L-digit
+    prime shares no factor with b, and p = b ends in 0."""
     b, step = base.b, math.lcm(2, base.b)
     lo = b ** (L - 1)
     classes = []
-    for d in range(1, top + 1):
+    for d in range(1, min(x // lo, b - 1) + 1):
         if math.gcd(d, b) == 1:
             p0 = lo + d if (lo + d) % 2 else lo + d + b  # the least odd p = d mod b
             classes.append((p0, -((p0 - b**L) // step)))
     return classes
 
 
-def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
-    """Every reversed prime n <= X, for X a group end (see _group_end).
+def _build_blocks(x: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
+    """Every reversed prime n <= x.
 
     Block L holds the n with L digits, in increasing order, after the blocks
-    below it.  The 1-digit block is the primes p <= min(X, b - 1), n = p.
+    below it.  The 1-digit block is the primes p <= min(x, b - 1), n = p.
     For L >= 2, n leads with the last digit d of its source p, so block L is
-    read class by class (_block_classes), for d in 1..top (top = b - 1, or
-    X's leading digit in the top block).  A block the table covers is read
+    read class by class (_block_classes), for d up to b - 1, or up to x's
+    leading digit in the top block.  A block the table covers is read
     from the odd mask, one strided view per class, each read once, as a
     contiguous copy (numpy finds the nonzero entries of a strided view
     several times slower); a block past the table's limit, the top block
     only, sieves each class on its own (sieve_progression).  A block's p
-    are reversed into n, n is sorted in place, and p is put in n's order
-    as reverse(n), which is exact because n's last digit is p's leading
-    digit.  Each class's hits are kept until every block is counted, so
-    the local p and n are filled in place, with no per-block parts to
-    join.  The weights are log(p) over the whole of p, which is then
-    dropped: the build keeps n, weight and coprime."""
+    are reversed into n, the top block's n past x are dropped, n is sorted
+    in place, and p is put in n's order as reverse(n), which is exact
+    because n's last digit is p's leading digit.  Each class's hits are
+    kept until every block is counted, so the local p and n are filled in
+    place, with no per-block parts to join.  The weights are log(p) over
+    the whole of p, which is then dropped: the build keeps n, weight and
+    coprime."""
     b = base.b
-    L_max = _max_block_length(X + 1, base)  # the digit length of X (0 for X = 0)
+    L_max = _max_block_length(x, base)
     step = math.lcm(2, b)  # between odd p = d mod b
-    small = table.primes(min(X, b - 1))
+    small = table.primes(min(x, b - 1))
     blocks = []  # (L, [(class hits, first p)]) for L >= 2
     for L in range(2, L_max + 1):
-        classes = _block_classes(L, X // b ** (L - 1) if L == L_max else b - 1, base)
+        classes = _block_classes(L, x, base)
         if b**L - 1 <= table.limit:
             views = [(np.flatnonzero(table.odd_mask[p0 // 2 : b**L // 2 : step // 2].copy()), p0)
                      for p0, _ in classes]
@@ -320,14 +305,20 @@ def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
             p[pos : pos + count] += p0
             pos += count
         del hits  # every block has the view d = 1
-        n[start:pos] = reverse_block(p[start:pos], L, base)
+        block = reverse_block(p[start:pos], L, base)
+        if L == L_max:  # the top block, the last in n: only its n <= x are kept
+            block = block[block <= x]
+            pos = start + len(block)
+        n[start:pos] = block
+        del block
         n[start:pos].sort()
         p[start:pos] = reverse_block(n[start:pos], L, base)
-    weight = np.log(p, dtype=np.float64)
+    n = n[:pos]
+    weight = np.log(p[:pos], dtype=np.float64)
     del p  # before the coprime temporaries; reverse(n) gives it back
     # gcd(n, b^3 - b) = 1 iff no prime q dividing b - 1, b or b + 1 divides
     # n: one lookup by n mod M, M the product of the least of them while
-    # M <= 2^16, then a division test by each one left that is at most X
+    # M <= 2^16, then a division test by each one left that is at most x
     shared = sorted(set().union(*(factorize(m) for m in (b - 1, b, b + 1))))
     M, unit = 1, np.ones(1, dtype=bool)
     while shared and M * shared[0] <= 1 << 16:
@@ -337,15 +328,15 @@ def _build_blocks(X: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
     rest = n // M * M  # numpy multiplies the temporary in place
     coprime = unit[np.subtract(n, rest, out=rest)]  # unit[n mod M], in one temporary
     for q in shared:
-        if q > X:
+        if q > x:
             break
         coprime &= n // q * q != n
-    return ReversedPrimeArrays(base, X, n, weight, coprime)
+    return ReversedPrimeArrays(base, n, weight, coprime)
 
 
-def _source_table(X: int, bound: int, base: Base) -> PrimeTable:
-    """The session's table for a build up to the group end X, whose top
-    block has digit length L and sources up to bound = b^L - 1 (at least 2).
+def _source_table(x: int, bound: int, base: Base) -> PrimeTable:
+    """The session's table for a build up to x, whose top block has digit
+    length L and sources up to bound = b^L - 1 (at least 2).
 
     A table that covers bound serves every block.  Otherwise the top block
     sieves its own classes and the table is requested to b^(L-1) - 1 only,
@@ -356,13 +347,13 @@ def _source_table(X: int, bound: int, base: Base) -> PrimeTable:
     table = _session_table()
     if table is not None and table.limit >= bound:
         return table
-    L = _max_block_length(X + 1, base)
+    L = _max_block_length(x, base)
     if L < 2:
         return get_prime_table(bound)
     below = base.b ** (L - 1) - 1
     have = below if table is None else max(below, table.limit)
     grow = -(-(_sieve_bytes(bound) - _sieve_bytes(have)) // SEGMENT_ODDS)
-    classes = sum(-(-count // SEGMENT_ODDS) for _, count in _block_classes(L, X // (below + 1), base))
+    classes = sum(-(-count // SEGMENT_ODDS) for _, count in _block_classes(L, x, base))
     return get_prime_table(max(below, 2) if classes < grow else bound)
 
 
@@ -400,16 +391,14 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
     ceilings of reversed_prime_source_bound is refused before any prime is
     read.
 
-    Each call builds every n up to the end X of x's leading-digit group
-    (_group_end) from the bound session's prime table and cuts the build to
-    x; the session keeps no build, so the build is freed once the caller
-    drops what it took from it.
+    Each call builds every n up to x from the bound session's prime table;
+    the session keeps no build, so the build is freed once the caller drops
+    it.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
     bound = reversed_prime_source_bound(x, base)
-    X = _group_end(x, base)
-    out = _build_blocks(X, base, _source_table(X, bound, base)).restrict(x)
+    out = _build_blocks(x, base, _source_table(x, bound, base))
     return out.coprime_only() if require_coprime else out
 
 

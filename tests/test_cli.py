@@ -151,7 +151,11 @@ def test_partition_command():
      '{"command": "partition", "observed": "51.490210593154451", '
      '"params": "L=8;a=41;base=3;eta=2;q=30;r=5", "predicted": "72.900000000000006", '
      '"provenance": "exact", "ratio": "0.70631290251240664"}\n'),
-], ids=["b10-csv", "b10-negative-a", "b6-json-zero-main-term", "b3-json"])
+    # b^L - 1 = 1: the one table both sides read is asked for at least 2
+    ("--base 2 --digits 1 --eta 1 --r 1",
+     "command,params,observed,predicted,ratio,provenance\n"
+     "partition,L=1;a=0;base=2;eta=1;q=1;r=1,0,1,0,exact\n"),
+], ids=["b10-csv", "b10-negative-a", "b6-json-zero-main-term", "b3-json", "b2-one-digit"])
 @pytest.mark.filterwarnings("ignore::revprime.errors.ModulusRangeWarning")
 def test_partition_stdout_is_pinned(args, stdout, capsys):
     # no benchmark workload runs partition, so its stdout is pinned here
@@ -891,22 +895,24 @@ def test_sieve_calls_are_pinned(args, tmp_path, monkeypatch, fresh_session, caps
     assert stores == {"cache_store": len(calls)}
 
 
-# every reversed-prime build, by its group end, of the commands of
+# every reversed-prime build, (x, entries made), of the commands of
 # SIEVE_CALLS: the session keeps no build, so each reversed_prime_arrays
-# call makes one
+# call makes one, and it makes no entry past x
 BUILD_CALLS = {
-    ("circle", "--op", "curve", "--N", "7006387", "--samples", "1"): [7999999],
-    ("represent", "--family", "r11", "--n", "7006387", "--exceptions"): [7999999],
-    ("partition", "--digits", "7", "--eta", "1", "--r", "3"): [3999999],
-    ("enumerate", "--limit", "1e5"): [99999],
-    ("--base", "30", "schnirelmann", "--op", "scan", "--lo", "2", "--hi", "4000", "--kmax", "4"): [4499],
-    ("represent", "--family", "r11", "--n", "117698"): [199999],
-    ("count-ap", "--x", "18329389", "--q", "1", "--a", "0"): [19999999],
+    ("circle", "--op", "curve", "--N", "7006387", "--samples", "1"): [(7006387, 372497)],
+    ("represent", "--family", "r11", "--n", "7006387", "--exceptions"): [(7006387, 372497)],
+    ("partition", "--digits", "7", "--eta", "1", "--r", "3"): [(3999999, 371550)],
+    ("enumerate", "--limit", "1e5"): [(100000, 9592)],
+    ("--base", "30", "schnirelmann", "--op", "scan", "--lo", "2", "--hi", "4000", "--kmax", "4"): [(4000, 500)],
+    ("represent", "--family", "r11", "--n", "117698"): [(117698, 12635)],
+    # a build to the end of x's leading-digit group made 1938773 entries
+    ("count-ap", "--x", "18329389", "--q", "1", "--a", "0"): [(18329389, 1725842)],
     # check 4 reads four times in each of bases 2, 3, 6 and 10; checks 5
     # and 7-10 read the rest, check 7 the largest
     ("verify", "--suite", "all"): [
-        2047, 2047, 2047, 2047, 2186, 2186, 2186, 2186, 2591, 2591, 2591, 2591, 2999, 2999, 2999, 2999,
-        699, 6999, 69999, 29, 179, 209, 9999999, 999, 9999, 999, 9999, 99999, 999999, 19999,
+        *[(2000, 302)] * 8, *[(2000, 427)] * 4, *[(2000, 434)] * 4,
+        (600, 95), (6000, 702), (60000, 5402), (24, 7), (144, 29), (180, 27), (10000000, 664579),
+        (1000, 168), (10000, 1229), (1000, 168), (10000, 1229), (100000, 9592), (1000000, 78498), (11000, 1442),
     ],
 }
 assert list(BUILD_CALLS) == list(SIEVE_CALLS)
@@ -918,9 +924,10 @@ def test_build_calls_are_pinned(args, monkeypatch, fresh_session, capsys):
 
     real, calls = sieve._build_blocks, []
 
-    def spy(X, base, table):
-        calls.append(X)
-        return real(X, base, table)
+    def spy(x, base, table):
+        out = real(x, base, table)
+        calls.append((x, len(out)))
+        return out
 
     monkeypatch.setattr(sieve, "_build_blocks", spy)
     assert cli.main(list(args)) == 0

@@ -161,6 +161,24 @@ def test_min_k_builds_only_the_layers_below_n(monkeypatch):
     assert built == [1]
 
 
+def test_scan_holds_its_open_targets_as_a_mask(capsys):
+    # one bool per target, cleared layer by layer: the int64 list of open
+    # targets, gathered and compressed at every layer, peaked at 96.4 MiB
+    from revprime import cli
+
+    args = ["--base", "2", "schnirelmann", "--op", "scan", "--lo", "2", "--hi", "2e6", "--kmax", "4"]
+    tracemalloc.start()
+    try:
+        assert cli.main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert out == "k,count\n1,148840\n2,999998\n3,851159\nfailures,2\n"
+    assert err.startswith("# failures: 2,4\n")
+    assert peak < 90 * 2**20, peak
+
+
 def _brute_pool(N, b):
     """Reversed primes <= N by digit reversal and trial division."""
 

@@ -380,10 +380,10 @@ def _group_cutoffs(b, L_top):
     (36, 3), (257, 2),
 ])
 def test_bounded_build_matches_full_block_oracle(b, L_top, fresh_session):
-    # the top block is reversed only up to x's leading-digit group; each
-    # call builds to its own group end and cuts at x, on a table that grows
-    # (small x first) or already covers every x (large x first), and both
-    # give every column of the full-block enumeration cut at x
+    # the top block is read only for x's leading digits and cut at x as
+    # it is reversed, on a table that grows (small x first) or already
+    # covers every x (large x first), and both give every column of the
+    # full-block enumeration cut at x
     base = Base(b)
     table = sieve_primes(b**L_top - 1)
     oracle = _full_block_oracle(table, base)
@@ -393,7 +393,6 @@ def test_bounded_build_matches_full_block_oracle(b, L_top, fresh_session):
         for x in order:
             cut = int(np.searchsorted(oracle[0], x, side="right"))
             got = reversed_prime_arrays(x, base)
-            assert got.x == x
             for name, want in zip(("n", "p", "weight", "coprime"), oracle):
                 have = rebuilt_p(got) if name == "p" else getattr(got, name)
                 assert np.array_equal(have, want[:cut]), (b, x, name)
@@ -454,7 +453,7 @@ def test_many_classes_grow_the_table_instead(monkeypatch, fresh_session):
     monkeypatch.setattr(sieve, "sieve_progression", progression_spy)
     got = reversed_prime_arrays(900000, Base(1000))
     assert requests == [999999] and sieved == []
-    assert got.x == 900000 and got.n[-1] <= 900000
+    assert got.n[-1] <= 900000
 
 
 @pytest.mark.parametrize("b", range(2, 65))
@@ -481,10 +480,16 @@ def test_coprime_column_past_int64_modulus(fresh_session):
 
 
 def _count_builds(monkeypatch):
-    """Every later reversed-prime build is appended to the returned list."""
+    """Every later reversed-prime build is appended to the returned list,
+    as (x, build)."""
     builds = []
     build = sieve._build_blocks
-    monkeypatch.setattr(sieve, "_build_blocks", lambda *a: builds.append(build(*a)) or builds[-1])
+
+    def spy(x, *args):
+        builds.append((x, build(x, *args)))
+        return builds[-1][1]
+
+    monkeypatch.setattr(sieve, "_build_blocks", spy)
     return builds
 
 
@@ -492,35 +497,40 @@ def test_ascending_represent_range_builds_once(monkeypatch, fresh_session, capsy
     builds = _count_builds(monkeypatch)
     assert cli.main(["represent", "--family", "r12", "--n", "117659..117698"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 40
-    assert [full.x for full in builds] == [199999]
+    assert [x for x, _ in builds] == [117698]
 
 
 def test_cutoff_at_a_power_of_b_builds_once(monkeypatch, fresh_session, b10):
-    # 10^5 is not a reversed prime: each call at it builds only the 5-digit
-    # block, complete to 99999; the session keeps no build, so every call
-    # builds once, to its own group end
+    # 10^5 and 10^5 + 1 are not reversed primes: a call at either holds the
+    # reversed primes to 99999, and the session keeps no build, so every
+    # call builds once, to its own x
     builds = _count_builds(monkeypatch)
-    for x in (10**5, 10**5, 99999, 10**5, 10**5 + 1):
+    xs = (10**5, 10**5, 99999, 10**5, 10**5 + 1)
+    for x in xs:
         reversed_prime_arrays(x, b10)
-    assert [full.x for full in builds] == [99999, 99999, 99999, 99999, 199999]
+    assert [x for x, _ in builds] == list(xs)
+    for _, full in builds:
+        assert np.array_equal(full.n, builds[2][1].n)
 
 
-def test_count_ap_grid_builds_once_to_the_group_end(monkeypatch, fresh_session, capsys):
+def test_count_ap_grid_builds_once_to_its_largest_cutoff(monkeypatch, fresh_session, capsys):
     builds = _count_builds(monkeypatch)
     args = ["count-ap", "--x", "11700000,18300000", "--q", "1..10", "--a", "0..9"]
     assert cli.main(args) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 10 * 10
-    assert [full.x for full in builds] == [19999999]
-    # a lone call reverses only the 8-digit primes ending in 1
-    assert reversed_prime_arrays(18300000, Base(10)).x == 18300000
-    assert [full.x for full in builds] == [19999999, 19999999]
-    top = builds[1].n >= 10**7
-    assert top.any() and (rebuilt_p(builds[1])[top] % 10 == 1).all()
+    assert [x for x, _ in builds] == [18300000]
+    # a lone call reverses only the 8-digit primes ending in 1, and keeps
+    # only those whose reverse is at most x
+    got = reversed_prime_arrays(18300000, Base(10))
+    assert [x for x, _ in builds] == [18300000, 18300000] and builds[1][1] is got
+    top = got.n >= 10**7
+    assert top.any() and (rebuilt_p(got)[top] % 10 == 1).all() and got.n[-1] <= 18300000
+    assert len(got) == len(builds[0][1])
 
 
 def test_the_build_keeps_17_bytes_an_entry(fresh_session, capsys):
-    # the build to ap-grid's group end keeps n, weight and coprime, not p;
-    # with p (25 bytes an entry) count-ap at 1.83e7 peaked at 89.5 MB traced
+    # the build at ap-grid's cutoff keeps n, weight and coprime, not p; with
+    # p (25 bytes an entry) count-ap at 1.83e7 peaked at 89.5 MB traced
     tracemalloc.start()
     try:
         assert cli.main(["count-ap", "--x", "18329389", "--q", "1", "--a", "0"]) == 0
@@ -530,15 +540,16 @@ def test_the_build_keeps_17_bytes_an_entry(fresh_session, capsys):
     capsys.readouterr()
     assert peak < 80 * 2**20, peak
     full = reversed_prime_arrays(19999999, Base(10))
-    assert full.x == 19999999 and len(full) == 1938773
+    assert len(full) == 1938773
     columns = {name: value for name, value in vars(full).items() if isinstance(value, np.ndarray)}
     assert list(columns) == ["n", "weight", "coprime"]
     assert sum(column.nbytes for column in columns.values()) == 17 * len(full)
 
 
-def test_a_build_lives_only_as_long_as_what_was_cut_from_it(monkeypatch, b10):
-    # the session keeps no build: a cut at x holds views of its columns, a
-    # coprime cut holds copies, so the build goes with the cut or at once
+def test_a_build_lives_only_as_long_as_its_reader(monkeypatch, b10):
+    # the session keeps no build: a read hands back the build itself, a
+    # coprime read copies from it, so the build goes with its reader or at
+    # once
     refs = []
     build = sieve._build_blocks
 
@@ -549,7 +560,7 @@ def test_a_build_lives_only_as_long_as_what_was_cut_from_it(monkeypatch, b10):
 
     monkeypatch.setattr(sieve, "_build_blocks", spy)
     got = reversed_prime_arrays(50000, b10)
-    assert refs[-1]() is not None
+    assert refs[-1]() is got.n
     del got
     assert refs[-1]() is None
     got = reversed_prime_arrays(50000, b10, require_coprime=True)
