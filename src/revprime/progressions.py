@@ -9,7 +9,8 @@ window.  Each of these is one span lo <= n <= hi, and one pass over spans
 from one enumeration and one sort by n mod q.  weighted_counts_up_to is the
 batch of cutoff spans; weighted_count_up_to, weighted_count_by_length and
 weighted_count_window are one cell each, and the window still runs an
-independent prime-side enumeration as a cross-check.  Main terms are
+independent prime-side enumeration as a cross-check, which reads its
+sources as one class of the prime table's odd mask.  Main terms are
 
     (q, b^3-b)/phi((q, b^3-b)) * rho_b(a, q) / q
         * #{lo <= n <= hi : leading digit of n coprime to b},
@@ -247,15 +248,21 @@ def weighted_count_window(
 
 
 def _prime_side_window(L: int, eta: int, r: int, a: int, q: int, base: Base) -> tuple[float, int]:
-    b = base.b
-    primes = get_prime_table(max(b**L - 1, 2)).primes(b**L - 1)
-    lo = int(np.searchsorted(primes, b ** (L - 1), side="left"))
-    # p = rev(r) mod b^eta ends in r's leading digit, which is nonzero
-    block = primes[lo:]
-    block = block[block % b**eta == reverse(r, base)]
+    """(observed, raw) of the window from the prime side: the sources are
+    the L-digit primes p = rev(r) mod b^eta, read from the table's odd mask
+    as one class mod lcm(2, b^eta), with p = 2 added where it fits."""
+    b, m, s = base.b, base.b**eta, reverse(r, base)
+    lo, hi = b ** (L - 1), b**L
+    table = get_prime_table(max(hi - 1, 2))
+    step = math.lcm(2, m)
+    p0 = lo + (s - lo) % m  # the least p >= lo with p = s mod m
+    if p0 % 2 == 0:  # the next one is odd if m is; for an even m the class holds no odd p
+        p0 = p0 + m if m % 2 else hi
+    block = p0 + step * np.flatnonzero(table.odd_mask[p0 // 2 : hi // 2 : step // 2].copy())
+    if lo <= 2 < hi and 2 % m == s:
+        block = np.concatenate(([2], block))
     rev = reverse_block(block, L, base)
     # gcd(n, b^3 - b) = 1 iff n is coprime to each of b - 1, b and b + 1
     keep = (np.gcd(rev, b - 1) == 1) & (np.gcd(rev, b) == 1) & (np.gcd(rev, b + 1) == 1)
     keep &= rev % q == a
     return float(np.log(block[keep].astype(np.float64)).sum()), int(keep.sum())
-

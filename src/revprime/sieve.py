@@ -27,22 +27,24 @@ Reversed primes are enumerated prime-side, one digit length L at a time
 (primes are much sparser than integers).  The reverse of a prime leads with
 the prime's last digit d, so the sources of the n with leading digit d are
 one class mod b, and the top block of a cutoff x is read only for the d up
-to x's leading digit; its n past x are dropped as soon as they are
-reversed, so a build holds every reversed prime up to x and none past it.
-A class is read straight from the odd mask, one entry in b/2 (b even) or
-in b (b odd), when the table reaches b^L - 1; each strided view is read
-once, as a contiguous copy, for its hits.  When it does not, the top block
-sieves its classes itself, one progression each, keeping only their hits,
-if that takes fewer segment passes than growing the table to b^L - 1; the
-table is then taken only to b^(L-1) - 1, and the classes sieved are not
-stored.  Each block is reversed and sorted in place in its slot of the n
-column; reversal preserves digit length, so the blocks in order are
-globally increasing.  A build keeps three columns, n, weight = log(p) and
-coprime, 17 bytes an entry: the source primes p are a local of the build,
-dropped once the weights are taken, and the one reader of p, `enumerate`,
-rebuilds them as reverse(n) one digit-length block at a time, 2^16 entries
-at a time.  The coprime column is one lookup by n mod the product of the
-small primes dividing b^3 - b.
+to x's leading digit.  Each class is read in pieces of SEGMENT_ODDS
+candidates: straight from the odd mask, one entry in b/2 (b even) or in b
+(b odd), when the table reaches b^L - 1, each strided slice read once, as
+a contiguous copy, for its hits.  When it does not, the top block sieves
+its classes itself, one segment range of a progression per piece, if that
+takes fewer segment passes than growing the table to b^L - 1; the table is
+then taken only to b^(L-1) - 1, and the classes sieved are not stored.
+Each piece is reversed as soon as it is read, its n past x are dropped and,
+for a coprime read, so are its n not coprime to b^3 - b (one lookup by n
+mod the product of the small primes dividing b^3 - b), so a build holds
+only what it returns.  The columns are allocated once, at their exact
+length: the pieces are copied into n and freed one by one, and each block
+is sorted in place; reversal preserves digit length, so the blocks in order
+are globally increasing.  A build keeps three columns, n, weight = log(p)
+and coprime, 17 bytes an entry, the last two filled 2^16 entries at a time
+from n: the source primes p are never kept, and the one reader of p,
+`enumerate`, rebuilds them as reverse(n) one digit-length block at a time,
+2^16 entries at a time.
 
 The disk cache layout is:
 
@@ -223,12 +225,6 @@ class ReversedPrimeArrays:
     def __len__(self) -> int:
         return len(self.n)
 
-    def coprime_only(self) -> "ReversedPrimeArrays":
-        keep = np.flatnonzero(self.coprime)  # one index gather beats two boolean masks
-        return ReversedPrimeArrays(
-            self.base, self.n.take(keep), self.weight.take(keep), np.ones(len(keep), dtype=bool),
-        )
-
 
 def _max_block_length(x: int, base: Base) -> int:
     """Largest digit length L whose block can contain a reversed prime <= x.
@@ -259,63 +255,27 @@ def _block_classes(L: int, x: int, base: Base) -> list[tuple[int, int]]:
     return classes
 
 
-def _build_blocks(x: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
-    """Every reversed prime n <= x.
+def _build_blocks(x: int, base: Base, table: PrimeTable, require_coprime: bool) -> ReversedPrimeArrays:
+    """Every reversed prime n <= x, or only those with gcd(n, b^3 - b) = 1.
 
     Block L holds the n with L digits, in increasing order, after the blocks
     below it.  The 1-digit block is the primes p <= min(x, b - 1), n = p.
     For L >= 2, n leads with the last digit d of its source p, so block L is
     read class by class (_block_classes), for d up to b - 1, or up to x's
-    leading digit in the top block.  A block the table covers is read
-    from the odd mask, one strided view per class, each read once, as a
-    contiguous copy (numpy finds the nonzero entries of a strided view
-    several times slower); a block past the table's limit, the top block
-    only, sieves each class on its own (sieve_progression).  A block's p
-    are reversed into n, the top block's n past x are dropped, n is sorted
-    in place, and p is put in n's order as reverse(n), which is exact
-    because n's last digit is p's leading digit.  Each class's hits are
-    kept until every block is counted, so the local p and n are filled in
-    place, with no per-block parts to join.  The weights are log(p) over
-    the whole of p, which is then dropped: the build keeps n, weight and
-    coprime."""
-    b = base.b
-    L_max = _max_block_length(x, base)
+    leading digit in the top block, SEGMENT_ODDS candidates at a time.  A
+    block the table covers reads each piece as a strided slice of the odd
+    mask, copied before its hits are found (numpy finds the nonzero entries
+    of a strided view several times slower); a block past the table's
+    limit, the top block only, sieves each piece's range of its class.  A
+    piece of sources p is reversed into n, cut to n <= x in the top block
+    and, for a coprime read, filtered, before it is kept.  The columns are
+    then allocated at their exact length: the pieces are copied into n and
+    freed one by one, each block is sorted in place, and weight = log(p),
+    p = reverse(n) (exact, as n's last digit is p's leading digit), and
+    coprime are filled 2^16 entries at a time."""
+    b, L_max = base.b, _max_block_length(x, base)
     step = math.lcm(2, b)  # between odd p = d mod b
-    small = table.primes(min(x, b - 1))
-    blocks = []  # (L, [(class hits, first p)]) for L >= 2
-    for L in range(2, L_max + 1):
-        classes = _block_classes(L, x, base)
-        if b**L - 1 <= table.limit:
-            views = [(np.flatnonzero(table.odd_mask[p0 // 2 : b**L // 2 : step // 2].copy()), p0)
-                     for p0, _ in classes]
-        else:
-            views = [(sieve_progression(p0, step, count), p0) for p0, count in classes]
-        blocks.append((L, views))
-    total = len(small) + sum(len(hits) for _, views in blocks for hits, _ in views)
-    n = np.empty(total, dtype=np.int64)
-    p = np.empty(total, dtype=np.int64)
-    n[: len(small)] = p[: len(small)] = small
-    pos = len(small)
-    for L, views in blocks:
-        start = pos
-        while views:  # a view's hits are dropped once they are in p
-            hits, p0 = views.pop()
-            count = len(hits)
-            np.multiply(hits, step, out=p[pos : pos + count])
-            p[pos : pos + count] += p0
-            pos += count
-        del hits  # every block has the view d = 1
-        block = reverse_block(p[start:pos], L, base)
-        if L == L_max:  # the top block, the last in n: only its n <= x are kept
-            block = block[block <= x]
-            pos = start + len(block)
-        n[start:pos] = block
-        del block
-        n[start:pos].sort()
-        p[start:pos] = reverse_block(n[start:pos], L, base)
-    n = n[:pos]
-    weight = np.log(p[:pos], dtype=np.float64)
-    del p  # before the coprime temporaries; reverse(n) gives it back
+    half = step // 2
     # gcd(n, b^3 - b) = 1 iff no prime q dividing b - 1, b or b + 1 divides
     # n: one lookup by n mod M, M the product of the least of them while
     # M <= 2^16, then a division test by each one left that is at most x
@@ -325,13 +285,51 @@ def _build_blocks(x: int, base: Base, table: PrimeTable) -> ReversedPrimeArrays:
         q = shared.pop(0)
         M, unit = M * q, np.tile(unit, q)
         unit[::q] = False  # the multiples of q, and unit keeps those of the primes before it
-    rest = n // M * M  # numpy multiplies the temporary in place
-    coprime = unit[np.subtract(n, rest, out=rest)]  # unit[n mod M], in one temporary
-    for q in shared:
-        if q > x:
-            break
-        coprime &= n // q * q != n
-    return ReversedPrimeArrays(base, n, weight, coprime)
+    shared = [q for q in shared if q <= x]
+
+    def coprime(n: np.ndarray) -> np.ndarray:
+        rest = n // M * M  # numpy multiplies the temporary in place
+        out = unit[np.subtract(n, rest, out=rest)]  # unit[n mod M], in one temporary
+        for q in shared:
+            out &= n // q * q != n
+        return out
+
+    small = table.primes(min(x, b - 1))
+    blocks = [(1, [small[coprime(small)] if require_coprime else small])]  # (L, the kept pieces of n)
+    for L in range(2, L_max + 1):
+        # a piece of a class: its sources p0 + step j for lo <= j < hi
+        ranges = [(p0, lo, min(lo + SEGMENT_ODDS, count))
+                  for p0, count in _block_classes(L, x, base) for lo in range(0, count, SEGMENT_ODDS)]
+        if b**L - 1 <= table.limit:  # p0 + step j is odd_mask[p0 // 2 + half j]
+            sources = (p0 + step * (lo + np.flatnonzero(
+                table.odd_mask[p0 // 2 + half * lo : p0 // 2 + half * hi : half].copy())) for p0, lo, hi in ranges)
+        else:
+            sources = (p0 + step * sieve_progression(p0, step, hi, first=lo) for p0, lo, hi in ranges)
+        pieces = []
+        for p in sources:
+            piece = reverse_block(p, L, base)
+            if L == L_max:  # the top block: only its n <= x are kept
+                piece = piece[piece <= x]
+            pieces.append(piece[coprime(piece)] if require_coprime else piece)
+        blocks.append((L, pieces))
+    n = np.empty(sum(len(piece) for _, pieces in blocks for piece in pieces), dtype=np.int64)
+    spans, end = [], 0
+    for L, pieces in blocks:
+        start = end
+        while pieces:  # each piece is freed once it is in n
+            count = len(pieces[-1])
+            n[end : end + count] = pieces.pop()
+            end += count
+        n[start:end].sort()
+        spans += [(L, slice(lo, min(lo + (1 << 16), end))) for lo in range(start, end, 1 << 16)]
+    # the columns from n, once every piece is freed
+    weight = np.empty(len(n), dtype=np.float64)
+    flags = np.ones(len(n), dtype=bool) if require_coprime else np.empty(len(n), dtype=bool)
+    for L, part in spans:
+        np.log(reverse_block(n[part], L, base), out=weight[part])
+        if not require_coprime:
+            flags[part] = coprime(n[part])
+    return ReversedPrimeArrays(base, n, weight, flags)
 
 
 def _source_table(x: int, bound: int, base: Base) -> PrimeTable:
@@ -391,15 +389,15 @@ def reversed_prime_arrays(x: int, base: Base, require_coprime: bool = False) -> 
     ceilings of reversed_prime_source_bound is refused before any prime is
     read.
 
-    Each call builds every n up to x from the bound session's prime table;
-    the session keeps no build, so the build is freed once the caller drops
-    it.
+    Each call builds the n it returns from the bound session's prime table,
+    one sieve segment of sources at a time, into columns of their exact
+    length (_build_blocks); the session keeps no build, so the build is
+    freed once the caller drops it.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
     bound = reversed_prime_source_bound(x, base)
-    out = _build_blocks(x, base, _source_table(x, bound, base))
-    return out.coprime_only() if require_coprime else out
+    return _build_blocks(x, base, _source_table(x, bound, base), require_coprime)
 
 
 # ---------------------------------------------------------------------------

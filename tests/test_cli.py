@@ -466,6 +466,14 @@ def test_peak_memory_is_flat_in_the_number_of_rows(many, one, slack_mb):
     assert _child_peak_rss_mb(*many) < _child_peak_rss_mb(*one) + slack_mb
 
 
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_a_build_holds_only_the_pieces_it_keeps():
+    # count-ap at 1.2e8 reverses the 9-digit primes ending in 1 one sieve
+    # segment at a time and keeps only the coprime n <= x of each piece: a
+    # build that reversed the whole top block before its cut peaked at 697 MB
+    assert _child_peak_rss_mb("count-ap", "--x", "120000000", "--q", "1") < 400
+
+
 def test_window_cross_check_failure_exits_1(monkeypatch, capsys):
     # a disagreement between the two window enumerations is a failed check
     from revprime import cli, progressions
@@ -895,24 +903,27 @@ def test_sieve_calls_are_pinned(args, tmp_path, monkeypatch, fresh_session, caps
     assert stores == {"cache_store": len(calls)}
 
 
-# every reversed-prime build, (x, entries made), of the commands of
-# SIEVE_CALLS: the session keeps no build, so each reversed_prime_arrays
-# call makes one, and it makes no entry past x
+# every reversed-prime build, (x, require_coprime, entries made), of the
+# commands of SIEVE_CALLS: the session keeps no build, so each
+# reversed_prime_arrays call makes one, and it makes no entry past x and,
+# for a coprime read, none that is not coprime to b^3 - b
 BUILD_CALLS = {
-    ("circle", "--op", "curve", "--N", "7006387", "--samples", "1"): [(7006387, 372497)],
-    ("represent", "--family", "r11", "--n", "7006387", "--exceptions"): [(7006387, 372497)],
-    ("partition", "--digits", "7", "--eta", "1", "--r", "3"): [(3999999, 371550)],
-    ("enumerate", "--limit", "1e5"): [(100000, 9592)],
-    ("--base", "30", "schnirelmann", "--op", "scan", "--lo", "2", "--hi", "4000", "--kmax", "4"): [(4000, 500)],
-    ("represent", "--family", "r11", "--n", "117698"): [(117698, 12635)],
-    # a build to the end of x's leading-digit group made 1938773 entries
-    ("count-ap", "--x", "18329389", "--q", "1", "--a", "0"): [(18329389, 1725842)],
+    ("circle", "--op", "curve", "--N", "7006387", "--samples", "1"): [(7006387, True, 166684)],
+    ("represent", "--family", "r11", "--n", "7006387", "--exceptions"): [(7006387, True, 166684)],
+    ("partition", "--digits", "7", "--eta", "1", "--r", "3"): [(3999999, True, 166258)],
+    ("enumerate", "--limit", "1e5"): [(100000, False, 9592)],
+    ("--base", "30", "schnirelmann", "--op", "scan", "--lo", "2", "--hi", "4000", "--kmax", "4"): [(4000, False, 500)],
+    ("represent", "--family", "r11", "--n", "117698"): [(117698, True, 5691)],
+    # a plain build to this x makes 1725842 entries, and one to the end of
+    # x's leading-digit group made 1938773
+    ("count-ap", "--x", "18329389", "--q", "1", "--a", "0"): [(18329389, True, 771365)],
     # check 4 reads four times in each of bases 2, 3, 6 and 10; checks 5
     # and 7-10 read the rest, check 7 the largest
     ("verify", "--suite", "all"): [
-        *[(2000, 302)] * 8, *[(2000, 427)] * 4, *[(2000, 434)] * 4,
-        (600, 95), (6000, 702), (60000, 5402), (24, 7), (144, 29), (180, 27), (10000000, 664579),
-        (1000, 168), (10000, 1229), (1000, 168), (10000, 1229), (100000, 9592), (1000000, 78498), (11000, 1442),
+        *[(2000, True, 301)] * 8, *[(2000, True, 175)] * 4, *[(2000, True, 192)] * 4,
+        (600, True, 38), (6000, True, 310), (60000, True, 2427), (24, False, 7), (144, False, 29), (180, False, 27),
+        (10000000, True, 297192), (1000, True, 75), (10000, True, 549), (1000, True, 75), (10000, True, 549),
+        (100000, True, 4321), (1000000, True, 35208), (11000, True, 642),
     ],
 }
 assert list(BUILD_CALLS) == list(SIEVE_CALLS)
@@ -924,9 +935,9 @@ def test_build_calls_are_pinned(args, monkeypatch, fresh_session, capsys):
 
     real, calls = sieve._build_blocks, []
 
-    def spy(x, base, table):
-        out = real(x, base, table)
-        calls.append((x, len(out)))
+    def spy(x, base, table, require_coprime):
+        out = real(x, base, table, require_coprime)
+        calls.append((x, require_coprime, len(out)))
         return out
 
     monkeypatch.setattr(sieve, "_build_blocks", spy)

@@ -359,6 +359,18 @@ def _full_block_oracle(table, base):
     return n, p, np.log(p.astype(np.float64)), coprime
 
 
+def _assert_oracle_cut(oracle, x, base, case):
+    """A plain read to x holds every column of the oracle cut at x, and a
+    coprime read the rows of that cut whose coprime flag is set."""
+    cut = int(np.searchsorted(oracle[0], x, side="right"))
+    rows = oracle[3][:cut]
+    for require_coprime, keep in ((False, slice(None)), (True, rows)):
+        got = reversed_prime_arrays(x, base, require_coprime=require_coprime)
+        for name, want in zip(("n", "p", "weight", "coprime"), oracle):
+            have = rebuilt_p(got) if name == "p" else getattr(got, name)
+            assert np.array_equal(have, want[:cut][keep]), (*case, require_coprime, name)
+
+
 def _group_cutoffs(b, L_top):
     """x = 1, x < b, and per length L: d b^(L-1) - 1, d b^(L-1) and the
     group end (d + 1) b^(L-1) - 1 for a few leading digits d, and b^L - 1,
@@ -383,7 +395,7 @@ def test_bounded_build_matches_full_block_oracle(b, L_top, fresh_session):
     # the top block is read only for x's leading digits and cut at x as
     # it is reversed, on a table that grows (small x first) or already
     # covers every x (large x first), and both give every column of the
-    # full-block enumeration cut at x
+    # full-block enumeration cut at x, and a coprime read its coprime rows
     base = Base(b)
     table = sieve_primes(b**L_top - 1)
     oracle = _full_block_oracle(table, base)
@@ -391,11 +403,7 @@ def test_bounded_build_matches_full_block_oracle(b, L_top, fresh_session):
     assert xs[0] == 1 and xs[-1] == b**L_top
     for order in (xs, xs[::-1]):
         for x in order:
-            cut = int(np.searchsorted(oracle[0], x, side="right"))
-            got = reversed_prime_arrays(x, base)
-            for name, want in zip(("n", "p", "weight", "coprime"), oracle):
-                have = rebuilt_p(got) if name == "p" else getattr(got, name)
-                assert np.array_equal(have, want[:cut]), (b, x, name)
+            _assert_oracle_cut(oracle, x, base, (b, x))
 
 
 @pytest.mark.parametrize("b, L_top", [(2, 15), (3, 11), (5, 7), (6, 6), (7, 6), (10, 5), (30, 3), (210, 2)])
@@ -423,11 +431,7 @@ def test_top_block_class_sieve_matches_full_block_oracle(b, L_top, monkeypatch, 
         for x in xs:
             if fresh:
                 fresh_session.table = None
-            cut = int(np.searchsorted(oracle[0], x, side="right"))
-            got = reversed_prime_arrays(x, base)
-            for name, want in zip(("n", "p", "weight", "coprime"), oracle):
-                have = rebuilt_p(got) if name == "p" else getattr(got, name)
-                assert np.array_equal(have, want[:cut]), (b, x, fresh, name)
+            _assert_oracle_cut(oracle, x, base, (b, x, fresh))
     # in base 2 a block's one class is all its odd numbers: growing the
     # table never takes more passes
     assert bool(sieved) == (b > 2), sieved
@@ -485,8 +489,8 @@ def _count_builds(monkeypatch):
     builds = []
     build = sieve._build_blocks
 
-    def spy(x, *args):
-        builds.append((x, build(x, *args)))
+    def spy(x, base, table, require_coprime):
+        builds.append((x, build(x, base, table, require_coprime)))
         return builds[-1][1]
 
     monkeypatch.setattr(sieve, "_build_blocks", spy)
@@ -525,12 +529,15 @@ def test_count_ap_grid_builds_once_to_its_largest_cutoff(monkeypatch, fresh_sess
     assert [x for x, _ in builds] == [18300000, 18300000] and builds[1][1] is got
     top = got.n >= 10**7
     assert top.any() and (rebuilt_p(got)[top] % 10 == 1).all() and got.n[-1] <= 18300000
-    assert len(got) == len(builds[0][1])
+    # the grid's coprime read built only the coprime rows of the lone one
+    assert np.array_equal(builds[0][1].n, got.n[got.coprime])
 
 
 def test_the_build_keeps_17_bytes_an_entry(fresh_session, capsys):
-    # the build at ap-grid's cutoff keeps n, weight and coprime, not p; with
-    # p (25 bytes an entry) count-ap at 1.83e7 peaked at 89.5 MB traced
+    # the build at ap-grid's cutoff keeps n, weight and coprime, not p, at
+    # their exact length: with p (25 bytes an entry) count-ap at 1.83e7
+    # peaked at 89.5 MB traced, and with the whole top block reversed
+    # before its cut and the coprime rows gathered after it at 63.8 MiB
     tracemalloc.start()
     try:
         assert cli.main(["count-ap", "--x", "18329389", "--q", "1", "--a", "0"]) == 0
@@ -538,7 +545,7 @@ def test_the_build_keeps_17_bytes_an_entry(fresh_session, capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak < 80 * 2**20, peak
+    assert peak < 48 * 2**20, peak
     full = reversed_prime_arrays(19999999, Base(10))
     assert len(full) == 1938773
     columns = {name: value for name, value in vars(full).items() if isinstance(value, np.ndarray)}
@@ -547,9 +554,8 @@ def test_the_build_keeps_17_bytes_an_entry(fresh_session, capsys):
 
 
 def test_a_build_lives_only_as_long_as_its_reader(monkeypatch, b10):
-    # the session keeps no build: a read hands back the build itself, a
-    # coprime read copies from it, so the build goes with its reader or at
-    # once
+    # the session keeps no build: a read, plain or coprime, hands back the
+    # build itself, so the build goes with its reader
     refs = []
     build = sieve._build_blocks
 
@@ -564,7 +570,9 @@ def test_a_build_lives_only_as_long_as_its_reader(monkeypatch, b10):
     del got
     assert refs[-1]() is None
     got = reversed_prime_arrays(50000, b10, require_coprime=True)
-    assert len(refs) == 2 and refs[-1]() is None and len(got) > 0
+    assert len(refs) == 2 and refs[-1]() is got.n and len(got) > 0 and got.coprime.all()
+    del got
+    assert refs[-1]() is None
 
 
 @pytest.mark.parametrize("args, mib", [
