@@ -551,6 +551,7 @@ def test_the_build_keeps_17_bytes_an_entry(fresh_session, capsys):
     columns = {name: value for name, value in vars(full).items() if isinstance(value, np.ndarray)}
     assert list(columns) == ["n", "weight", "coprime"]
     assert sum(column.nbytes for column in columns.values()) == 17 * len(full)
+    assert all(column.base is None for column in columns.values())  # none is a view of a longer buffer
 
 
 def test_a_build_lives_only_as_long_as_its_reader(monkeypatch, b10):
