@@ -3,14 +3,14 @@ predicted equidistribution main terms.
 
 All observed values are full enumerations (no sampling): the log-weighted
 count of reversed primes n with gcd(n, b^3 - b) = 1 in a residue class,
-either over a fixed digit length, a cutoff n <= x, or a leading-digit
-window.  Each of these is one span lo <= n <= hi, and one pass over spans
-(_class_counts) serves all three: it gives every class of every (span, q)
-from one enumeration and one sort by n mod q.  weighted_counts_up_to is the
-batch of cutoff spans; weighted_count_up_to, weighted_count_by_length and
-weighted_count_window are one cell each, and the window still runs an
-independent prime-side enumeration as a cross-check, which reads its
-sources as one class of the prime table's odd mask.  Main terms are
+either up to a cutoff n <= x or over a leading-digit window.  Each of these
+is one span lo <= n <= hi, and one pass over spans (_class_counts) serves
+both: it gives every class of every (span, q) from one enumeration and one
+sort by n mod q.  weighted_counts_up_to is the batch of cutoff spans;
+weighted_count_up_to and weighted_count_window are one cell each, and the
+window still runs an independent prime-side enumeration as a cross-check,
+which reads its sources as one class of the prime table's odd mask.  Main
+terms are
 
     (q, b^3-b)/phi((q, b^3-b)) * rho_b(a, q) / q
         * #{lo <= n <= hi : leading digit of n coprime to b},
@@ -192,19 +192,6 @@ def weighted_count_up_to(x: int, a: int, q: int, base: Base) -> APResult:
     """Reversed primes n <= x, coprime to b^3 - b, with n = a mod q: the
     class a mod q of weighted_counts_up_to([x], [q])."""
     return weighted_counts_up_to([x], [q], base)[x, q].result(a)
-
-
-def weighted_count_by_length(L: int, a: int, q: int, base: Base) -> APResult:
-    """Reversed primes with exactly L digits, coprime to b^3 - b, congruent
-    to a mod q; main term phi(b)/b * (q,m)/phi((q,m)) * rho/q * b^L: the
-    class a mod q of the span b^(L-1) <= n <= b^L - 1."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    check_modulus(q)
-    check_block_length(L, base)
-    _check_modulus_guard([(q, L)], base)
-    span = (base.b ** (L - 1), base.b**L - 1)
-    return _class_counts([span], [q], base)[span, q].result(a)
 
 
 def weighted_count_window(

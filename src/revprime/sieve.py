@@ -1,13 +1,15 @@
 """Prime generation and reversed-prime enumeration.
 
-sieve_progression is the one segmented sieve of Eratosthenes, on one
-thread, over a progression start + step i.  Each segment holds SEGMENT_ODDS
-entries (1 MB of bool, small enough to stay in L2 while every base prime
-crosses it) and starts as a slice of one presieved pattern of the WHEEL
-primes 3..17 that do not divide step, which would otherwise make almost
-half of all the strided writes; only the base primes past the wheel then
-cross it off.  A PrimeTable is the odd-number primality mask of the
-progression 1 + 2i, and a shared table is grown by sieving only the
+sieve_segments is the one segmented sieve of Eratosthenes, on one thread,
+over a progression start + step i: a generator that sets up its sieving
+primes once and yields the segments one at a time, each a view of one
+scratch buffer.  Each segment holds SEGMENT_ODDS entries (1 MB of bool,
+small enough to stay in L2 while every base prime crosses it) and starts as
+a slice of one presieved pattern of the WHEEL primes 3..17 that do not
+divide step, which would otherwise make almost half of all the strided
+writes; only the base primes past the wheel then cross it off.  A
+PrimeTable is the odd-number primality mask of the progression 1 + 2i, its
+segments copied in, and a shared table is grown by sieving only the
 segments past its limit.
 
 indicator_support is the one registry of the dense sequences over 0..x,
@@ -31,7 +33,7 @@ to x's leading digit.  Each class is read in pieces of SEGMENT_ODDS
 candidates: straight from the odd mask, one entry in b/2 (b even) or in b
 (b odd), when the table reaches b^L - 1, each strided slice read once, as
 a contiguous copy, for its hits.  When it does not, the top block sieves
-its classes itself, one segment range of a progression per piece, if that
+its classes itself, each class one progression of sieve_segments, if that
 takes fewer segment passes than growing the table to b^L - 1; the table is
 then taken only to b^(L-1) - 1, and the classes sieved are not stored.
 Each piece is reversed as soon as it is read, its n past x are dropped and,
@@ -137,20 +139,19 @@ def _sievers(root: int) -> np.ndarray:
     return 2 * np.flatnonzero(odd[WHEEL[-1] // 2 + 1 :]) + WHEEL[-1] + 2
 
 
-def sieve_progression(
-    start: int, step: int, count: int, *, first: int = 0, out: np.ndarray | None = None
-) -> np.ndarray:
+def sieve_segments(start: int, step: int, count: int, *, first: int = 0):
     """Segmented sieve of Eratosthenes over the progression start + step i,
-    first <= i < count, with start >= 1 and gcd(start, step) = 1.
+    first <= i < count, with start >= 1 and gcd(start, step) = 1: yields
+    (lo, segment), segment[k] the primality of start + step (lo + k), one
+    segment of SEGMENT_ODDS entries at a time.
 
-    Each segment of SEGMENT_ODDS entries starts as a slice of the presieved
-    wheel pattern of the progression and is then crossed off by the primes
-    past the wheel that do not divide step, up to the first whose square
-    lies beyond it; each crosses off its multiples from the first entry at
-    least its square.  With `out`, an array of count entries, entry i is
-    set to the primality of start + step i and out is returned.  Without,
-    the segments pass through one scratch buffer and only the increasing
-    indices i of the primes are kept and returned (int64)."""
+    The sievers, their roots and the wheel pattern are set up once.  Each
+    segment starts as a slice of the presieved wheel pattern of the
+    progression and is then crossed off by the primes past the wheel that
+    do not divide step, up to the first whose square lies beyond it; each
+    crosses off its multiples from the first entry at least its square.
+    Every segment is a view of one scratch buffer, valid until the next is
+    drawn."""
     top = start + step * max(count - 1, 0)
     sievers = _sievers(math.isqrt(top))
     sievers = sievers[step % sievers != 0]  # they divide no entry
@@ -166,11 +167,10 @@ def sieve_progression(
     period = math.prod(w for w in WHEEL if step % w)
     # segment lo needs lo % period + (hi - lo) entries, at most either bound
     pattern = _wheel_pattern(start, step, min(period + SEGMENT_ODDS, first % period + count - first))
-    buffer = out if out is not None else np.empty(min(SEGMENT_ODDS, max(count - first, 0)), dtype=bool)
-    hits = []
+    buffer = np.empty(min(SEGMENT_ODDS, max(count - first, 0)), dtype=bool)
     for lo in range(first, count, SEGMENT_ODDS):
         hi = min(lo + SEGMENT_ODDS, count)
-        segment = out[lo:hi] if out is not None else buffer[: hi - lo]
+        segment = buffer[: hi - lo]
         off = lo % period
         segment[:] = pattern[off : off + hi - lo]
         n = int(np.searchsorted(squares, start + step * (hi - 1), side="right"))  # p^2 inside
@@ -181,18 +181,14 @@ def sieve_progression(
         for i, prime in fixes:
             if lo <= i < hi:
                 segment[i - lo] = prime
-        if out is None:
-            hits.append(np.flatnonzero(segment) + lo)
-    if out is not None:
-        return out
-    return np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
+        yield lo, segment
 
 
 def sieve_primes(limit: int, *, extend: PrimeTable | None = None) -> PrimeTable:
     """Segmented odd-only sieve of Eratosthenes up to `limit` inclusive: the
-    progression 1 + 2i of sieve_progression.  With `extend`, a table of a
-    lower limit, its mask is copied as the prefix and only the odd numbers
-    above its limit are sieved."""
+    progression 1 + 2i of sieve_segments, each segment copied into the odd
+    mask.  With `extend`, a table of a lower limit, its mask is copied as
+    the prefix and only the odd numbers above its limit are sieved."""
     if not 2 <= limit < MAX_SEQUENCE_LEN:
         raise ResourceLimitError(
             f"sieve limit {brief(limit)} outside [2, {MAX_SEQUENCE_LEN}), the length ceiling "
@@ -204,7 +200,9 @@ def sieve_primes(limit: int, *, extend: PrimeTable | None = None) -> PrimeTable:
     if extend is not None:
         start = min(len(extend.odd_mask), size)
         odd[:start] = extend.odd_mask[:start]
-    return PrimeTable(limit, sieve_progression(1, 2, size, first=start, out=odd))
+    for lo, segment in sieve_segments(1, 2, size, first=start):
+        odd[lo : lo + len(segment)] = segment
+    return PrimeTable(limit, odd)
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +264,14 @@ def _build_blocks(x: int, base: Base, table: PrimeTable, require_coprime: bool) 
     block the table covers reads each piece as a strided slice of the odd
     mask, copied before its hits are found (numpy finds the nonzero entries
     of a strided view several times slower); a block past the table's
-    limit, the top block only, sieves each piece's range of its class.  A
-    piece of sources p is reversed into n, cut to n <= x in the top block
-    and, for a coprime read, filtered, before it is kept.  The columns are
-    then allocated at their exact length: the pieces are copied into n and
-    freed one by one, each block is sorted in place, and weight = log(p),
-    p = reverse(n) (exact, as n's last digit is p's leading digit), and
-    coprime are filled 2^16 entries at a time."""
+    limit, the top block only, sieves each class as one progression of
+    sieve_segments.  Each piece, the sources p of one segment, is reversed
+    into n, cut to n <= x in the top block and, for a coprime read,
+    filtered, before it is kept.  The columns are then allocated at their
+    exact length: the pieces are copied into n and freed one by one, each
+    block is sorted in place, and weight = log(p), p = reverse(n) (exact,
+    as n's last digit is p's leading digit), and coprime are filled 2^16
+    entries at a time."""
     b, L_max = base.b, _max_block_length(x, base)
     step = math.lcm(2, b)  # between odd p = d mod b
     half = step // 2
@@ -297,20 +296,18 @@ def _build_blocks(x: int, base: Base, table: PrimeTable, require_coprime: bool) 
     small = table.primes(min(x, b - 1))
     blocks = [(1, [small[coprime(small)] if require_coprime else small])]  # (L, the kept pieces of n)
     for L in range(2, L_max + 1):
-        # a piece of a class: its sources p0 + step j for lo <= j < hi
-        ranges = [(p0, lo, min(lo + SEGMENT_ODDS, count))
-                  for p0, count in _block_classes(L, x, base) for lo in range(0, count, SEGMENT_ODDS)]
-        if b**L - 1 <= table.limit:  # p0 + step j is odd_mask[p0 // 2 + half j]
-            sources = (p0 + step * (lo + np.flatnonzero(
-                table.odd_mask[p0 // 2 + half * lo : p0 // 2 + half * hi : half].copy())) for p0, lo, hi in ranges)
-        else:
-            sources = (p0 + step * sieve_progression(p0, step, hi, first=lo) for p0, lo, hi in ranges)
         pieces = []
-        for p in sources:
-            piece = reverse_block(p, L, base)
-            if L == L_max:  # the top block: only its n <= x are kept
-                piece = piece[piece <= x]
-            pieces.append(piece[coprime(piece)] if require_coprime else piece)
+        for p0, count in _block_classes(L, x, base):
+            if b**L - 1 <= table.limit:  # p0 + step j is odd_mask[p0 // 2 + half j]
+                column = table.odd_mask[p0 // 2 :: half][:count]
+                segments = ((lo, column[lo : lo + SEGMENT_ODDS].copy()) for lo in range(0, count, SEGMENT_ODDS))
+            else:
+                segments = sieve_segments(p0, step, count)
+            for lo, segment in segments:
+                piece = reverse_block(p0 + step * (lo + np.flatnonzero(segment)), L, base)
+                if L == L_max:  # the top block: only its n <= x are kept
+                    piece = piece[piece <= x]
+                pieces.append(piece[coprime(piece)] if require_coprime else piece)
         blocks.append((L, pieces))
     n = np.empty(sum(len(piece) for _, pieces in blocks for piece in pieces), dtype=np.int64)
     spans, end = [], 0

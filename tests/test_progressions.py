@@ -10,12 +10,11 @@ from revprime.digits import Base, count_coprime_leading
 from revprime.errors import ModulusRangeWarning
 from revprime.progressions import (
     _class_counts,
-    weighted_count_by_length,
     weighted_count_up_to,
     weighted_count_window,
     weighted_counts_up_to,
 )
-from revprime.sieve import get_prime_table, reversed_prime_arrays
+from revprime.sieve import check_block_length, get_prime_table, reversed_prime_arrays
 
 
 def rev_int(n, b=10):
@@ -26,9 +25,16 @@ def rev_int(n, b=10):
     return r
 
 
+def block_class(L, a, q, base):
+    """The class a mod q of the L-digit block: one _class_counts cell over
+    the span b^(L-1) <= n <= b^L - 1."""
+    span = (base.b ** (L - 1), base.b**L - 1)
+    return _class_counts([span], [q], base)[span, q].result(a)
+
+
 def test_vanishing_class(b10):
     # gcd(0, 2, 990) = 2: no reversed prime coprime to 990 is even
-    res = weighted_count_by_length(3, 0, 2, b10)
+    res = block_class(3, 0, 2, b10)
     assert res.observed == 0.0 and res.main_term == 0.0 and math.isnan(res.ratio)
     assert res.raw_count == 0
     res = weighted_count_up_to(10**4, 0, 2, b10)
@@ -52,12 +58,12 @@ def test_by_length_brute_force(b10):
         for p in (int(v) for v in table.primes(9999))
         if 100 <= p < 1000 and p % 10 and math.gcd(rev_int(p), 990) == 1
     )
-    res = weighted_count_by_length(3, 0, 1, b10)
+    res = block_class(3, 0, 1, b10)
     assert abs(res.observed - expected) < 1e-9
 
 
 def test_by_length_ratio_within_quarter(b10):
-    res = weighted_count_by_length(4, 1, 3, b10)
+    res = block_class(4, 1, 3, b10)
     assert abs(res.ratio - 1.0) < 0.25
 
 
@@ -143,7 +149,7 @@ def test_window_domain_errors(b10):
 def _windows_partition_the_block(L, a, q, base, etas=(1, 2)):
     """The windows over all r with eta leading digits partition the L-digit
     block: their observed counts must sum to the full-length count."""
-    whole = weighted_count_by_length(L, a, q, base)
+    whole = block_class(L, a, q, base)
     b = base.b
     for eta in etas:
         if eta > L:
@@ -181,8 +187,9 @@ def test_equidistribution_trend_with_floor(b10, fixtures):
 
 
 def test_modulus_guard_warns(b10):
+    # the cell q = 30, L = 2: 30^4 > 10^2
     with pytest.warns(ModulusRangeWarning):
-        weighted_count_by_length(2, 1, 30, b10)
+        weighted_counts_up_to([99], [30], b10)
 
 
 @pytest.mark.parametrize(
@@ -264,7 +271,7 @@ def test_length_and_window_match_masked_sums(b, L, windows):
             for a in (0, 1, 5, q + 1, 2 * q + 3, -1, -q - 2):
                 sel = n % q == a % q
                 rho = Fraction(g, totient(g)) / q if math.gcd(a, g) == 1 else 0
-                res = weighted_count_by_length(L, a, q, base)
+                res = block_class(L, a, q, base)
                 inside = sel & (n >= b ** (L - 1))
                 assert res.observed == float(w[inside].sum()), (q, a)
                 assert res.raw_count == int(inside.sum()), (q, a)
@@ -300,7 +307,7 @@ def test_batch_domain_errors(b10):
 def test_modulus_past_int64_is_a_value_error(b10):
     # n % q is taken in int64: q >= 2^63 would raise OverflowError
     with pytest.raises(ValueError, match="2\\^63"):
-        weighted_count_by_length(3, 0, 1 << 63, b10)
+        weighted_counts_up_to([999], [1 << 63], b10)
     with pytest.raises(ValueError, match="2\\^63"):
         weighted_count_window(3, 1, 3, 0, 10**19, b10)
 
@@ -319,7 +326,7 @@ def test_blocks_whose_sources_pass_the_ceiling_are_refused_before_a_sieve(b10, m
     monkeypatch.setattr(sieve, "sieve_primes", refuse)
     for L, base in ((10, b10), (10**400, b10), (32, Base(2))):
         with pytest.raises(ResourceLimitError, match="ceiling"):
-            weighted_count_by_length(L, 0, 1, base)
+            check_block_length(L, base)
         with pytest.raises(ResourceLimitError, match="ceiling"):
             weighted_count_window(L, 1, 1, 0, 1, base)
     for x in (10**9 + 1, 2**31 - 1):

@@ -114,6 +114,13 @@ def test_grown_table_equals_a_fresh_sieve(old, new):
 CLASS_SIEVE_BASES = [(2, 20), (3, 14), (5, 10), (6, 8), (7, 8), (10, 7), (30, 4), (210, 3), (38, 4)]
 
 
+def _progression_hits(start, step, count):
+    """The increasing indices i < count (int64) at which start + step i is
+    prime, gathered from the segments of sieve_segments."""
+    hits = [lo + np.flatnonzero(segment) for lo, segment in sieve.sieve_segments(start, step, count)]
+    return np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
+
+
 @pytest.mark.parametrize("b, L_top", CLASS_SIEVE_BASES)
 def test_class_sieve_equals_the_strided_view_of_a_table(b, L_top, monkeypatch):
     # the sources p = d mod b of an L-digit block, sieved as the progression
@@ -127,17 +134,17 @@ def test_class_sieve_equals_the_strided_view_of_a_table(b, L_top, monkeypatch):
                 continue
             p0 = next(p for p in range(b ** (L - 1) + d, b**L, b) if p % 2)
             want = np.flatnonzero(reference[p0 // 2 : b**L // 2 : step // 2])
-            got = sieve.sieve_progression(p0, step, -((p0 - b**L) // step))
+            got = _progression_hits(p0, step, -((p0 - b**L) // step))
             assert got.dtype == np.int64 and np.array_equal(got, want), (b, L, d)
 
 
 def test_class_sieve_is_the_same_at_every_segment_length(monkeypatch):
     # the 7-digit primes ending in 3: 900000 entries, wheel period 51051
-    want = sieve.sieve_progression(10**6 + 3, 10, 900000)
+    want = _progression_hits(10**6 + 3, 10, 900000)
     assert len(want) == 146565
     for segment in (4099, 51050, 51051, 51052, 899999, 900000, 900001):
         monkeypatch.setattr(sieve, "SEGMENT_ODDS", segment)
-        assert np.array_equal(sieve.sieve_progression(10**6 + 3, 10, 900000), want), segment
+        assert np.array_equal(_progression_hits(10**6 + 3, 10, 900000), want), segment
 
 
 def test_get_prime_table_grows_the_shared_table(tmp_path, monkeypatch):
@@ -417,14 +424,14 @@ def test_top_block_class_sieve_matches_full_block_oracle(b, L_top, monkeypatch, 
     base = Base(b)
     oracle = _full_block_oracle(sieve_primes(b**L_top - 1), base)
     monkeypatch.setattr(sieve, "SEGMENT_ODDS", 1000)
-    sieved, real = [], sieve.sieve_progression
+    sieved, real = [], sieve.sieve_segments
 
     def spy(*args, **kwargs):
-        if "out" not in kwargs:  # a class, not a table
+        if args[:2] != (1, 2):  # a class, not a table
             sieved.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sieve, "sieve_progression", spy)
+    monkeypatch.setattr(sieve, "sieve_segments", spy)
     rng = random.Random(b)
     xs = _group_cutoffs(b, L_top) + sorted(rng.randint(2, b**L_top) for _ in range(6))
     for fresh in (True, False):
@@ -442,22 +449,41 @@ def test_many_classes_grow_the_table_instead(monkeypatch, fresh_session):
     # segment pass each, growing the table to 999999 takes one, so the
     # table grows in one request and no class is sieved
     requests, sieved = [], []
-    real_table, real_progression = sieve.get_prime_table, sieve.sieve_progression
+    real_table, real_segments = sieve.get_prime_table, sieve.sieve_segments
 
     def table_spy(limit):
         requests.append(limit)
         return real_table(limit)
 
-    def progression_spy(*args, **kwargs):
-        if "out" not in kwargs:  # a class, not a table
+    def segments_spy(*args, **kwargs):
+        if args[:2] != (1, 2):  # a class, not a table
             sieved.append(args)
-        return real_progression(*args, **kwargs)
+        return real_segments(*args, **kwargs)
 
     monkeypatch.setattr(sieve, "get_prime_table", table_spy)
-    monkeypatch.setattr(sieve, "sieve_progression", progression_spy)
+    monkeypatch.setattr(sieve, "sieve_segments", segments_spy)
     got = reversed_prime_arrays(900000, Base(1000))
     assert requests == [999999] and sieved == []
     assert got.n[-1] <= 900000
+
+
+def test_a_class_sieve_sets_up_its_sievers_once(monkeypatch, fresh_session):
+    # at x = 183294 the 6-digit top block is one class, the 90000 primes
+    # 100001 + 10 j, sieved in 90 segments of 1000: its sieving primes up to
+    # isqrt(999991) are found once for the class, and once for the table to
+    # 99999, not once per segment
+    monkeypatch.setattr(sieve, "SEGMENT_ODDS", 1000)
+    roots, real = [], sieve._sievers
+
+    def spy(root):
+        roots.append(root)
+        return real(root)
+
+    monkeypatch.setattr(sieve, "_sievers", spy)
+    assert sieve._block_classes(6, 183294, Base(10)) == [(100001, 90000)]
+    got = reversed_prime_arrays(183294, Base(10), True)
+    assert roots == [math.isqrt(99999), math.isqrt(999991)], roots
+    assert fresh_session.table.limit == 99999 and got.n[-1] <= 183294
 
 
 @pytest.mark.parametrize("b", range(2, 65))
