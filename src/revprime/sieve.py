@@ -68,6 +68,7 @@ import math
 import os
 import tempfile
 import zlib
+from collections.abc import Iterator
 from contextvars import ContextVar, Token
 from dataclasses import dataclass, field
 
@@ -139,7 +140,7 @@ def _sievers(root: int) -> np.ndarray:
     return 2 * np.flatnonzero(odd[WHEEL[-1] // 2 + 1 :]) + WHEEL[-1] + 2
 
 
-def sieve_segments(start: int, step: int, count: int, *, first: int = 0):
+def sieve_segments(start: int, step: int, count: int, *, first: int = 0) -> Iterator[tuple[int, np.ndarray]]:
     """Segmented sieve of Eratosthenes over the progression start + step i,
     first <= i < count, with start >= 1 and gcd(start, step) = 1: yields
     (lo, segment), segment[k] the primality of start + step (lo + k), one
